@@ -1,11 +1,14 @@
 """Exact and certified linear algebra helpers.
 
-Two rank engines are provided:
+Two rank routines are provided:
 
-- exact fraction-free elimination over the integers (small matrices);
-- a mod-p reduced-row-echelon accumulator on numpy float64 buffers
-  (p < 2**20, so dot products over rows of length up to ~8000 stay below
-  2**53 and float64 arithmetic is exact).
+- `rank_exact`: exact fraction-free elimination over the integers, for
+  the small matrices of the direct path-algebra oracle (the fallback
+  when a quiver cell fails certification) and of the trace-matrix
+  certificates;
+- `ModPRref`: a mod-p reduced-row-echelon accumulator on numpy float64
+  buffers, the one elimination kernel of the quiver engine (float64
+  arithmetic is exact because width * (p - 1)**2 < 2**53 is enforced).
 
 A mod-p rank is always a lower bound for the rational rank, so "full
 column rank mod p" certifies full rational column rank, and a mod-p
@@ -16,7 +19,6 @@ to certify final answers; no result rests on a single prime alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -26,6 +28,10 @@ MODP = 1048573
 # largest prime below 2**16; used when row widths would push float64
 # dot products past 2**53 with the default prime
 MODP_SMALL = 65521
+
+# rows per elimination chunk of ModPRref.add; the result does not depend
+# on it (the buffer is the unique RREF of its row space)
+_CHUNK = 512
 
 
 def rank_exact(rows, ncols: int) -> int:
@@ -62,6 +68,24 @@ class ModPRref:
     Rows are stored unsorted; `pivots[i]` is the pivot column of row i and
     every row is fully reduced against every other, so the class of a
     vector v modulo the row space is v - v[pivots] @ rows.
+
+    `add` eliminates block-wise (delayed reduction in the style of
+    FFLAS-FFPACK).  Each chunk of offered rows is reduced against the
+    buffer with one matrix product, its surviving rows are brought to
+    reduced row-echelon form among themselves only, and the rows already
+    in the buffer are then cleared at the new pivots with one more
+    product and a single `% p`.  Old rows never change their leading
+    column, so the buffer is always the unique RREF of its row space:
+    the result does not depend on how rows are split into chunks or
+    `add` calls.
+
+    `stop_at_rank` is checked before every row, also inside a chunk, and
+    a chunk that stops early still clears the older rows at the pivots
+    it added.  Callers pass W - target, where the target is an exact
+    lower bound for the quotient dimension: the mod-p rank of every row
+    they will ever offer is at most the rational rank, W - dim <=
+    W - target, so once the threshold is reached the buffer already
+    spans all of them and stopping only skips rows that cannot change it.
     """
 
     def __init__(self, width: int, p: int = MODP):
@@ -87,7 +111,14 @@ class ModPRref:
         """Reduce the rows of `block` modulo the current row space."""
         block = np.asarray(block, dtype=np.float64) % self.p
         if self._n:
-            block = (block - block[:, self.pivots] @ self.rows()) % self.p
+            # rows()[:, pivots] is the identity, so the pivot columns of
+            # the result are zero and only the free columns are computed
+            free = self.nonpivots()
+            out = np.zeros_like(block)
+            out[:, free] = (
+                block[:, free] - block[:, self.pivots] @ self._buf[: self._n, free]
+            ) % self.p
+            block = out
         return block
 
     def _grow(self) -> None:
@@ -96,42 +127,46 @@ class ModPRref:
             new[: self._n] = self._buf[: self._n]
             self._buf = new
 
-    def _insert(self, row: np.ndarray) -> bool:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        row = (row * pow(int(row[lead]), self.p - 2, self.p)) % self.p
-        if self._n:
-            col = self._buf[: self._n, lead].copy()
-            if np.any(col):
-                self._buf[: self._n] = (
-                    self._buf[: self._n] - np.outer(col, row)
-                ) % self.p
-        self._grow()
-        self._buf[self._n] = row
-        self._n += 1
-        self.pivots.append(lead)
-        return True
-
-    def add(self, block, stop_at_rank: int | None = None, chunk: int = 512) -> None:
+    def add(self, block, stop_at_rank: int | None = None) -> None:
         """Insert rows of `block`; stop early once `stop_at_rank` is reached
         (callers use this only when the remaining rows provably cannot
         lower the quotient dimension further)."""
         block = np.asarray(block, dtype=np.float64)
-        for start in range(0, block.shape[0], chunk):
+        p = self.p
+        for start in range(0, block.shape[0], _CHUNK):
             if stop_at_rank is not None and self._n >= stop_at_rank:
                 return
-            sub = self.reduce(block[start : start + chunk])
+            sub = self.reduce(block[start : start + _CHUNK])
             base = self._n
-            for i in range(sub.shape[0]):
+            for row in sub:
                 if stop_at_rank is not None and self._n >= stop_at_rank:
-                    return
-                row = sub[i]
+                    break
+                # only this chunk's rows: sub is already reduced by the rest
+                new = self._buf[base : self._n]
                 if self._n > base:
-                    newp = self.pivots[base:]
-                    row = (row - row[newp] @ self._buf[base : self._n]) % self.p
-                self._insert(row)
+                    row = (row - row[self.pivots[base:]] @ new) % p
+                nz = np.flatnonzero(row)
+                if nz.size == 0:
+                    continue
+                lead = int(nz[0])
+                row = (row * pow(int(row[lead]), p - 2, p)) % p
+                col = new[:, lead]
+                if np.any(col):
+                    new[:] = (new - np.outer(col, row)) % p
+                self._grow()
+                self._buf[self._n] = row
+                self._n += 1
+                self.pivots.append(lead)
+            if 0 < base < self._n:
+                # the chunk's rows are zero at the old pivots and the
+                # identity at their own, so the update clears the old
+                # rows at the new pivots and changes only free columns
+                free = self.nonpivots()
+                newp = self.pivots[base:]
+                old = self._buf[:base]
+                upd = (old[:, free] - old[:, newp] @ self._buf[base : self._n, free]) % p
+                old[:, newp] = 0
+                old[:, free] = upd
 
     def nonpivots(self) -> list[int]:
         pset = set(self.pivots)
@@ -142,71 +177,3 @@ class ModPRref:
         class of v is v[nonpivots] - v[pivots] @ E."""
         nonpiv = self.nonpivots()
         return nonpiv, self.rows()[:, nonpiv].copy()
-
-
-class ExactRref:
-    """Same interface over exact Fractions (pure python, small scales).
-
-    Used as the on-demand fallback when a mod-p certificate fails and in
-    small cross-check tests.
-    """
-
-    def __init__(self, width: int, p=None):
-        self.width = width
-        self._rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def rows(self):
-        return self._rows
-
-    def _reduce_row(self, row: list[Fraction]) -> list[Fraction]:
-        for r, lead in zip(self._rows, self.pivots):
-            c = row[lead]
-            if c:
-                row = [a - c * b for a, b in zip(row, r)]
-        return row
-
-    def reduce(self, block):
-        return [self._reduce_row([Fraction(x) for x in row]) for row in block]
-
-    def add(self, block, stop_at_rank: int | None = None, chunk: int = 0) -> None:
-        for raw in block:
-            if stop_at_rank is not None and self.rank >= stop_at_rank:
-                return
-            row = self._reduce_row([Fraction(x) for x in raw])
-            lead = next((i for i, v in enumerate(row) if v), None)
-            if lead is None:
-                continue
-            inv = 1 / row[lead]
-            row = [v * inv for v in row]
-            for r in self._rows:
-                c = r[lead]
-                if c:
-                    for i in range(self.width):
-                        r[i] -= c * row[i]
-            self._rows.append(row)
-            self.pivots.append(lead)
-
-    def nonpivots(self) -> list[int]:
-        pset = set(self.pivots)
-        return [c for c in range(self.width) if c not in pset]
-
-    def projection(self):
-        nonpiv = self.nonpivots()
-        return nonpiv, [[r[c] for c in nonpiv] for r in self._rows]
-
-
-def rank_exact_fraction(rows, ncols: int) -> int:
-    """Rank over Q of rows with Fraction entries ({col: coeff})."""
-    int_rows = []
-    for row in rows:
-        denom = 1
-        for v in row.values():
-            fv = Fraction(v)
-            denom = denom * fv.denominator // gcd(denom, fv.denominator)
-        int_rows.append({c: int(Fraction(v) * denom) for c, v in row.items()})
-    return rank_exact(int_rows, ncols)

@@ -2,7 +2,8 @@ import numpy as np
 
 import pytest
 
-from minorbit.linalg import MODP, MODP_SMALL, ExactRref, ModPRref, rank_exact
+from minorbit import linalg
+from minorbit.linalg import MODP, MODP_SMALL, ModPRref, rank_exact
 
 
 @pytest.mark.parametrize("p", [MODP, MODP_SMALL])
@@ -52,15 +53,68 @@ def test_modp_rref_projection():
     assert reduced[0] == 0
 
 
-def test_exact_rref_interface():
-    acc = ExactRref(3)
-    acc.add([[1, 1, 0], [0, 1, 1], [1, 2, 1]])
-    assert acc.rank == 2
-    assert acc.nonpivots() == [2]
-
-
 def test_early_stop_respects_threshold():
     acc = ModPRref(4)
     block = np.eye(4)
     acc.add(block, stop_at_rank=2)
     assert acc.rank == 2
+
+
+def _naive_rref(mat, p, stop_at_rank=None):
+    """Row-at-a-time mod-p RREF in insertion order: the reference that
+    the blocked kernel of ModPRref.add must reproduce exactly."""
+    rows, pivots = [], []
+    for v in np.asarray(mat, dtype=np.int64) % p:
+        if len(rows) == stop_at_rank:
+            break
+        for r, c in zip(rows, pivots):
+            v = (v - v[c] * r) % p
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            continue
+        v = v * pow(int(v[nz[0]]), p - 2, p) % p
+        rows = [(r - r[nz[0]] * v) % p for r in rows]
+        rows.append(v)
+        pivots.append(int(nz[0]))
+    return rows, pivots
+
+
+def _rank_deficient(rng, m, w, r):
+    return rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, w))
+
+
+@pytest.mark.parametrize("chunk", [3, 16, linalg._CHUNK])
+@pytest.mark.parametrize("p", [MODP, MODP_SMALL])
+def test_blocked_rref_matches_naive_and_exact(monkeypatch, p, chunk):
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for m, w, r in ((40, 25, 15), (60, 30, 18), (24, 40, 24)):
+        mat = _rank_deficient(rng, m, w, r)
+        acc = ModPRref(w, p)
+        cuts = sorted(rng.choice(np.arange(1, m), size=3, replace=False))
+        for part in np.split(mat, cuts):
+            acc.add(part.astype(float))
+        exact = [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
+        assert acc.rank == rank_exact(exact, w)
+        rows = acc.rows()
+        assert np.array_equal(rows[:, acc.pivots], np.eye(acc.rank))
+        for row, c in zip(rows, acc.pivots):
+            assert not np.any(row[:c]) and row[c] == 1
+        ref_rows, ref_pivots = _naive_rref(mat, p)
+        assert acc.pivots == ref_pivots
+        nonpiv, E = acc.projection()
+        assert np.array_equal(E, np.array(ref_rows)[:, nonpiv])
+
+
+@pytest.mark.parametrize("chunk", [4, linalg._CHUNK])
+def test_blocked_rref_early_stop_matches_naive(monkeypatch, chunk):
+    # a stop inside a chunk must still clear the older rows at the
+    # pivots that chunk added
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    mat = _rank_deficient(np.random.default_rng(3), 30, 20, 14)
+    acc = ModPRref(20)
+    acc.add(mat[:9].astype(float))
+    acc.add(mat[9:].astype(float), stop_at_rank=11)
+    ref_rows, ref_pivots = _naive_rref(mat, MODP, stop_at_rank=11)
+    assert acc.rank == 11 and acc.pivots == ref_pivots
+    assert np.array_equal(acc.rows(), np.array(ref_rows))

@@ -1,6 +1,8 @@
 import pytest
 
+from minorbit import quiveralg
 from minorbit.quiveralg import (
+    CertificationError,
     QuiverDimEngine,
     Quiver,
     QuiverWord,
@@ -149,3 +151,34 @@ def test_n2_skew_group_anchor():
                 if (l - abs(b - a)) % 2:
                     continue
                 assert graded_dim(q, a, b, l) == l + 1
+
+
+def _understate_target(monkeypatch, cell):
+    """Make the corank target of one (n, a, b, l) cell one too small, so
+    the engine's mod-p dimension no longer meets it; start from fresh
+    engines and restore the cached ones afterwards."""
+    true_target = quiveralg._cell_target
+
+    def target(n, a, b, length):
+        t = true_target(n, a, b, length)
+        return t - 1 if (n, a, b, length) == cell else t
+
+    monkeypatch.setattr(quiveralg, "_cell_target", target)
+    monkeypatch.setattr(quiveralg, "_engines", {})
+
+
+def test_uncertified_small_cell_falls_back_to_direct_oracle(monkeypatch):
+    q = Quiver(3)
+    true_dim = graded_dim_direct(q, 0, 1, 3)
+    assert path_count(3, 0, 1, 3) <= quiveralg._DIRECT_FALLBACK_LIMIT
+    _understate_target(monkeypatch, (3, 0, 1, 3))
+    assert graded_dim(q, 0, 1, 3) == true_dim
+    assert quiveralg._engines[3].uncertified == [(0, 1, 3, true_dim, true_dim - 1)]
+
+
+def test_uncertified_large_cell_raises(monkeypatch):
+    assert path_count(3, 1, 1, 6) > quiveralg._DIRECT_FALLBACK_LIMIT
+    _understate_target(monkeypatch, (3, 1, 1, 6))
+    with pytest.raises(CertificationError, match=r"a=1, b=1, l=6"):
+        graded_dim(Quiver(3), 1, 1, 6)
+    assert quiveralg._engines[3].uncertified == [(1, 1, 6, 64, 63)]
