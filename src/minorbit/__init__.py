@@ -7,6 +7,7 @@ result.  Submodules:
 - ``combinat``  : partitions, binomials, Weyl dimensions, LR products
 - ``bwb``       : Borel-Weil-Bott cohomology engine on projective space
 - ``cohengine`` : graded Hom/Ext bookkeeping on the resolutions, tilting checks
+- ``relations`` : generators of the quiver's relation ideal, shared by the next two
 - ``quiveralg`` : the doubled Beilinson quiver with relations, graded dimensions
 - ``repmoduli`` : rank-one representations of the quiver and their geometry
 - ``kfunctor``  : K-lattice flop matrices and the Ext-dimension ledger

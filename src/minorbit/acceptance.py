@@ -144,8 +144,8 @@ def criterion_6() -> CriterionResult:
                 bad.append((n, r.a, r.assembled, r.expected))
         for k in range(-n, n + 1):
             prod = kfunctor.matmul(
-                kfunctor.kn_matrix(k, n, kfunctor.KN),
-                kfunctor.kn_matrix(n - k - 1, n, kfunctor.KNPRIME),
+                kfunctor.kn_matrix(k, n),
+                kfunctor.kn_matrix(n - k - 1, n),
             )
             if prod != kfunctor.identity_matrix(n):
                 bad.append((n, k, "inverse"))
@@ -169,7 +169,8 @@ def criterion_7() -> CriterionResult:
                 bad.append((n, k, "flopflop"))
     return CriterionResult(
         7,
-        "twist ledger replays to [twist(F)] = [O(-1)] (n=3,4,5); "
+        "twist ledger: the Ext profile of twist(F) against j_*O_P(-1) "
+        "matches that of O(-1) (n=3,4,5); "
         "flop-then-flop-back is the identity on the K-lattice",
         not bad,
         f"failures: {bad[:3]}" if bad else "",

@@ -64,9 +64,6 @@ class LeviWeight:
             self.n, self.first - c, tuple(r - c for r in self.rest)
         )
 
-    def full_vector(self) -> tuple[int, ...]:
-        return (self.first,) + self.rest
-
     def rank(self) -> int:
         return weyl_dim(self.n - 1, self.rest)
 
@@ -260,11 +257,6 @@ def serre_dual(e) -> BundleExpr:
     q <-> n-1-q."""
     e = _as_expr(e)
     return e.dual().twist(-e.n)
-
-
-def dual_omega(n: int, p: int, t: int) -> BundleExpr:
-    """(Omega^p(t))^v = Omega^{n-p-1}(n-p-1) (x) O(p - t)."""
-    return omega(n, p, t).dual()
 
 
 def hom_bundle(a: int, b: int, c: int, n: int) -> BundleExpr:

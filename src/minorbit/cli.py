@@ -291,11 +291,10 @@ def cmd_kflop(args) -> int:
         return 0 if rep.passed else CHECK_FAILURE
     if not args.matrix:
         raise SystemExit("kflop needs one of --matrix, --flopflop, --ptwist-ledger")
-    M = kfunctor.kn_matrix(args.k, args.n, args.direction)
+    M = kfunctor.kn_matrix(args.k, args.n)
     payload = {
         "n": args.n,
         "k": args.k,
-        "direction": args.direction,
         "matrix": M,
         "claim": "window-basis matrix of the flop equivalence in the K-lattice",
     }
@@ -339,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, need_n=True):
         if need_n:
             p.add_argument("--n", type=int, default=None, help="dimension parameter (>= 2)")
-        p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
-        p.add_argument("--max-len", dest="max_len", type=int, default=None,
-                       help="path length cap (default 6)")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
         p.add_argument("--output", choices=["json", "csv", "pretty"], default=None)
         p.add_argument("--out", help="write output to this file (under MINORBIT_OUTPUT_DIR)")
 
@@ -361,11 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function of a module")
     common(p)
+    p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
     p.add_argument("--module", required=True, help="M(a) or L(k)")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("quiver", help="quiver algebra graded dimensions")
     common(p)
+    p.add_argument("--max-len", dest="max_len", type=int, default=None,
+                   help="path length cap (default 6)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--dims", action="store_true")
     g.add_argument("--compare", action="store_true")
@@ -384,29 +382,29 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--flopflop", action="store_true")
     g.add_argument("--ptwist-ledger", dest="ptwist_ledger", action="store_true")
     p.add_argument("--k", type=int, default=0, help="functor index")
-    p.add_argument("--direction", choices=[kfunctor.KN, kfunctor.KNPRIME],
-                   default=kfunctor.KN)
     p.set_defaults(func=cmd_kflop)
 
     p = sub.add_parser("mutate", help="mutation orbit trace")
     common(p)
+    p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
     p.add_argument("--orbit", action="store_true")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
-    common(p, need_n=False)
     p.set_defaults(func=cmd_accept)
 
     return ap
 
 
-_DEFAULTS = {"n": 3, "cap": 6, "max_len": 6, "seed": 0, "output": "json"}
+_DEFAULTS = {"n": 3, "cap": 6, "max_len": 6, "output": "json"}
 
 
 def _apply_config(args) -> None:
+    """Fill each shared flag the subcommand defines and the command line
+    left unset: from the config file, else from _DEFAULTS."""
     cfg = _load_config(args.config)
     for key, default in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
+        if hasattr(args, key) and getattr(args, key) is None:
             if key in cfg:
                 val = cfg[key]
                 setattr(args, key, val if key == "output" else int(val))

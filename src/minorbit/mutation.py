@@ -176,12 +176,10 @@ def splice_exact(sp: Splice, n: int, cap: int) -> bool:
 
 @dataclass(frozen=True)
 class MutationState:
-    """W plus one moving summand; `step` counts applied mutations."""
+    """W plus one moving summand."""
 
     n: int
     moving: Label
-    step: int
-    phase: str  # "down" or "up"
 
     @property
     def summands(self) -> tuple[Label, ...]:
@@ -193,7 +191,7 @@ class MutationState:
 
 
 def initial_state(n: int) -> MutationState:
-    return MutationState(n, L(n - 1), 0, "down")
+    return MutationState(n, L(n - 1))
 
 
 @dataclass(frozen=True)
@@ -202,27 +200,6 @@ class StepRecord:
     state: MutationState
     approximation: tuple[int, Label] | None
     splice_ok: bool | None
-
-
-def mutate_step(state: MutationState) -> tuple[MutationState, Splice]:
-    """One left mutation at W: replace the moving summand along its
-    splice.  Descending chains stop at L(0); the orbit driver switches
-    to the ascending chain there."""
-    n = state.n
-    kind, v = state.moving
-    if state.phase == "down":
-        if kind != "L":
-            raise ValueError(f"descending phase expects an L-label, got {state.moving}")
-        if v == 0:
-            raise ValueError("descending chain exhausted at L(0); restart ascending")
-        sp = Splice("minus", L(v), dim_wedge(n, v), M(v - 1), L(v - 1))
-        return MutationState(n, L(v - 1), state.step + 1, "down"), sp
-    if kind != "WT":
-        raise ValueError(f"ascending phase expects a WedgeT-label, got {state.moving}")
-    if v == n - 1:
-        raise ValueError("ascending chain exhausted at WedgeT(n-1)")
-    sp = Splice("plus", WedgeT(v), dim_wedge(n, v + 1), M(v), WedgeT(v + 1))
-    return MutationState(n, WedgeT(v + 1), state.step + 1, "up"), sp
 
 
 @dataclass(frozen=True)
@@ -279,21 +256,17 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
     passed = True
     closed_after = None
     early = False
-    for i in range(2 * n - 2):
-        if state.phase == "down" and state.moving == L(0):
-            state = MutationState(n, WedgeT(0), state.step, "up")
-        new_state, sp = mutate_step(state)
+    # each step replaces the moving summand by the quotient of its
+    # splice: down the descending chain, then up the ascending one
+    for i, sp in enumerate(splices(n, "minus") + splices(n, "plus"), 1):
+        state = MutationState(n, sp.quot)
         ok = splice_exact(sp, n, cap)
         passed = passed and ok
-        records.append(
-            StepRecord(i + 1, new_state, (sp.mult, sp.mid), ok)
-        )
-        state = new_state
-        sig = _state_signature(state, cap)
-        if sig == start_sig:
+        records.append(StepRecord(i, state, (sp.mult, sp.mid), ok))
+        if _state_signature(state, cap) == start_sig:
             if closed_after is None:
-                closed_after = i + 1
-            if i + 1 < 2 * n - 2:
+                closed_after = i
+            if i < 2 * n - 2:
                 early = True
     if closed_after != 2 * n - 2 or early:
         passed = False

@@ -2,15 +2,10 @@
 
 The quiver has vertices 0..n-1, n forward arrows f_1..f_n between
 consecutive vertices and n backward arrows v_1..v_n.  Words are stored
-in application order (first arrow applied first); the relation ideal is
-generated by
-
-    v_i v_j = v_j v_i,  f_i f_j = f_j f_i,  v_j f_i = f_i v_j,
-    f_k v_j f_i = f_i v_j f_k,  v_j f_i v_l = v_l f_i v_j,
-    sum_i f_i v_i = 0 = sum_i v_i f_i,
-
-each embedded in every composable context.  ``graded_dim`` computes the
-dimension of paths from a to b of length l modulo the ideal.
+in application order (first arrow applied first); the generators of the
+relation ideal are listed once, in `relations`, and each is embedded in
+every composable context.  ``graded_dim`` computes the dimension of
+paths from a to b of length l modulo the ideal.
 
 Two computations are provided.  The direct oracle materializes the free
 span and the contextual relation instances and takes an exact rank; it
@@ -29,12 +24,12 @@ certifies the value; disagreement is reported, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cohengine import sym_pair_corank
 from .linalg import MODP, MODP_SMALL, ModPRref, rank_exact
+from .relations import RelationGen, relation_generators
 
 
 @dataclass(frozen=True)
@@ -119,73 +114,6 @@ def path_count(n: int, a: int, b: int, length: int) -> int:
                 nxt[s - 1] = nxt.get(s - 1, 0) + c
         walks = nxt
     return walks.get(b, 0) * n ** length
-
-
-@dataclass(frozen=True)
-class RelationGen:
-    """One vertex-instantiated generating relation: a formal combination
-    of same-source, same-target words."""
-
-    source: int
-    target: int
-    length: int
-    terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
-    name: str
-
-
-@lru_cache(maxsize=None)
-def relation_generators(n: int) -> tuple[RelationGen, ...]:
-    gens: list[RelationGen] = []
-
-    def add(s, t, terms, name):
-        gens.append(
-            RelationGen(s, t, len(terms[0][1]), tuple(terms), name)
-        )
-
-    for s in range(n):
-        if s <= n - 3:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    add(s, s + 2, [
-                        (1, (("f", i), ("f", j))),
-                        (-1, (("f", j), ("f", i))),
-                    ], "ff")
-        if s >= 2:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    add(s, s - 2, [
-                        (1, (("v", i), ("v", j))),
-                        (-1, (("v", j), ("v", i))),
-                    ], "vv")
-        if 1 <= s <= n - 2:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    # v_j f_i (f first) = f_i v_j (v first)
-                    add(s, s, [
-                        (1, (("f", i), ("v", j))),
-                        (-1, (("v", j), ("f", i))),
-                    ], "mixed")
-        if s <= n - 2:
-            for j in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for k in range(i + 1, n + 1):
-                        add(s, s + 1, [
-                            (1, (("f", i), ("v", j), ("f", k))),
-                            (-1, (("f", k), ("v", j), ("f", i))),
-                        ], "fvf")
-        if s >= 1:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for l in range(j + 1, n + 1):
-                        add(s, s - 1, [
-                            (1, (("v", l), ("f", i), ("v", j))),
-                            (-1, (("v", j), ("f", i), ("v", l))),
-                        ], "vfv")
-        if s >= 1:
-            add(s, s, [(1, (("v", i), ("f", i))) for i in range(1, n + 1)], "trace-fv")
-        if s <= n - 2:
-            add(s, s, [(1, (("f", i), ("v", i))) for i in range(1, n + 1)], "trace-vf")
-    return tuple(gens)
 
 
 def relation_instances(quiver: Quiver, a: int, b: int, length: int):
@@ -280,7 +208,6 @@ class QuiverDimEngine:
 
     def _build_level(self, l: int) -> None:
         n, p = self.n, self.p
-        prev = self.levels[l - 1]
         newlevel: dict = {}
         gens_by_target: dict[int, list[RelationGen]] = {}
         for gen in relation_generators(n):
@@ -288,12 +215,12 @@ class QuiverDimEngine:
                 gens_by_target.setdefault(gen.target, []).append(gen)
         for a in range(n):
             for b in range(n):
-                blocks = []
+                blocks = {}  # (arrow, source vertex) -> (offset in W, width)
                 woff = 0
                 for arrow, src in self._arrows_into(b):
                     sdim = self._prev_dim(a, src, l - 1)
                     if sdim:
-                        blocks.append((arrow, src, woff, sdim))
+                        blocks[(arrow, src)] = (woff, sdim)
                         woff += sdim
                 if woff == 0:
                     continue
@@ -318,23 +245,18 @@ class QuiverDimEngine:
                             cur = nxt
                         if comp is None:
                             comp = np.eye(dq)
-                        off = self._block_offset(blocks, steps[-1], cur)
+                        off = blocks[(steps[-1], cur)][0]
                         big[off : off + comp.shape[0], :] += coeff * comp
                     rref.add(big.T % p, stop_at_rank=W - target)
+                # the projection W -> quotient: a nonpivot column maps to
+                # its own coordinate, a pivot column to minus its row of E
                 nonpiv, E = rref.projection()
                 dim = W - rref.rank
-                pos = {c: i for i, c in enumerate(nonpiv)}
-                piv_pos = {c: i for i, c in enumerate(rref.pivots)}
-                mats = {}
-                for arrow, src, off, sdim in blocks:
-                    M = np.zeros((dim, sdim))
-                    for j in range(sdim):
-                        c = off + j
-                        if c in pos:
-                            M[pos[c], j] = 1
-                        else:
-                            M[:, j] = (-E[piv_pos[c]]) % self.p
-                    mats[arrow] = M % self.p
+                T = np.zeros((dim, W))
+                T[np.arange(dim), nonpiv] = 1
+                T[:, rref.pivots] = (-E.T) % p
+                mats = {arrow: T[:, off : off + sdim]
+                        for (arrow, _), (off, sdim) in blocks.items()}
                 newlevel[(a, b)] = _Cell(dim, mats)
                 if dim != target:
                     self.uncertified.append((a, b, l, dim, target))
@@ -347,13 +269,6 @@ class QuiverDimEngine:
         if b + 1 <= self.n - 1:
             out += [(("v", i), b + 1) for i in range(1, self.n + 1)]
         return out
-
-    @staticmethod
-    def _block_offset(blocks, arrow, src) -> int:
-        for ar, s, off, _ in blocks:
-            if ar == arrow and s == src:
-                return off
-        raise KeyError((arrow, src))
 
 
 _engines: dict[int, QuiverDimEngine] = {}

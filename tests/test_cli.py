@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,18 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ["coh", "--n", "3", "--bundle", "O(1)", "--seed", "5"],
+        ["coh", "--n", "3", "--bundle", "O(1)", "--cap", "4"],
+        ["quiver", "--dims", "--n", "2", "--cap", "4"],
+        ["mutate", "--orbit", "--n", "3", "--max-len", "4"],
+        ["accept", "--output", "json"],
+        ["kflop", "--matrix", "--n", "3", "--direction", "KN"],
+    ):
+        assert run(capsys, argv)[0] == 2, argv
+
+
 def test_out_of_range_parameters_report_range(capsys):
     rc, _, err = run(capsys, ["tilting", "--family", "Sk", "--k", "9", "--n", "3"])
     assert rc == 2
@@ -96,7 +110,7 @@ def test_kflop_ledger(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["pass"] is True
-    assert any(s["step"] == "twisted-class" for s in payload["steps"])
+    assert any(s["step"] == "twisted-profile" for s in payload["steps"])
 
 
 def test_rep_subcommand(capsys):
@@ -162,3 +176,13 @@ def test_determinism(capsys):
     rc1, out1, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])
     rc2, out2, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])
     assert (rc1, out1) == (rc2, out2)
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv[1:] for argv in lines if argv and argv[0] == "minorbit"]
+    assert len(examples) >= 10
+    for argv in examples:
+        assert run(capsys, argv)[0] == 0, argv

@@ -3,8 +3,6 @@ from math import comb
 import pytest
 
 from minorbit.kfunctor import (
-    KN,
-    KNPRIME,
     AmbiguousConnectingMap,
     Ch,
     F,
@@ -73,7 +71,7 @@ def test_kn_matrix_window_rule():
     # inside the window the functor just negates the twist
     for n in (2, 3, 4):
         for k in (0, 1, -1):
-            M = kn_matrix(k, n, KN)
+            M = kn_matrix(k, n)
             for a in range(-n + k + 1, k + 1):
                 src = reduce_line(a, n)
                 img = tuple(
@@ -86,10 +84,10 @@ def test_kn_inverse_pairs():
     for n in range(2, 6):
         for k in range(-n, n + 1):
             assert matmul(
-                kn_matrix(k, n, KN), kn_matrix(n - k - 1, n, KNPRIME)
+                kn_matrix(k, n), kn_matrix(n - k - 1, n)
             ) == identity_matrix(n)
             assert matmul(
-                kn_matrix(n - k - 1, n, KNPRIME), kn_matrix(k, n, KN)
+                kn_matrix(n - k - 1, n), kn_matrix(k, n)
             ) == identity_matrix(n)
 
 
@@ -204,7 +202,8 @@ def test_ptwist_ledger():
         rep = ptwist_ledger_check(n)
         assert rep.passed, rep.failing_step
         names = [s.name for s in rep.steps]
-        assert "against-cone" in names and "twisted-class" in names
+        assert "against-cone" in names and "twisted-profile" in names
+        assert not {"F-class", "F-sequence-class", "twisted-class"} & set(names)
         d = rep.as_dict()
         assert d["pass"] is True
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from minorbit.mutation import (
     hilbert_of_label,
     initial_state,
     label_rank,
-    mutate_step,
     normalize_label,
     orbit_check,
     splice_exact,
@@ -85,18 +84,18 @@ def test_recursive_hilbert_agrees_from_both_ends():
             cur = forced
 
 
-def test_mutate_step_sequence():
+def test_orbit_step_sequence():
     n = 4
-    state = initial_state(n)
-    assert state.moving == L(n - 1)
-    state, sp = mutate_step(state)
-    assert state.moving == L(n - 2)
-    assert sp.mid == M(n - 2) and sp.mult == dim_wedge(n, n - 1)
-    # descend to the bottom
-    while state.moving != L(0):
-        state, _ = mutate_step(state)
-    with pytest.raises(ValueError):
-        mutate_step(state)  # the descending chain is exhausted
+    steps = orbit_check(n, 6).steps
+    assert steps[0].state == initial_state(n)
+    assert steps[0].state.moving == L(n - 1)
+    # down the descending chain to L(0), then up the ascending one
+    assert [r.state.moving for r in steps[1:]] == (
+        [L(k) for k in range(n - 2, -1, -1)] + [WedgeT(j) for j in range(1, n)]
+    )
+    assert steps[1].approximation == (dim_wedge(n, n - 1), M(n - 2))
+    assert steps[n].approximation == (dim_wedge(n, 1), M(0))
+    assert all(r.splice_ok for r in steps[1:])
 
 
 def test_state_invariant_summands():
@@ -104,7 +103,7 @@ def test_state_invariant_summands():
     state = initial_state(n)
     assert state.summands == tuple(M(a) for a in range(n - 1)) + (M(n - 1),)
     assert state.rank() == 2 * n
-    mid = MutationState(n, L(2), 1, "down")
+    mid = MutationState(n, L(2))
     assert label_rank(L(2), n) == dim_wedge(n - 1, 2)
     assert mid.rank() == 2 * (n - 1 + dim_wedge(n - 1, 2))
 

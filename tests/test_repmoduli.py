@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from minorbit import relations, repmoduli
 from minorbit.repmoduli import (
     GF,
     Rep,
@@ -65,6 +69,57 @@ def test_hand_built_violation():
     chk = check_relations(bad)
     assert not chk.passed
     assert chk.relation.startswith("trace")
+
+
+def _bump(r, layer, k, i):
+    """r with one scalar raised by 1: layer "f" or "v", layer index k,
+    label index i (0-based)."""
+    tables = {"f": [list(x) for x in r.f_scalars], "v": [list(x) for x in r.v_scalars]}
+    tables[layer][k][i] += 1
+    return Rep(r.n, tuple(map(tuple, tables["f"])), tuple(map(tuple, tables["v"])))
+
+
+_TRIPLE_REP = rep_from_triple(RepTriple(4, q(1, 2, 0, 1), q(1, 1, 1, -3)))
+# all f arrows zero, every v layer the same covector: relations hold
+_V_ONLY_REP = Rep(4, (q(0, 0, 0, 0),) * 3, (q(1, 1, 1, -3),) * 3)
+
+
+@pytest.mark.parametrize(
+    "base, layer, k, i, family, vertex",
+    [
+        (_TRIPLE_REP, "f", 0, 0, "ff", 0),
+        (_V_ONLY_REP, "v", 1, 0, "vv", 2),
+        (_TRIPLE_REP, "v", 1, 0, "mixed", 1),
+        (_TRIPLE_REP, "v", 0, 0, "trace-vf", 0),
+    ],
+    ids=["ff", "vv", "mixed", "trace-vf"],
+)
+def test_one_changed_scalar_names_the_broken_family(base, layer, k, i, family, vertex):
+    assert check_relations(base).passed
+    chk = check_relations(_bump(base, layer, k, i))
+    assert (chk.passed, chk.relation, chk.vertex) == (False, family, vertex)
+
+
+def test_trace_fv_generators_catch_a_changed_scalar(monkeypatch):
+    # on rank-one reps trace-fv at k+1 is the scalar equation of trace-vf
+    # at k, which comes first; checked alone it names the same change
+    only = tuple(g for g in relations.relation_generators(4) if g.name == "trace-fv")
+    monkeypatch.setattr(repmoduli, "relation_generators", lambda n: only)
+    assert check_relations(_TRIPLE_REP).passed
+    chk = check_relations(_bump(_TRIPLE_REP, "v", 0, 0))
+    assert (chk.passed, chk.relation, chk.vertex) == (False, "trace-fv", 1)
+
+
+def test_import_loads_no_numpy():
+    # the battery imports only repmoduli; numpy would raise its set-up
+    # time and peak memory
+    src = str(Path(repmoduli.__file__).resolve().parents[1])
+    code = "import sys, minorbit.repmoduli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_generated_by_closure():
