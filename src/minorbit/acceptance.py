@@ -151,7 +151,8 @@ def criterion_6() -> CriterionResult:
                 bad.append((n, k, "inverse"))
     return CriterionResult(
         6,
-        "flop image table assembles to [O(-a)] from recorded constituents; "
+        "flop image table: with the correspondence part seeded with "
+        "[O(-a)], the product, divisor and O_E(kE) correction terms cancel; "
         "paired flop matrices invert each other (n<=5, |k|<=n)",
         not bad,
         f"failures: {bad[:3]}" if bad else "",
@@ -188,7 +189,8 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(
         8,
         "mutation orbit closes after exactly 2n-2 steps, splices exact to "
-        "degree 6, endpoint ranks 2n (n=3,4,5)",
+        "degree 6, chain ends carry the Hilbert data of their M-labels, "
+        "endpoint ranks 2n (n=3,4,5)",
         not bad,
         f"failures: {bad[:3]}" if bad else "",
     )
@@ -228,7 +230,8 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10,
         "n=2 anchor: every admissible cell has dimension l+1 (l<=8); "
-        "window ranks are 2n and 2^n (n<=6)",
+        "window ranks summed over the Tk and TPrime summands are 2n and "
+        "2^n (n<=6)",
         not bad,
         f"failures: {bad[:5]}" if bad else "",
     )

@@ -7,9 +7,12 @@ which multiplies the fiber degree by one.  Graded Homs on Z are
     Hom_Z(O(a), O(b)) = sum_k  Sym^k V (x) Sym^{k + b - a} V*,
 
 and graded Homs on Y are the cokernel of multiplication by t on the
-Z-side pieces, computed here as explicit coranks of integer matrices on
-monomial bases.  When b < a the grading is reindexed to start at the
-first nonzero piece, Sym^{a-b} V (x) Sym^0 V*.
+Z-side pieces.  Sym V (x) Sym V* is a polynomial ring and t != 0, so
+multiplication by t is injective and each corank is a difference of
+two products of binomials (`sym_pair_corank`); `TraceMultMatrix`, the
+explicit matrix on monomial bases, is kept as the reference the tests
+check that closed form against.  When b < a the grading is reindexed to
+start at the first nonzero piece, Sym^{a-b} V (x) Sym^0 V*.
 
 The module of sections of O_Y(a) is a graded module over the coordinate
 ring R of the cone of square-zero rank-one matrices; its Hilbert
@@ -24,8 +27,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from . import bwb
-from .combinat import dim_sym, dim_wedge
-from .linalg import rank_exact
+from .combinat import dim_sym
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,9 @@ class TraceMultMatrix:
     Sym^k V (x) Sym^{k+a} V* to Sym^{k+1} V (x) Sym^{k+a+1} V*.
 
     Columns are indexed by source monomial pairs, rows by target pairs;
-    every entry is 0 or 1 and each column has exactly n ones.
+    every entry is 0 or 1 and each column has exactly n ones.  This is
+    the explicit-matrix reference for the closed form of
+    `sym_pair_corank`; no product path builds it.
     """
 
     n: int
@@ -119,13 +123,6 @@ class TraceMultMatrix:
             cols.append(col)
         return cols
 
-    def dense(self) -> list[list[int]]:
-        mat = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.columns()):
-            for r in col:
-                mat[r][j] = 1
-        return mat
-
     def full_column_rank_certificate(self) -> bool:
         """Verify a triangularity certificate of full column rank.
 
@@ -155,38 +152,17 @@ class TraceMultMatrix:
                         return False
         return True
 
-    def rank(self) -> int:
-        """Exact rational rank.
-
-        The triangularity certificate settles almost every case; the
-        fraction-free elimination fallback keeps the computation honest
-        if it ever fails.
-        """
-        if self.ncols == 0:
-            return 0
-        if self.full_column_rank_certificate():
-            return self.ncols
-        rows: dict[int, dict[int, int]] = {}
-        for j, col in enumerate(self.columns()):
-            for r in col:
-                rows.setdefault(r, {})[j] = 1
-        return rank_exact(list(rows.values()), self.ncols)
-
-
-def trace_mult_matrix(n: int, k: int, a: int) -> TraceMultMatrix:
-    return TraceMultMatrix(n, k, a)
-
 
 @lru_cache(maxsize=None)
 def sym_pair_corank(n: int, p: int, q: int) -> int:
     """dim of Sym^p V (x) Sym^q V* modulo the image of multiplication by
-    t from Sym^{p-1} V (x) Sym^{q-1} V*."""
-    if p < 0 or q < 0:
-        return 0
-    total = dim_sym(n, p) * dim_sym(n, q)
-    if p == 0 or q == 0:
-        return total
-    return total - trace_mult_matrix(n, p - 1, q - 1 - (p - 1)).rank()
+    t from Sym^{p-1} V (x) Sym^{q-1} V*.
+
+    Sym V (x) Sym V* is a polynomial ring, hence an integral domain, and
+    t != 0, so multiplication by t is injective and the corank is the
+    difference of the two dimensions (dim_sym is 0 in negative degree).
+    """
+    return dim_sym(n, p) * dim_sym(n, q) - dim_sym(n, p - 1) * dim_sym(n, q - 1)
 
 
 def hom_z_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
@@ -202,7 +178,7 @@ def hom_z_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
 
 
 def hom_y_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
-    """Graded dimensions of Hom_Y(O(a), O(b)) via trace-matrix coranks.
+    """Graded dimensions of Hom_Y(O(a), O(b)) via trace coranks.
 
     Requires b - a >= -n+1, the range in which pushforward to the cone
     has no higher cohomology and the corank computation is the whole
@@ -217,22 +193,6 @@ def hom_y_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
         sym_pair_corank(n, k + max(0, -d), k + max(0, d)) for k in range(cap + 1)
     )
     return GradedDims(cap, dims)
-
-
-def hom_y_difference_agrees(a: int, b: int, n: int, cap: int) -> bool:
-    """Compare the computed coranks with the naive difference formula
-    dim(piece_k) - dim(piece_{k-1}); a False return flags a discrepancy
-    (none is expected, but the corank is the value that is trusted)."""
-    d = b - a
-    got = hom_y_graded(a, b, n, cap)
-    for k in range(cap + 1):
-        p, q = k + max(0, -d), k + max(0, d)
-        naive = dim_sym(n, p) * dim_sym(n, q) - dim_sym(n, p - 1) * dim_sym(
-            n, q - 1
-        )
-        if got[k] != naive:
-            return False
-    return True
 
 
 def hilbert_M(a: int, n: int, cap: int) -> GradedDims:
@@ -378,13 +338,16 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
 
 
 def nccr_rank(family: str, n: int) -> int:
-    """Total rank of the two endomorphism algebras over the cone: the
-    line-bundle window gives 2n, the cotangent-power window gives
-    2 * sum_a rank Omega^{a-1} = 2^n."""
+    """Total rank of the two endomorphism algebras over the cone: twice
+    the summed ranks of the tilting summands, the line-bundle window
+    Tk for Lambda_k (2n) and the cotangent-power window TPrime for
+    LambdaPrime (2 * sum_a rank Omega^{a-1} = 2^n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if family == "Lambda_k":
-        return 2 * n
-    if family == "LambdaPrime":
-        return 2 * sum(dim_wedge(n - 1, a - 1) for a in range(1, n + 1))
-    raise ValueError(f"unknown family {family}")
+        window = TiltingFamily("Tk", n, 0)
+    elif family == "LambdaPrime":
+        window = TiltingFamily("TPrime", n)
+    else:
+        raise ValueError(f"unknown family {family}")
+    return 2 * sum(s.rank() for s in family_summands(window))

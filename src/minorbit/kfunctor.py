@@ -387,15 +387,17 @@ class KNZeroRow:
 
 
 def kn0_image_table(n: int) -> list[KNZeroRow]:
-    """Assemble [KN_0(O_Y(a))] for a in [-n+1, 0] from the three
+    """Tabulate [KN_0(O_Y(a))] for a in [-n+1, 0] from the three
     Fourier-Mukai constituents of the correspondence square
 
         KN_0(X) -> Phi_blowup(X) + Phi_product(X) -> Phi_divisor(X),
 
     where the product term is RGamma(P, O(a)) (x) j'_*O_{P^v}, the
     divisor term comes from the (1,1) divisor sequence, and the blowup
-    term uses the recorded O_E(kE) pushforward facts.  The assembled
-    class must equal [O(-a)] on the far side.
+    term is the expected class [O(-a)] plus the recorded O_E(kE)
+    pushforward corrections.  Because the blowup term is seeded with
+    the expected class, a row's `ok` checks only that the product,
+    divisor and O_E(kE) correction terms cancel.
     """
     rows = []
     for a in range(-n + 1, 1):

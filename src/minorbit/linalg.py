@@ -4,8 +4,7 @@ Two rank routines are provided:
 
 - `rank_exact`: exact fraction-free elimination over the integers, for
   the small matrices of the direct path-algebra oracle (the fallback
-  when a quiver cell fails certification) and of the trace-matrix
-  certificates;
+  when a quiver cell fails certification);
 - `ModPRref`: a mod-p reduced-row-echelon accumulator on numpy float64
   buffers, the one elimination kernel of the quiver engine (float64
   arithmetic is exact because width * (p - 1)**2 < 2**53 is enforced).

@@ -17,7 +17,10 @@ One mutation step exchanges the non-fixed summand of E = W + (splice
 module), W = M(0) + ... + M(n-2), for its neighbor along the chain; the
 recorded approximation term is the middle term of the splice.  After
 n-1 descending and n-1 ascending steps (2n-2 in total) the summand
-multiset returns to W + M(n-1).
+multiset returns to W + M(n-1).  Closure compares labels; the renaming
+of the raw chain ends to M-labels is checked on its own, by comparing
+their pushforward Hilbert data with the exact corank data of the
+M-label.
 
 Hilbert data: every label reports a Hilbert function normalized to
 start in degree 0; exactness of each splice is checked degreewise in
@@ -211,6 +214,7 @@ class OrbitReport:
     closed_after: int | None
     early_return: bool
     endpoint_ranks: tuple[int, int]
+    ends_agree: bool
 
     def as_dict(self) -> dict:
         return {
@@ -219,6 +223,7 @@ class OrbitReport:
             "pass": self.passed,
             "closed_after": self.closed_after,
             "endpoint_ranks": list(self.endpoint_ranks),
+            "end_identifications": self.ends_agree,
             "steps": [
                 {
                     "step": r.index,
@@ -237,23 +242,25 @@ class OrbitReport:
         }
 
 
-def _state_signature(state: MutationState, cap: int):
-    return tuple(
-        (s, hilbert_of_label(s, state.n, cap).dims) for s in sorted(state.summands)
-    )
-
-
 def orbit_check(n: int, cap: int = 6) -> OrbitReport:
     """Run 2n-2 mutation steps and verify: every splice is degreewise
-    exact up to `cap`, the summand multiset (with Hilbert data) returns
-    to the start after exactly 2n-2 steps and not earlier, and both
-    endpoints have total rank 2n."""
+    exact up to `cap`, each raw chain end (L(n-1), L(0), WedgeT(0),
+    WedgeT(n-1)) has the Hilbert data of the M-label it is renamed to,
+    the summand multiset returns to the start after exactly 2n-2 steps
+    and not earlier, and both endpoints have total rank 2n."""
     if n < 3:
         raise ValueError("orbits need n >= 3")
+    # the renaming by normalize_label is sound only if the pushforward
+    # route and the corank route give the same Hilbert data
+    ends_agree = all(
+        hilbert_of_label(raw, n, cap)
+        == hilbert_of_label(normalize_label(raw, n), n, cap)
+        for raw in (L(n - 1), L(0), WedgeT(0), WedgeT(n - 1))
+    )
     state = initial_state(n)
-    start_sig = _state_signature(state, cap)
+    start = sorted(state.summands)
     records = [StepRecord(0, state, None, None)]
-    passed = True
+    passed = ends_agree
     closed_after = None
     early = False
     # each step replaces the moving summand by the quotient of its
@@ -263,7 +270,7 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         ok = splice_exact(sp, n, cap)
         passed = passed and ok
         records.append(StepRecord(i, state, (sp.mult, sp.mid), ok))
-        if _state_signature(state, cap) == start_sig:
+        if sorted(state.summands) == start:
             if closed_after is None:
                 closed_after = i
             if i < 2 * n - 2:
@@ -285,6 +292,7 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         closed_after=closed_after,
         early_return=early,
         endpoint_ranks=endpoint_ranks,
+        ends_agree=ends_agree,
     )
 
 

@@ -16,9 +16,10 @@ relation instances whose context sits entirely below the top arrow.
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
-surjection onto the graded Hom pieces of the cone, whose coranks
-(exact, from `cohengine`) bound it from below.  Equality of the bounds
-certifies the value; disagreement is reported, never patched.
+surjection onto the graded Hom pieces of the cone, whose dimensions
+(the closed-form trace coranks of `cohengine.sym_pair_corank`) bound it
+from below.  Equality of the bounds certifies the value; disagreement
+is reported, never patched.
 """
 
 from __future__ import annotations

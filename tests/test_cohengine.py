@@ -4,8 +4,8 @@ from minorbit import bwb
 from minorbit.cohengine import (
     GradedDims,
     TiltingFamily,
+    TraceMultMatrix,
     hilbert_M,
-    hom_y_difference_agrees,
     hom_y_graded,
     hom_z_graded,
     monomials,
@@ -13,7 +13,6 @@ from minorbit.cohengine import (
     pushforward_graded,
     sym_pair_corank,
     tilting_check,
-    trace_mult_matrix,
 )
 from minorbit.combinat import dim_sym
 from minorbit.linalg import rank_exact
@@ -27,32 +26,43 @@ def test_hom_z_examples():
 
 
 def test_trace_matrix_shape_and_entries():
-    tm = trace_mult_matrix(3, 1, 1)
+    tm = TraceMultMatrix(3, 1, 1)
     assert tm.ncols == dim_sym(3, 1) * dim_sym(3, 2)
     assert tm.nrows == dim_sym(3, 2) * dim_sym(3, 3)
     cols = tm.columns()
     assert len(cols) == tm.ncols
-    assert all(len(col) == 3 for col in cols)
-    dense = tm.dense()
-    assert all(v in (0, 1) for row in dense for v in row)
+    # each column has exactly n ones, in distinct rows inside the matrix
+    for col in cols:
+        assert len(set(col)) == 3
+        assert all(0 <= r < tm.nrows for r in col)
+
+    def pair(ev, ef):
+        f_basis = monomials(3, sum(ef))
+        return monomials(3, sum(ev)).index(ev) * len(f_basis) + f_basis.index(ef)
+
+    # t * (v_1 (x) f_1^2) = sum_i v_i v_1 (x) f_i f_1^2
+    assert set(cols[pair((1, 0, 0), (2, 0, 0))]) == {
+        pair((2, 0, 0), (3, 0, 0)),
+        pair((1, 1, 0), (2, 1, 0)),
+        pair((1, 0, 1), (2, 0, 1)),
+    }
 
 
 def test_trace_matrix_injectivity():
-    # full column rank for n <= 4, k <= 5, 0 <= a <= n-1: the triangular
-    # certificate must verify, and small cases agree with exact elimination
-    for n in range(2, 5):
-        for k in range(6):
-            for a in range(n):
-                tm = trace_mult_matrix(n, k, a)
+    # the explicit matrix is the reference for the closed form: on every
+    # cell its exact corank is sym_pair_corank, and the triangularity
+    # certificate of full column rank verifies (a < 0 covers p > q)
+    for n in range(2, 6):
+        for k in range(-1, 4):
+            for a in range(-n + 1, n):
+                tm = TraceMultMatrix(n, k, a)
+                rows: dict[int, dict[int, int]] = {}
+                for j, col in enumerate(tm.columns()):
+                    for r in col:
+                        rows.setdefault(r, {})[j] = 1
+                rank = rank_exact(list(rows.values()), tm.ncols)
+                assert sym_pair_corank(n, k + 1, k + a + 1) == tm.nrows - rank, (n, k, a)
                 assert tm.full_column_rank_certificate(), (n, k, a)
-    for n in (2, 3):
-        for k in range(3):
-            tm = trace_mult_matrix(n, k, 1)
-            rows: dict[int, dict[int, int]] = {}
-            for j, col in enumerate(tm.columns()):
-                for r in col:
-                    rows.setdefault(r, {})[j] = 1
-            assert rank_exact(list(rows.values()), tm.ncols) == tm.ncols
 
 
 def test_hom_y_examples():
@@ -97,12 +107,6 @@ def test_hilbert_weakly_increasing():
         for a in range(0, n):
             dims = hilbert_M(a, n, 6).dims
             assert all(dims[k] <= dims[k + 1] for k in range(6))
-
-
-def test_difference_formula_agreement():
-    for n in (2, 3, 4):
-        for d in range(-n + 1, n):
-            assert hom_y_difference_agrees(0, d, n, 6)
 
 
 def test_graded_dims_shift():

@@ -1,6 +1,7 @@
 import pytest
 
-from minorbit.cohengine import hilbert_M
+from minorbit import mutation
+from minorbit.cohengine import GradedDims, hilbert_M
 from minorbit.combinat import dim_wedge
 from minorbit.mutation import (
     L,
@@ -115,9 +116,31 @@ def test_orbit_closes_exactly():
         assert rep.closed_after == 2 * n - 2
         assert not rep.early_return
         assert rep.endpoint_ranks == (2 * n, 2 * n)
+        assert rep.ends_agree
         assert len(rep.steps) == 2 * n - 1  # initial state plus one per step
         d = rep.as_dict()
         assert d["pass"] is True and len(d["steps"]) == 2 * n - 1
+        assert d["end_identifications"] is True
+
+
+def test_orbit_fails_when_an_end_identification_fails(monkeypatch):
+    # the renaming L(n-1) -> M(n-1) is only sound if both routes give the
+    # same Hilbert data; corrupt the corank route's data for M(n-1)
+    real = mutation.hilbert_M
+
+    def corrupted(a, n, cap):
+        dims = real(a, n, cap)
+        if a != n - 1:
+            return dims
+        return GradedDims(cap, (dims[0] + 1,) + dims.dims[1:])
+
+    monkeypatch.setattr(mutation, "hilbert_M", corrupted)
+    for n in (3, 4):
+        rep = orbit_check(n, 6)
+        assert not rep.passed
+        assert not rep.ends_agree
+        # closure compares labels, so it is unaffected by the Hilbert data
+        assert rep.closed_after == 2 * n - 2
 
 
 def test_orbit_requires_n_at_least_3():
