@@ -175,7 +175,7 @@ def cmd_coh(args) -> int:
         "n": args.n,
         "bundle": args.bundle,
         "cohomology": {str(d): v for d, v in table.items()},
-        "euler_characteristic": sum((-1) ** d * v for d, v in table.items()),
+        "euler_characteristic": bwb.euler_characteristic(expr),
         "claim": f"cohomology table of {args.bundle} on the projective space P^{args.n - 1}",
     }
     _emit(args, payload,

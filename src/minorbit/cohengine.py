@@ -165,18 +165,6 @@ def sym_pair_corank(n: int, p: int, q: int) -> int:
     return dim_sym(n, p) * dim_sym(n, q) - dim_sym(n, p - 1) * dim_sym(n, q - 1)
 
 
-def hom_z_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
-    """Graded dimensions of Hom_Z(O(a), O(b)); reindexed for b < a so
-    that degree 0 is the first nonzero piece."""
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    dims = tuple(
-        dim_sym(n, k + max(0, a - b)) * dim_sym(n, k + max(0, b - a))
-        for k in range(cap + 1)
-    )
-    return GradedDims(cap, dims)
-
-
 def hom_y_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
     """Graded dimensions of Hom_Y(O(a), O(b)) via trace coranks.
 

@@ -280,9 +280,10 @@ def _profile_oy_jp(a: int, b: int, n: int) -> ExtProfile:
 def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
     """Ext^*(j_*O_P(b), j_*O_P(c)) = sum_q H^{*-q}(P, Omega^q(c-b)).
 
-    For b != c this rests on the collapse that `jp_jp_assumes_collapse`
-    flags; the equal-twist case needs none, as the contributions sit in
-    distinct total degrees."""
+    For b != c this rests on the collapse of the local-to-global
+    sequence, and only the Euler characteristic of such a profile is
+    cross-checked; the equal-twist case needs none, as the contributions
+    sit in distinct total degrees."""
     out: dict[int, int] = {}
     for q in range(n):
         for p, v in bwb.cohomology(bwb.omega(n, q, c - b)).items():
@@ -334,13 +335,6 @@ def ext_profile(A, B, n: int) -> ExtProfile:
     if isinstance(A, ConeH) and isinstance(B, FSheaf):
         return _profile_ch_f(n)
     raise ValueError(f"unsupported ledger pair ({A}, {B})")
-
-
-def jp_jp_assumes_collapse(b: int, c: int) -> bool:
-    """True when the (JP(b), JP(c)) profile rests on the collapse of the
-    local-to-global sequence; only the Euler characteristic of such a
-    profile is cross-checked."""
-    return b != c
 
 
 def euler_chi(profile: ExtProfile) -> int:
@@ -401,9 +395,9 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
     """
     rows = []
     for a in range(-n + 1, 1):
-        chi_a = sum((-1) ** d * v for d, v in _p_coh(n, a).items())
+        chi_a = bwb.euler_characteristic(bwb.line_bundle(n, a))
         prod = kclass_jpdual(0, n).scale(chi_a)
-        chi_a1 = sum((-1) ** d * v for d, v in _p_coh(n, a - 1).items())
+        chi_a1 = bwb.euler_characteristic(bwb.line_bundle(n, a - 1))
         prod_twisted = kclass_jpdual(-1, n).scale(chi_a1)
         divisor = prod - prod_twisted
         blowup = reduce_line(-a, n, "Yplus")

@@ -35,10 +35,8 @@ from dataclasses import dataclass
 from . import bwb
 from .cohengine import (
     GradedDims,
-    TiltingFamily,
     hilbert_M,
     pushforward_graded,
-    tilting_check,
 )
 from .combinat import dim_wedge
 
@@ -70,13 +68,6 @@ def normalize_label(label: Label, n: int) -> Label:
         if v == n - 1:
             return M(n - 1)
     return label
-
-
-def label_rank(label: Label, n: int) -> int:
-    kind, v = label
-    if kind == "M":
-        return 1
-    return dim_wedge(n - 1, v)
 
 
 def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
@@ -123,19 +114,6 @@ def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
 
 # ---------------------------------------------------------------------------
 # Euler sequences and splices
-
-
-def euler_sequence(n: int, side: str) -> list[tuple[int, Label]]:
-    """Ordered terms (multiplicity, label) of the pushed-forward long
-    Euler sequence: descending ('minus') from M(n-1) to M(-1),
-    ascending ('plus') from M(-1) to M(n-1)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if side == "minus":
-        return [(dim_wedge(n, n - j), M(n - 1 - j)) for j in range(n + 1)]
-    if side == "plus":
-        return [(dim_wedge(n, j), M(j - 1)) for j in range(n + 1)]
-    raise ValueError("side must be 'minus' or 'plus'")
 
 
 @dataclass(frozen=True)
@@ -189,9 +167,6 @@ class MutationState:
         w = tuple(M(a) for a in range(self.n - 1))
         return w + (normalize_label(self.moving, self.n),)
 
-    def rank(self) -> int:
-        return 2 * sum(label_rank(s, self.n) for s in self.summands)
-
 
 def initial_state(n: int) -> MutationState:
     return MutationState(n, L(n - 1))
@@ -213,7 +188,6 @@ class OrbitReport:
     steps: tuple[StepRecord, ...]
     closed_after: int | None
     early_return: bool
-    endpoint_ranks: tuple[int, int]
     ends_agree: bool
 
     def as_dict(self) -> dict:
@@ -222,7 +196,6 @@ class OrbitReport:
             "cap": self.cap,
             "pass": self.passed,
             "closed_after": self.closed_after,
-            "endpoint_ranks": list(self.endpoint_ranks),
             "end_identifications": self.ends_agree,
             "steps": [
                 {
@@ -247,7 +220,7 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
     exact up to `cap`, each raw chain end (L(n-1), L(0), WedgeT(0),
     WedgeT(n-1)) has the Hilbert data of the M-label it is renamed to,
     the summand multiset returns to the start after exactly 2n-2 steps
-    and not earlier, and both endpoints have total rank 2n."""
+    and not earlier."""
     if n < 3:
         raise ValueError("orbits need n >= 3")
     # the renaming by normalize_label is sound only if the pushforward
@@ -277,13 +250,6 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
                 early = True
     if closed_after != 2 * n - 2 or early:
         passed = False
-    e_start = records[0].state.rank()
-    e_mid = next(
-        r.state for r in records if normalize_label(r.state.moving, n) == M(-1)
-    )
-    endpoint_ranks = (e_start, e_mid.rank())
-    if endpoint_ranks != (2 * n, 2 * n):
-        passed = False
     return OrbitReport(
         n=n,
         cap=cap,
@@ -291,42 +257,5 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         steps=tuple(records),
         closed_after=closed_after,
         early_return=early,
-        endpoint_ranks=endpoint_ranks,
         ends_agree=ends_agree,
     )
-
-
-@dataclass(frozen=True)
-class EndpointAlgebraReport:
-    n: int
-    passed: bool
-    tilting_results: tuple
-    endpoint_rank: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pass": self.passed,
-            "endpoint_rank": self.endpoint_rank,
-            "tilting": [r.as_dict() for r in self.tilting_results],
-        }
-
-
-def endpoint_algebra_check(n: int) -> EndpointAlgebraReport:
-    """Every intermediate endomorphism algebra along the chain is the
-    endomorphism algebra of a verified tilting bundle of the mixed
-    family (index k matching the moving summand), and the two endpoints
-    have total rank 2n."""
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    results = []
-    ok = True
-    for k in range(n):
-        for name in ("Sk", "SkDual"):
-            rep = tilting_check(TiltingFamily(name, n, k))
-            results.append(rep)
-            ok = ok and rep.passed
-    endpoint_rank = initial_state(n).rank()
-    if endpoint_rank != 2 * n:
-        ok = False
-    return EndpointAlgebraReport(n, ok, tuple(results), endpoint_rank)

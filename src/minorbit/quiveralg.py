@@ -122,10 +122,10 @@ def relation_instances(quiver: Quiver, a: int, b: int, length: int):
     the (a, b, length) cell, as {word: coeff} vectors."""
     n = quiver.n
     out = []
+    rem = length - 2
+    if rem < 0:
+        return out
     for gen in relation_generators(n):
-        rem = length - gen.length
-        if rem < 0:
-            continue
         for pre_len in range(rem + 1):
             suf_len = rem - pre_len
             for pre in enumerate_paths(quiver, a, gen.source, pre_len):
@@ -183,11 +183,11 @@ class QuiverDimEngine:
     """Degree-by-degree quotient construction, mod p, certified against
     the exact corank targets."""
 
-    def __init__(self, n: int, p: int | None = None):
+    def __init__(self, n: int):
         self.n = n
         # big vertices produce wide coordinate spaces; a 16-bit prime
         # keeps every float64 dot product exact there
-        self.p = p if p is not None else (MODP if n <= 4 else MODP_SMALL)
+        self.p = MODP if n <= 4 else MODP_SMALL
         base = {}
         for a in range(n):
             base[(a, a)] = _Cell(1, {})
@@ -211,8 +211,8 @@ class QuiverDimEngine:
         n, p = self.n, self.p
         newlevel: dict = {}
         gens_by_target: dict[int, list[RelationGen]] = {}
-        for gen in relation_generators(n):
-            if gen.length <= min(l, 3):
+        if l >= 2:
+            for gen in relation_generators(n):
                 gens_by_target.setdefault(gen.target, []).append(gen)
         for a in range(n):
             for b in range(n):
@@ -229,25 +229,20 @@ class QuiverDimEngine:
                 target = _cell_target(n, a, b, l)
                 rref = ModPRref(W, p)
                 for gen in gens_by_target.get(b, []):
-                    lev = l - gen.length
-                    dq = self._prev_dim(a, gen.source, lev)
+                    dq = self._prev_dim(a, gen.source, l - 2)
                     if dq == 0:
                         continue
                     if rref.rank >= W - target:
                         break
+                    # a term (first, top) maps the (a, source) cell two
+                    # levels down through `first` into the (a, mid) cell,
+                    # whose image under `top` is the block (top, mid) of W
                     big = np.zeros((W, dq))
-                    for coeff, steps in gen.terms:
-                        comp = None
-                        cur = gen.source
-                        for depth, step in enumerate(steps[:-1]):
-                            nxt = _step_target(n, cur, step)
-                            mat = self.levels[lev + depth + 1][(a, nxt)].mats[step]
-                            comp = mat if comp is None else (mat @ comp) % p
-                            cur = nxt
-                        if comp is None:
-                            comp = np.eye(dq)
-                        off = blocks[(steps[-1], cur)][0]
-                        big[off : off + comp.shape[0], :] += coeff * comp
+                    for coeff, (first, top) in gen.terms:
+                        mid = _step_target(n, gen.source, first)
+                        off, width = blocks[(top, mid)]
+                        mat = self.levels[l - 1][(a, mid)].mats[first]
+                        big[off : off + width, :] += coeff * mat
                     rref.add(big.T % p, stop_at_rank=W - target)
                 # the projection W -> quotient: a nonpivot column maps to
                 # its own coordinate, a pivot column to minus its row of E

@@ -1,18 +1,36 @@
 """The relation ideal of the doubled Beilinson quiver, written once.
 
-The ideal is generated by
+The ideal is quadratic.  It is generated by
 
     v_i v_j = v_j v_i,  f_i f_j = f_j f_i,  v_j f_i = f_i v_j,
-    f_k v_j f_i = f_i v_j f_k,  v_j f_i v_l = v_l f_i v_j,
     sum_i f_i v_i = 0 = sum_i v_i f_i,
 
-instantiated at every vertex where the words exist.  `quiveralg` builds
-the quotient path algebra from these generators and `repmoduli`
-evaluates them on representations, so both check the same algebra.
-Words are step tuples in application order (first arrow applied
-first); an ("f", i) step moves from vertex k to k+1 and a ("v", j) step
-from k to k-1.  This module imports only the standard library, so that
-importing `repmoduli` loads no numpy.
+and `relation_generators` instantiates them as `ff`, `vv` and `mixed`
+wherever the words exist, plus one trace per vertex: `trace-vf` (f
+first, then v) at s <= n-2 and `trace-fv` (v first, then f) only at the
+top vertex s = n-1.  In every length-2 cell these generators are a
+basis of the degree-2 relations (the tests check this for n <= 7).
+
+They also generate the ideal of the longer presentation that adds the
+cubic relations f_k v_j f_i = f_i v_j f_k, v_j f_i v_l = v_l f_i v_j
+and trace-fv at every vertex s >= 1.  Written in application order:
+
+- fvf at s >= 1: (f_i, v_j, f_k) = (v_j, f_i, f_k) by mixed(s),
+  = (v_j, f_k, f_i) by ff(s-1), = (f_k, v_j, f_i) by mixed(s).
+- fvf at s = 0, n >= 3: (f_i, v_j, f_k) = (f_i, f_k, v_j) by mixed(1),
+  = (f_k, f_i, v_j) by ff(0), = (f_k, v_j, f_i) by mixed(1).  For n = 2
+  the relations of the cell (0, 1, 3) are spanned by trace-vf(0)
+  followed by an f arrow and by an f arrow followed by trace-fv(1).
+- vfv is the mirror case, with vv and mixed.
+- trace-fv(s) for 1 <= s <= n-2 equals trace-vf(s) modulo the i = j
+  generators of mixed(s).
+
+`quiveralg` builds the quotient path algebra from these generators and
+`repmoduli` evaluates them on representations, so both check the same
+algebra.  Words are step tuples in application order (first arrow
+applied first); an ("f", i) step moves from vertex k to k+1 and a
+("v", j) step from k to k-1.  This module imports only the standard
+library, so that importing `repmoduli` loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,11 +42,10 @@ from functools import lru_cache
 @dataclass(frozen=True, slots=True)
 class RelationGen:
     """One vertex-instantiated generating relation: a formal combination
-    of same-source, same-target words."""
+    of same-source, same-target two-arrow words."""
 
     source: int
     target: int
-    length: int
     terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
     name: str
 
@@ -42,7 +59,7 @@ def relation_generators(n: int) -> tuple[RelationGen, ...]:
 
     def add(s, t, terms, name):
         terms = shared.setdefault(tuple(terms), tuple(terms))
-        gens.append(RelationGen(s, t, len(terms[0][1]), terms, name))
+        gens.append(RelationGen(s, t, terms, name))
 
     for s in range(n):
         if s <= n - 3:
@@ -67,24 +84,8 @@ def relation_generators(n: int) -> tuple[RelationGen, ...]:
                         (1, (("f", i), ("v", j))),
                         (-1, (("v", j), ("f", i))),
                     ], "mixed")
-        if s <= n - 2:
-            for j in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for k in range(i + 1, n + 1):
-                        add(s, s + 1, [
-                            (1, (("f", i), ("v", j), ("f", k))),
-                            (-1, (("f", k), ("v", j), ("f", i))),
-                        ], "fvf")
-        if s >= 1:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for l in range(j + 1, n + 1):
-                        add(s, s - 1, [
-                            (1, (("v", l), ("f", i), ("v", j))),
-                            (-1, (("v", j), ("f", i), ("v", l))),
-                        ], "vfv")
-        if s >= 1:
+        if s == n - 1:
             add(s, s, [(1, (("v", i), ("f", i))) for i in range(1, n + 1)], "trace-fv")
-        if s <= n - 2:
+        else:
             add(s, s, [(1, (("f", i), ("v", i))) for i in range(1, n + 1)], "trace-vf")
     return tuple(gens)

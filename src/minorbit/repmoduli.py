@@ -263,16 +263,20 @@ def _one_like(x):
 # sampling
 
 
-def random_triple(n: int, rng: Random, box: int = 3, field=Fraction) -> RepTriple:
-    """Draw alpha != 0 uniformly from the integer box [-box, box]^n, then
+# samples are drawn from the integer box [-BOX, BOX]^n
+BOX = 3
+
+
+def random_triple(n: int, rng: Random, field=Fraction) -> RepTriple:
+    """Draw alpha != 0 uniformly from the integer box [-BOX, BOX]^n, then
     beta by rejection from the integer solutions of the pairing equation
     in the same box."""
     while True:
-        alpha = tuple(rng.randint(-box, box) for _ in range(n))
+        alpha = tuple(rng.randint(-BOX, BOX) for _ in range(n))
         if any(alpha):
             break
     while True:
-        beta = tuple(rng.randint(-box, box) for _ in range(n))
+        beta = tuple(rng.randint(-BOX, BOX) for _ in range(n))
         if sum(a * b for a, b in zip(alpha, beta)) == 0:
             break
     return RepTriple(n, tuple(field(a) for a in alpha), tuple(field(b) for b in beta))
@@ -286,14 +290,14 @@ class BatteryReport:
     failures: tuple
 
 
-def run_battery(n: int, samples: int, seed: int, box: int = 3) -> BatteryReport:
+def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
     """Seeded property battery: relations always hold on triple reps,
     simplicity <=> beta != 0 <=> rank X = 1, X^2 = 0 always, and the
     round trip through (alpha, beta) is the identity up to scaling."""
     rng = Random(seed)
     failures = []
     for s in range(samples):
-        t = random_triple(n, rng, box)
+        t = random_triple(n, rng)
         r = rep_from_triple(t)
         chk = check_relations(r)
         if not chk.passed:
@@ -317,7 +321,7 @@ def run_battery(n: int, samples: int, seed: int, box: int = 3) -> BatteryReport:
         if _normalize_projective(t2.alpha) != _normalize_projective(t.alpha):
             failures.append((s, "line"))
             continue
-        c = Fraction(rng.randint(1, box) or 1)
+        c = Fraction(rng.randint(1, BOX))
         t_scaled = RepTriple(
             n,
             tuple(a * c for a in t.alpha),

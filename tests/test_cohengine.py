@@ -7,7 +7,6 @@ from minorbit.cohengine import (
     TraceMultMatrix,
     hilbert_M,
     hom_y_graded,
-    hom_z_graded,
     monomials,
     nccr_rank,
     pushforward_graded,
@@ -16,13 +15,6 @@ from minorbit.cohengine import (
 )
 from minorbit.combinat import dim_sym
 from minorbit.linalg import rank_exact
-
-
-def test_hom_z_examples():
-    for n in (2, 3, 4):
-        assert hom_z_graded(0, 1, n, 0).dims[0] == n
-    assert hom_z_graded(0, 0, 2, 1)[1] == 4
-    assert hom_z_graded(1, 0, 3, 0)[0] == 3
 
 
 def test_trace_matrix_shape_and_entries():

@@ -15,7 +15,6 @@ from minorbit.kfunctor import (
     euler_chi,
     flop_flop_check,
     identity_matrix,
-    jp_jp_assumes_collapse,
     kclass_jp,
     kclass_jpdual,
     kn0_image_table,
@@ -148,7 +147,6 @@ def test_ext_profile_euler_vs_k_lattice():
             for c in (-1, 0, 2):
                 prof = ext_profile(JP(b), JP(c), n)
                 assert euler_chi(prof) == chi_jp_class(b, kclass_jp(c, n))
-                assert jp_jp_assumes_collapse(b, c) == (b != c)
 
 
 def test_euler_bilinearity_on_koszul_vector():

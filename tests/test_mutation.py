@@ -9,27 +9,13 @@ from minorbit.mutation import (
     MutationState,
     WedgeT,
     _fiber_dims,
-    endpoint_algebra_check,
-    euler_sequence,
     hilbert_of_label,
     initial_state,
-    label_rank,
     normalize_label,
     orbit_check,
     splice_exact,
     splices,
 )
-
-
-def test_euler_sequence_examples():
-    assert euler_sequence(2, "minus") == [(1, M(1)), (2, M(0)), (1, M(-1))]
-    for n in (2, 3, 4):
-        seq = euler_sequence(n, "minus")
-        assert len(seq) == n + 1
-        assert seq[0] == (1, M(n - 1)) and seq[-1] == (1, M(-1))
-        assert [mult for mult, _ in seq] == [dim_wedge(n, n - j) for j in range(n + 1)]
-        plus = euler_sequence(n, "plus")
-        assert plus[0] == (1, M(-1)) and plus[-1] == (1, M(n - 1))
 
 
 def test_label_normalization():
@@ -103,10 +89,8 @@ def test_state_invariant_summands():
     n = 4
     state = initial_state(n)
     assert state.summands == tuple(M(a) for a in range(n - 1)) + (M(n - 1),)
-    assert state.rank() == 2 * n
     mid = MutationState(n, L(2))
-    assert label_rank(L(2), n) == dim_wedge(n - 1, 2)
-    assert mid.rank() == 2 * (n - 1 + dim_wedge(n - 1, 2))
+    assert mid.summands == tuple(M(a) for a in range(n - 1)) + (L(2),)
 
 
 def test_orbit_closes_exactly():
@@ -115,12 +99,12 @@ def test_orbit_closes_exactly():
         assert rep.passed
         assert rep.closed_after == 2 * n - 2
         assert not rep.early_return
-        assert rep.endpoint_ranks == (2 * n, 2 * n)
         assert rep.ends_agree
         assert len(rep.steps) == 2 * n - 1  # initial state plus one per step
         d = rep.as_dict()
         assert d["pass"] is True and len(d["steps"]) == 2 * n - 1
         assert d["end_identifications"] is True
+        assert "endpoint_ranks" not in d
 
 
 def test_orbit_fails_when_an_end_identification_fails(monkeypatch):
@@ -146,11 +130,3 @@ def test_orbit_fails_when_an_end_identification_fails(monkeypatch):
 def test_orbit_requires_n_at_least_3():
     with pytest.raises(ValueError):
         orbit_check(2)
-
-
-def test_endpoint_algebra_check():
-    rep = endpoint_algebra_check(4)
-    assert rep.passed
-    assert rep.endpoint_rank == 8
-    assert len(rep.tilting_results) == 8  # Sk and SkDual for k = 0..3
-    assert all(r.passed for r in rep.tilting_results)

@@ -1,6 +1,7 @@
 import pytest
 
 from minorbit import quiveralg
+from minorbit.linalg import rank_exact
 from minorbit.quiveralg import (
     CertificationError,
     QuiverDimEngine,
@@ -115,7 +116,73 @@ def test_generator_terms_are_composable_and_uniform():
             for _, steps in gen.terms:
                 w = QuiverWord(n, gen.source, steps)
                 assert w.target == gen.target
-                assert len(steps) == gen.length
+                assert len(steps) == 2
+
+
+def _dropped_generators(n):
+    """The relations the quadratic presentation leaves out, as
+    (source, target, length, {word: coeff}): the cubic fvf and vfv
+    commutations and trace-fv at the interior vertices."""
+    out = []
+
+    def rel(s, t, terms):
+        vec = {}
+        for c, steps in terms:
+            w = QuiverWord(n, s, steps)
+            vec[w] = vec.get(w, 0) + c
+        out.append((s, t, len(terms[0][1]), vec))
+
+    labels = range(1, n + 1)
+    for s in range(n):
+        for j in labels:
+            for i in labels:
+                for k in range(i + 1, n + 1):
+                    if s <= n - 2:
+                        rel(s, s + 1, [(1, (("f", i), ("v", j), ("f", k))),
+                                       (-1, (("f", k), ("v", j), ("f", i)))])
+                    if s >= 1:
+                        rel(s, s - 1, [(1, (("v", i), ("f", j), ("v", k))),
+                                       (-1, (("v", k), ("f", j), ("v", i)))])
+        if 1 <= s <= n - 2:
+            rel(s, s, [(1, (("v", i), ("f", i))) for i in labels])
+    return out
+
+
+def test_dropped_generators_lie_in_the_kept_ideal():
+    # each left-out relation is in the span of the kept generators'
+    # instances in its own cell, so both presentations give one ideal
+    for n in range(2, 7):
+        q = Quiver(n)
+        cells = {}
+        for s, t, length, vec in _dropped_generators(n):
+            cells.setdefault((s, t, length), []).append(vec)
+        for (a, b, length), dropped in cells.items():
+            index = {w: i for i, w in enumerate(enumerate_paths(q, a, b, length))}
+            kept = [{index[w]: c for w, c in vec.items()}
+                    for vec in relation_instances(q, a, b, length)]
+            extra = [{index[w]: c for w, c in vec.items()} for vec in dropped]
+            assert rank_exact(kept + extra, len(index)) == rank_exact(
+                kept, len(index)
+            ), (n, a, b, length)
+
+
+def test_generators_are_a_basis_of_the_degree_two_relations():
+    # in a length-2 cell every instance is a bare generator; they must be
+    # independent and exactly as many as the relations the cell needs
+    for n in range(2, 8):
+        q = Quiver(n)
+        for a in range(n):
+            for b in range(n):
+                npaths = path_count(n, a, b, 2)
+                if npaths == 0:
+                    continue
+                gens = [g for g in relation_generators(n)
+                        if (g.source, g.target) == (a, b)]
+                assert len(gens) == npaths - quiveralg._cell_target(n, a, b, 2)
+                index = {w: i for i, w in enumerate(enumerate_paths(q, a, b, 2))}
+                rows = [{index[QuiverWord(n, a, steps)]: c for c, steps in g.terms}
+                        for g in gens]
+                assert rank_exact(rows, npaths) == len(gens), (n, a, b)
 
 
 def test_engine_certified_at_small_n():

@@ -101,13 +101,18 @@ def test_one_changed_scalar_names_the_broken_family(base, layer, k, i, family, v
 
 
 def test_trace_fv_generators_catch_a_changed_scalar(monkeypatch):
-    # on rank-one reps trace-fv at k+1 is the scalar equation of trace-vf
-    # at k, which comes first; checked alone it names the same change
-    only = tuple(g for g in relations.relation_generators(4) if g.name == "trace-fv")
+    # trace-fv sits only at the top vertex n-1; on rank-one reps it is the
+    # scalar equation of trace-vf at n-2, which comes first, so it is
+    # checked alone against a change in the v layer it reads
+    only = tuple(
+        g for g in relations.relation_generators(4)
+        if g.name == "trace-fv" and g.source == 3
+    )
+    assert len(only) == 1
     monkeypatch.setattr(repmoduli, "relation_generators", lambda n: only)
     assert check_relations(_TRIPLE_REP).passed
-    chk = check_relations(_bump(_TRIPLE_REP, "v", 0, 0))
-    assert (chk.passed, chk.relation, chk.vertex) == (False, "trace-fv", 1)
+    chk = check_relations(_bump(_TRIPLE_REP, "v", 2, 0))
+    assert (chk.passed, chk.relation, chk.vertex) == (False, "trace-fv", 3)
 
 
 def test_import_loads_no_numpy():
