@@ -224,16 +224,11 @@ def cmd_quiver(args) -> int:
         )
         _emit(args, payload)
         return 0 if rep.passed else CHECK_FAILURE
-    q = quiveralg.Quiver(args.n)
     rows = []
-    for length in range(args.max_len + 1):
-        for a in range(args.n):
-            for b in range(args.n):
-                paths = quiveralg.path_count(args.n, a, b, length)
-                if paths == 0:
-                    continue
-                dim = quiveralg.graded_dim(q, a, b, length)
-                rows.append((a, b, length, paths, paths - dim, dim))
+    for (a, b, length), dim in quiveralg.dim_table(args.n, args.max_len).items():
+        paths = quiveralg.path_count(args.n, a, b, length)
+        if paths:
+            rows.append((a, b, length, paths, paths - dim, dim))
     payload = {
         "n": args.n,
         "max_len": args.max_len,

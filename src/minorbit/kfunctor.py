@@ -116,6 +116,7 @@ def _wedge_tangent_line_coeffs(p: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+@lru_cache(maxsize=None)
 def kclass_jp(b: int, n: int, side: str = "Y") -> KClass:
     """[j_* O_P(b)]: alternating sum over the zero-section Koszul
     resolution sum_p (-1)^p [Lambda^p T (x) O(b)], reduced to the window."""
@@ -282,8 +283,8 @@ def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
 
     For b != c this rests on the collapse of the local-to-global
     sequence, and only the Euler characteristic of such a profile is
-    cross-checked; the equal-twist case needs none, as the contributions
-    sit in distinct total degrees."""
+    cross-checked (criterion 5, against `chi_jp_class`); the equal-twist
+    case needs none, as the contributions sit in distinct total degrees."""
     out: dict[int, int] = {}
     for q in range(n):
         for p, v in bwb.cohomology(bwb.omega(n, q, c - b)).items():
@@ -341,6 +342,7 @@ def euler_chi(profile: ExtProfile) -> int:
     return sum((-1) ** k * v for k, v in profile.items())
 
 
+@lru_cache(maxsize=None)
 def chi_jp_oy(b: int, a: int, n: int) -> int:
     return euler_chi(_profile_jp_oy(b, a, n))
 
@@ -404,9 +406,9 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
         for k in range(1, -a + 1):
             fact = oe_pushforward_class(k, n)
             if fact is not None:
-                # twist by O(-a) on the far side: O(-n) (x) O(-a+... ) ;
-                # k = n-1 forces a = -n+1, the twisted class is j'_*O(-1)
-                blowup = blowup + kclass_jpdual(-n + (-a), n).scale((-1) ** (n - 2))
+                # the recorded class, twisted by O(-a) on the far side
+                col = matmul(twist_matrix(n, -a), [[x] for x in fact.coords])
+                blowup = blowup + KClass(n, "Yplus", tuple(x for x, in col))
         assembled = blowup + prod - divisor
         expected = reduce_line(-a, n, "Yplus")
         rows.append(

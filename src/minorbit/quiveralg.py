@@ -346,8 +346,6 @@ class CellResult:
     a: int
     b: int
     length: int
-    paths: int
-    relations_rank: int
     dim: int
     expected: int
     ok: bool
@@ -397,13 +395,8 @@ def compare_with_nccr(n: int, max_len: int) -> CompareReport:
                     continue
                 expected = _cell_target(n, a, b, length)
                 dim = graded_dim(quiver, a, b, length) if npaths else 0
-                cell = CellResult(
-                    a=a, b=b, length=length,
-                    paths=npaths,
-                    relations_rank=npaths - dim,
-                    dim=dim, expected=expected,
-                    ok=dim == expected,
-                )
+                cell = CellResult(a=a, b=b, length=length, dim=dim,
+                                  expected=expected, ok=dim == expected)
                 cells.append(cell)
                 if not cell.ok:
                     mismatches.append(cell)

@@ -3,7 +3,7 @@ one PASS/FAIL line."""
 
 import pytest
 
-from minorbit import acceptance, bwb
+from minorbit import acceptance, bwb, kfunctor, quiveralg
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -22,3 +22,42 @@ def test_criterion_10_window_ranks_are_computed(monkeypatch):
     res = acceptance.criterion_10()
     assert not res.passed
     assert "Lambda_k" in res.detail and "LambdaPrime" in res.detail
+
+
+def test_criterion_1_checks_the_evaluation(monkeypatch):
+    # the corank targets bound the cell dimensions from below only if the
+    # evaluation kills the relation ideal
+    monkeypatch.setattr(quiveralg, "evaluation_kills_generators", lambda n: n != 3)
+    res = acceptance.criterion_1()
+    assert not res.passed
+    assert "(3, 'evaluation does not kill the generators')" in res.detail
+
+
+def test_criterion_5_cross_checks_unequal_twists(monkeypatch):
+    # a profile between different twists that gains one odd-degree line
+    # keeps every self-profile but breaks the K-class pairing
+    real = kfunctor._profile_jp_jp
+
+    def corrupted(b, c, n):
+        prof = real(b, c, n)
+        return prof if b == c else {**prof, 1: prof.get(1, 0) + 1}
+
+    monkeypatch.setattr(kfunctor, "_profile_jp_jp", corrupted)
+    res = acceptance.criterion_5()
+    assert not res.passed
+    assert "(2, -1, -2, 'chi')" in res.detail
+
+
+def test_criterion_6_reads_the_recorded_pushforward(monkeypatch):
+    # the O_E(kE) correction is the recorded class twisted into place, so
+    # a wrong recorded class must show in the image table
+    real = kfunctor.oe_pushforward_class
+
+    def negated(k, n):
+        fact = real(k, n)
+        return None if fact is None else fact.scale(-1)
+
+    monkeypatch.setattr(kfunctor, "oe_pushforward_class", negated)
+    res = acceptance.criterion_6()
+    assert not res.passed
+    assert res.detail.startswith("failures: [(2, -1,")

@@ -17,6 +17,7 @@ from minorbit.repmoduli import (
     random_triple,
     rep_from_triple,
     reps_isomorphic,
+    rescale,
     run_battery,
     to_point,
     triple_from_rep,
@@ -145,11 +146,10 @@ def test_round_trip_exact():
 
 
 def test_rescaling_invariance():
-    t = RepTriple(3, q(1, 2, 1), q(2, -1, 0))
-    r = rep_from_triple(t)
-    c = Q(5, 3)
-    t2 = RepTriple(3, tuple(a * c for a in t.alpha), tuple(b / c for b in t.beta))
-    r2 = rep_from_triple(t2)
+    r = rep_from_triple(RepTriple(3, q(1, 2, 1), q(2, -1, 0)))
+    r2 = rescale(r, (1, Q(5, 3), 2))
+    assert r2 != r
+    assert check_relations(r2).passed
     assert is_simple(r) == is_simple(r2)
     assert to_point(r).X == to_point(r2).X
     assert to_point(r).line == to_point(r2).line
@@ -158,14 +158,11 @@ def test_rescaling_invariance():
 def test_isomorphism_detects_gauge():
     t = RepTriple(3, q(1, 2, 1), q(2, -1, 0))
     r = rep_from_triple(t)
-    # rescale internal spaces: an isomorphic but unequal representation
     # gauge scalars c = (1, 2, 6): f layers scale by 2 and 3, v layers by
     # the reciprocals 1/2 and 1/3
-    scaled = Rep(
-        3,
-        (tuple(2 * x for x in r.f_scalars[0]), tuple(3 * x for x in r.f_scalars[1])),
-        (tuple(x / 2 for x in r.v_scalars[0]), tuple(x / 3 for x in r.v_scalars[1])),
-    )
+    scaled = rescale(r, (1, 2, 6))
+    assert scaled.f_scalars[1] == tuple(3 * x for x in r.f_scalars[1])
+    assert scaled.v_scalars[1] == tuple(x / 3 for x in r.v_scalars[1])
     assert check_relations(scaled).passed
     assert reps_isomorphic(scaled, r)
     assert not reps_isomorphic(rep_from_triple(RepTriple(3, q(1, 0, 0), q(0, 1, 0))), r)
@@ -214,3 +211,35 @@ def test_battery_smoke():
     for n in (2, 5):
         rep = run_battery(n, 100, seed=42)
         assert rep.passed, rep.failures
+
+
+def _wrong_layer_check(r):
+    # check_relations reading v layer k-2 where it should read k-1
+    return check_relations(Rep(r.n, r.f_scalars, r.v_scalars[-1:] + r.v_scalars[:-1]))
+
+
+def _inverted_ratio_isomorphic(r1, r2):
+    # the gauge reps_isomorphic reads off the f layers, each ratio inverted
+    c = [Q(1)]
+    for k in range(r1.n - 1):
+        i = next(i for i, x in enumerate(r2.f_scalars[k]) if x)
+        c.append(r2.f_scalars[k][i] * c[k] / r1.f_scalars[k][i])
+    return r1 == rescale(r2, c)
+
+
+@pytest.mark.parametrize(
+    "name, broken, step",
+    [
+        ("check_relations", _wrong_layer_check, "relations"),
+        ("reps_isomorphic", _inverted_ratio_isomorphic, "round-trip"),
+    ],
+    ids=["wrong-layer-relations", "inverted-ratio-isomorphism"],
+)
+def test_battery_fails_on_a_broken_step(monkeypatch, name, broken, step):
+    # reps in one basis repeat alpha and beta in every layer, so both
+    # faults stay hidden there; a random basis exposes them from n = 3 on
+    monkeypatch.setattr(repmoduli, name, broken)
+    for n in range(3, 7):
+        rep = run_battery(n, 50, seed=n)
+        assert not rep.passed
+        assert rep.failures[0][1] == step
