@@ -271,7 +271,7 @@ def cmd_rep(args) -> int:
 
 def cmd_kflop(args) -> int:
     if args.flopflop:
-        res = kfunctor.flop_flop_check(args.k, args.n)
+        res = kfunctor.flop_flop_check(args.n)
         payload = res.as_dict()
         payload["claim"] = (
             "flop matrices compose to the identity: the twist is invisible "
@@ -286,11 +286,9 @@ def cmd_kflop(args) -> int:
         return 0 if rep.passed else CHECK_FAILURE
     if not args.matrix:
         raise SystemExit("kflop needs one of --matrix, --flopflop, --ptwist-ledger")
-    M = kfunctor.kn_matrix(args.k, args.n)
     payload = {
         "n": args.n,
-        "k": args.k,
-        "matrix": M,
+        "matrix": kfunctor.kn_matrix(args.n),
         "claim": "window-basis matrix of the flop equivalence in the K-lattice",
     }
     _emit(args, payload)
@@ -376,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--matrix", action="store_true")
     g.add_argument("--flopflop", action="store_true")
     g.add_argument("--ptwist-ledger", dest="ptwist_ledger", action="store_true")
-    p.add_argument("--k", type=int, default=0, help="functor index")
     p.set_defaults(func=cmd_kflop)
 
     p = sub.add_parser("mutate", help="mutation orbit trace")

@@ -8,10 +8,11 @@ class of the zero-section pushforward j_* O_P(b) is expanded by the
 Koszul resolution of the zero section, whose terms are the wedge powers
 of the tangent bundle.
 
-The flop functors act on line-bundle windows by [O(a)] -> [O(-a)] for a
-in the width-n window attached to the functor index; their matrices in
-the window bases, together with the Ext-dimension profiles between the
-ledger objects, are the two falsifiable shadows through which all
+Every flop functor sends [O(a)] -> [O(-a)] for the a in its width-n
+window, and on the K-lattice that rule holds for every a: all the flop
+functors act by one matrix, the involution of :func:`kn_matrix`.  That
+matrix, together with the Ext-dimension profiles between the ledger
+objects, are the two falsifiable shadows through which all
 functor-level statements are checked.  Ext profiles for the cone
 objects F and C(h) are assembled from their defining triangles, with
 connecting maps taken of maximal rank only where the relevant spaces
@@ -96,14 +97,6 @@ def zero_class(n: int, side: str = "Y") -> KClass:
     return KClass(n, side, (0,) * n)
 
 
-def reduce_to_window(a: int, n: int, base: int) -> dict[int, int]:
-    """Expansion of [O(a)] over the shifted window {[O(base)], ...,
-    [O(base+n-1)]}; the Koszul relation is twist-invariant, so this is a
-    reindexing of :func:`reduce_line`."""
-    coeffs = _reduce_coeffs(a - base, n)
-    return {base + j: c for j, c in enumerate(coeffs) if c}
-
-
 @lru_cache(maxsize=None)
 def _wedge_tangent_line_coeffs(p: int, n: int) -> tuple[tuple[int, int], ...]:
     """[Lambda^p T] as a combination of line-bundle classes, via the
@@ -155,22 +148,20 @@ def twist_matrix(n: int, s: int) -> list[list[int]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def kn_matrix(k: int, n: int) -> list[list[int]]:
-    """Matrix on window bases of the flop equivalence with index k.
+def kn_matrix(n: int) -> list[list[int]]:
+    """Matrix on window bases of the flop equivalences: column j is
+    [O(-j)] reduced into the window.
 
-    The functor sends [O(a)] -> [O(-a)] on the opposite side for every a
-    in the window [-n+k+1, k]; outside the window, classes are first
-    reduced into it.  The rule is symmetric, so the same matrix serves
-    the functor from the Y side to the other side and the reverse one.
+    Write K = Z[h, h^-1]/(1-h)^n with h = [O(-1)], so [O(a)] = h^-a and
+    the Koszul relation is [O(a)] (1-h)^n = 0.  The substitution
+    sigma: h -> h^-1 is a ring automorphism of K, because
+    (1-h^-1)^n = (-h^-1)^n (1-h)^n generates the same ideal.  Hence
+    sigma [O(a)] = [O(-a)] for every a: the rule [O(a)] -> [O(-a)] on
+    any width-n window (a basis of K) extends to sigma, so every flop
+    functor, from either side to the other, has this matrix, and it
+    squares to the identity.
     """
-    base = -n + k + 1
-    cols = []
-    for j in range(n):
-        vec = [0] * n
-        for a, c in reduce_to_window(j, n, base).items():
-            for i, v in enumerate(_reduce_coeffs(-a, n)):
-                vec[i] += c * v
-        cols.append(vec)
+    cols = [_reduce_coeffs(-j, n) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -183,11 +174,11 @@ class CheckResult:
         return {"pass": self.passed, "matrix": [list(r) for r in self.matrix] if self.matrix else None}
 
 
-def flop_flop_check(k: int, n: int) -> CheckResult:
+def flop_flop_check(n: int) -> CheckResult:
     """K-lattice shadow of flop-then-flop-back being a twist: the twist
     autoequivalence attached to a projective-space object is trivial on
-    the K-lattice, so the matrix product must be the identity."""
-    prod = matmul(kn_matrix(-k, n), kn_matrix(n + k, n))
+    the K-lattice, so the flop matrix must square to the identity."""
+    prod = matmul(kn_matrix(n), kn_matrix(n))
     ok = prod == identity_matrix(n)
     return CheckResult(ok, tuple(tuple(r) for r in prod))
 
@@ -292,14 +283,14 @@ def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
     return dict(sorted(out.items()))
 
 
-def _profile_jp_ch(c: int, n: int) -> ExtProfile:
-    a = _profile_jp_jp(c, -1, n)
+def _profile_jp_ch(n: int) -> ExtProfile:
+    a = _profile_jp_jp(-1, -1, n)
     return _cone_profile(_shift(a, -2), a)
 
 
-def _profile_jp_f(c: int, n: int) -> ExtProfile:
-    x = _shift(_profile_jp_oy(c, -1, n), -1)
-    y = _profile_jp_ch(c, n)
+def _profile_jp_f(n: int) -> ExtProfile:
+    x = _shift(_profile_jp_oy(-1, -1, n), -1)
+    y = _profile_jp_ch(n)
     return _cone_profile(x, y)
 
 
@@ -307,7 +298,7 @@ def _profile_ch_f(n: int) -> ExtProfile:
     """Ext^*(C(h), F) via the contravariant long exact sequence of the
     defining triangle of C(h): the cone on the h-composition map
     Ext^k(X, F) -> Ext^{k+2}(X, F), X = j_*O_P(-1), shifted by one."""
-    xf = _profile_jp_f(-1, n)
+    xf = _profile_jp_f(n)
     return _shift(_cone_profile(xf, {k - 2: v for k, v in xf.items()}), -1)
 
 
@@ -328,11 +319,11 @@ def ext_profile(A, B, n: int) -> ExtProfile:
     if isinstance(A, JP) and isinstance(B, ConeH):
         if A.b != -1:
             raise ValueError("C(h) profiles are pinned to the twist -1 object")
-        return _profile_jp_ch(A.b, n)
+        return _profile_jp_ch(n)
     if isinstance(A, JP) and isinstance(B, FSheaf):
         if A.b != -1:
             raise ValueError("F profiles are pinned to the twist -1 object")
-        return _profile_jp_f(A.b, n)
+        return _profile_jp_f(n)
     if isinstance(A, ConeH) and isinstance(B, FSheaf):
         return _profile_ch_f(n)
     raise ValueError(f"unsupported ledger pair ({A}, {B})")
@@ -374,9 +365,6 @@ def oe_pushforward_class(k: int, n: int) -> KClass | None:
 @dataclass(frozen=True)
 class KNZeroRow:
     a: int
-    correspondence_part: tuple[int, ...]
-    product_part: tuple[int, ...]
-    divisor_part: tuple[int, ...]
     assembled: tuple[int, ...]
     expected: tuple[int, ...]
     ok: bool
@@ -391,10 +379,13 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
     where the product term is RGamma(P, O(a)) (x) j'_*O_{P^v}, the
     divisor term comes from the (1,1) divisor sequence, and the blowup
     term is the expected class [O(-a)] plus the recorded O_E(kE)
-    pushforward corrections.  Because the blowup term is seeded with
-    the expected class, a row's `ok` checks only that the product,
-    divisor and O_E(kE) correction terms cancel.
+    pushforward corrections.  A row's `ok` compares the assembled class
+    with the image of [O(a)] under the flop matrix :func:`kn_matrix`;
+    because the blowup term is seeded with [O(-a)], it checks that the
+    product, divisor and O_E(kE) correction terms cancel and that the
+    matrix sends [O(a)] to [O(-a)].
     """
+    M = kn_matrix(n)
     rows = []
     for a in range(-n + 1, 1):
         chi_a = bwb.euler_characteristic(bwb.line_bundle(n, a))
@@ -409,19 +400,10 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
                 # the recorded class, twisted by O(-a) on the far side
                 col = matmul(twist_matrix(n, -a), [[x] for x in fact.coords])
                 blowup = blowup + KClass(n, "Yplus", tuple(x for x, in col))
-        assembled = blowup + prod - divisor
-        expected = reduce_line(-a, n, "Yplus")
-        rows.append(
-            KNZeroRow(
-                a=a,
-                correspondence_part=blowup.coords,
-                product_part=prod.coords,
-                divisor_part=divisor.coords,
-                assembled=assembled.coords,
-                expected=expected.coords,
-                ok=assembled.coords == expected.coords,
-            )
-        )
+        assembled = (blowup + prod - divisor).coords
+        image = matmul(M, [[x] for x in reduce_line(a, n).coords])
+        expected = tuple(x for x, in image)
+        rows.append(KNZeroRow(a, assembled, expected, assembled == expected))
     return rows
 
 

@@ -379,25 +379,15 @@ class CompareReport:
 
 
 def compare_with_nccr(n: int, max_len: int) -> CompareReport:
-    """For every cell with length <= max_len, compare the quotient
+    """For every cell of :func:`dim_table` with length = b - a (mod 2)
+    (the other cells hold no paths), compare the quotient
     path-algebra dimension with the graded Hom dimension of the matching
     piece on the cone: a path with p backward arrows from a to b matches
     internal degree min(p, p + b - a) of Hom(O(a), O(b)).  All
     mismatches are reported verbatim."""
-    quiver = Quiver(n)
     cells = []
-    mismatches = []
-    for length in range(0, max_len + 1):
-        for a in range(n):
-            for b in range(n):
-                npaths = path_count(n, a, b, length)
-                if npaths == 0 and (length - abs(b - a)) % 2 != 0:
-                    continue
-                expected = _cell_target(n, a, b, length)
-                dim = graded_dim(quiver, a, b, length) if npaths else 0
-                cell = CellResult(a=a, b=b, length=length, dim=dim,
-                                  expected=expected, ok=dim == expected)
-                cells.append(cell)
-                if not cell.ok:
-                    mismatches.append(cell)
-    return CompareReport(n, max_len, tuple(cells), tuple(mismatches))
+    for (a, b, length), dim in dim_table(n, max_len).items():
+        if (length - abs(b - a)) % 2 == 0:
+            expected = _cell_target(n, a, b, length)
+            cells.append(CellResult(a, b, length, dim, expected, dim == expected))
+    return CompareReport(n, max_len, tuple(cells), tuple(c for c in cells if not c.ok))

@@ -110,14 +110,6 @@ class Rep:
             if len(layer) != self.n:
                 raise ValueError("each layer needs n scalars")
 
-    def f(self, k: int, i: int):
-        """f_i acting on W_k (1-based label i)."""
-        return self.f_scalars[k][i - 1]
-
-    def v(self, k: int, j: int):
-        """v_j acting on W_k (1-based label j)."""
-        return self.v_scalars[k - 1][j - 1]
-
 
 def rep_from_triple(t: RepTriple) -> Rep:
     layer_f = tuple(t.alpha)

@@ -1,6 +1,9 @@
 """Acceptance suite: every criterion runs at zero tolerance and prints
 one PASS/FAIL line."""
 
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from minorbit import acceptance, bwb, kfunctor, quiveralg
@@ -61,3 +64,29 @@ def test_criterion_6_reads_the_recorded_pushforward(monkeypatch):
     res = acceptance.criterion_6()
     assert not res.passed
     assert res.detail.startswith("failures: [(2, -1,")
+
+
+def test_criterion_6_checks_the_window_rule(monkeypatch):
+    # the flop matrix is built from the reductions of [O(-j)], so losing
+    # the leading sign of the a < 0 branch must break [O(a)] -> [O(-a)]
+    real = kfunctor._reduce_coeffs
+
+    @lru_cache(maxsize=None)
+    def broken(a, n):
+        if a >= 0:
+            return real(a, n)
+        out = [0] * n
+        for i in range(n):
+            c = ((-1) ** n) * ((-1) ** i) * comb(n, i)
+            for j, v in enumerate(broken(a + n - i, n)):
+                out[j] += c * v
+        return tuple(out)
+
+    monkeypatch.setattr(kfunctor, "_reduce_coeffs", broken)
+    kfunctor.kclass_jp.cache_clear()
+    try:
+        res = acceptance.criterion_6()
+    finally:
+        kfunctor.kclass_jp.cache_clear()
+    assert not res.passed
+    assert "'window rule')" in res.detail

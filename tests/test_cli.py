@@ -65,6 +65,8 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["mutate", "--orbit", "--n", "3", "--max-len", "4"],
         ["accept", "--output", "json"],
         ["kflop", "--matrix", "--n", "3", "--direction", "KN"],
+        ["kflop", "--matrix", "--k", "0", "--n", "3"],
+        ["kflop", "--flopflop", "--k", "1", "--n", "3"],
     ):
         assert run(capsys, argv)[0] == 2, argv
 
@@ -97,7 +99,7 @@ def test_quiver_dims_csv(capsys):
 
 
 def test_kflop_flopflop(capsys):
-    rc, out, _ = run(capsys, ["kflop", "--flopflop", "--k", "0", "--n", "4"])
+    rc, out, _ = run(capsys, ["kflop", "--flopflop", "--n", "4"])
     assert rc == 0
     payload = json.loads(out)
     assert payload["pass"] is True

@@ -61,8 +61,8 @@ def test_n2_explicit_triple():
     t = RepTriple(2, q(1, 1), q(1, -1))
     r = rep_from_triple(t)
     assert check_relations(r).passed
-    assert r.f(0, 1) == 1 and r.f(0, 2) == 1
-    assert r.v(1, 1) == 1 and r.v(1, 2) == -1
+    assert r.f_scalars[0] == (1, 1)
+    assert r.v_scalars[0] == (1, -1)
 
 
 def test_hand_built_violation():
