@@ -1,12 +1,14 @@
 """K-lattice calculus for the flop between the two cotangent-bundle
 resolutions, and an Ext-dimension ledger.
 
-The K-group of either resolution is free of rank n on the window basis
-[O(0)], ..., [O(n-1)]; every other line-bundle class is reduced into the
-window with the Koszul relation sum_i (-1)^i C(n,i) [O(a-i)] = 0.  The
-class of the zero-section pushforward j_* O_P(b) is expanded by the
-Koszul resolution of the zero section, whose terms are the wedge powers
-of the tangent bundle.
+The K-group of either resolution is the ring Z[u, u^-1]/(u-1)^n with
+u = [O(1)], free of rank n on the window basis [O(0)], ..., [O(n-1)].
+Both classes it needs are closed forms in that ring: the window
+coordinates of [O(a)] are the Lagrange basis polynomials on the nodes
+0..n-1, evaluated at a (:func:`_reduce_coeffs`), and the class of the
+zero-section pushforward j_* O_P(b), expanded by the Koszul resolution
+of the zero section, is one binomial sum of line-bundle classes
+(:func:`kclass_jp`).
 
 Every flop functor sends [O(a)] -> [O(-a)] for the a in its width-n
 window, and on the K-lattice that rule holds for every a: all the flop
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 from . import bwb
 
@@ -66,30 +68,26 @@ class KClass:
 
 @lru_cache(maxsize=None)
 def _reduce_coeffs(a: int, n: int) -> tuple[int, ...]:
-    """Coordinates of [O(a)] in the window basis [O(0)], ..., [O(n-1)]."""
-    if 0 <= a < n:
-        out = [0] * n
-        out[a] = 1
-        return tuple(out)
-    if a >= n:
-        # [O(a)] = -sum_{i=1}^n (-1)^i C(n,i) [O(a-i)]
-        out = [0] * n
-        for i in range(1, n + 1):
-            c = -((-1) ** i) * comb(n, i)
-            for j, v in enumerate(_reduce_coeffs(a - i, n)):
-                out[j] += c * v
-        return tuple(out)
-    # a < 0: solve the relation anchored at a for its lowest term
-    out = [0] * n
-    for i in range(n):
-        c = -((-1) ** n) * ((-1) ** i) * comb(n, i)
-        for j, v in enumerate(_reduce_coeffs(a + n - i, n)):
-            out[j] += c * v
+    """Coordinates of [O(a)] in the window basis [O(0)], ..., [O(n-1)].
+
+    Put e = u - 1 with u = [O(1)].  The Koszul relation
+    sum_i (-1)^i C(n,i) [O(a-i)] = 0 says e^n = 0, so for every integer
+    a, [O(a)] = (1+e)^a = sum_{k<n} C(a,k) e^k: each window coordinate
+    of [O(a)] is a polynomial in a of degree < n.  On the nodes
+    a = 0..n-1 the coordinates are the unit vectors, so coordinate j is
+    the Lagrange basis polynomial prod_{i != j} (a - i)/(j - i), an exact
+    integer division equal to (-1)^(n-1-j) C(a,j) C(a-j-1, n-1-j).
+    """
+    out = []
+    for j in range(n):
+        num = prod(a - i for i in range(n) if i != j)
+        den = (-1) ** (n - 1 - j) * factorial(j) * factorial(n - 1 - j)
+        out.append(num // den)
     return tuple(out)
 
 
 def reduce_line(a: int, n: int, side: str = "Y") -> KClass:
-    """[O(a)] reduced to the window basis via the Koszul relation."""
+    """[O(a)] in the window basis."""
     return KClass(n, side, _reduce_coeffs(a, n))
 
 
@@ -98,25 +96,19 @@ def zero_class(n: int, side: str = "Y") -> KClass:
 
 
 @lru_cache(maxsize=None)
-def _wedge_tangent_line_coeffs(p: int, n: int) -> tuple[tuple[int, int], ...]:
-    """[Lambda^p T] as a combination of line-bundle classes, via the
-    recursion [Lambda^p T] = C(n,p) [O(p)] - [Lambda^{p-1} T]."""
-    if p == 0:
-        return ((0, 1),)
-    out: dict[int, int] = {p: comb(n, p)}
-    for t, c in _wedge_tangent_line_coeffs(p - 1, n):
-        out[t] = out.get(t, 0) - c
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
 def kclass_jp(b: int, n: int, side: str = "Y") -> KClass:
-    """[j_* O_P(b)]: alternating sum over the zero-section Koszul
-    resolution sum_p (-1)^p [Lambda^p T (x) O(b)], reduced to the window."""
+    """[j_* O_P(b)], reduced to the window.
+
+    The Koszul resolution of the zero section gives
+    [j_* O_P(b)] = sum_{p<n} (-1)^p [Lambda^p T (x) O(b)], and the Euler
+    sequence gives [Lambda^p T] = sum_{i<=p} (-1)^(p-i) C(n,i) [O(i)].
+    The class [O(b+i)] then appears for every p in i..n-1 with sign
+    (-1)^i, so [j_* O_P(b)] = sum_{i<n} (-1)^i (n-i) C(n,i) [O(b+i)].
+    """
     total = zero_class(n, side)
-    for p in range(n):
-        for t, c in _wedge_tangent_line_coeffs(p, n):
-            total = total + reduce_line(t + b, n, side).scale(((-1) ** p) * c)
+    for i in range(n):
+        total = total + reduce_line(b + i, n, side).scale(
+            (-1) ** i * (n - i) * comb(n, i))
     return total
 
 

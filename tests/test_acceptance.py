@@ -2,7 +2,6 @@
 one PASS/FAIL line."""
 
 from functools import lru_cache
-from math import comb
 
 import pytest
 
@@ -67,26 +66,43 @@ def test_criterion_6_reads_the_recorded_pushforward(monkeypatch):
 
 
 def test_criterion_6_checks_the_window_rule(monkeypatch):
-    # the flop matrix is built from the reductions of [O(-j)], so losing
-    # the leading sign of the a < 0 branch must break [O(a)] -> [O(-a)]
+    # the flop matrix is built from the window coordinates of [O(-j)], so
+    # Lagrange coordinates that lose their sign, or sit on the shifted
+    # nodes 1..n, must break [O(a)] -> [O(-a)]
     real = kfunctor._reduce_coeffs
 
-    @lru_cache(maxsize=None)
-    def broken(a, n):
-        if a >= 0:
-            return real(a, n)
-        out = [0] * n
-        for i in range(n):
-            c = ((-1) ** n) * ((-1) ** i) * comb(n, i)
-            for j, v in enumerate(broken(a + n - i, n)):
-                out[j] += c * v
-        return tuple(out)
+    def lost_sign(a, n):
+        return tuple((-1) ** (n - 1 - j) * c for j, c in enumerate(real(a, n)))
 
-    monkeypatch.setattr(kfunctor, "_reduce_coeffs", broken)
-    kfunctor.kclass_jp.cache_clear()
-    try:
-        res = acceptance.criterion_6()
-    finally:
+    def shifted_nodes(a, n):
+        return real(a - 1, n)
+
+    for broken in (lost_sign, shifted_nodes):
+        monkeypatch.setattr(kfunctor, "_reduce_coeffs", lru_cache(maxsize=None)(broken))
         kfunctor.kclass_jp.cache_clear()
+        try:
+            res = acceptance.criterion_6()
+        finally:
+            kfunctor.kclass_jp.cache_clear()
+        assert not res.passed, broken
+        assert "'window rule')" in res.detail
+
+
+def test_criterion_4_checks_the_width_bound(monkeypatch):
+    # no window pair of Tk, TPrime or Sk is O(-n), so reading O(-n) as
+    # acyclic leaves every tilting check green and fails only the
+    # sharpness step
+    real = bwb.cohomology
+
+    def acyclic_minus_n(e):
+        e = bwb.BundleExpr.of(e) if isinstance(e, bwb.LeviWeight) else e
+        if e.terms == {bwb.line_bundle(e.n, -e.n): 1}:
+            return {}
+        return real(e)
+
+    monkeypatch.setattr(bwb, "cohomology", acyclic_minus_n)
+    res = acceptance.criterion_4()
     assert not res.passed
-    assert "'window rule')" in res.detail
+    assert res.detail == (
+        "failures: [(2, 'width n+1'), (3, 'width n+1'), "
+        "(4, 'width n+1'), (5, 'width n+1')]")

@@ -39,16 +39,37 @@ def test_reduce_line_examples():
 
 
 def test_koszul_vector_dies():
-    for n in (2, 3, 4, 5):
-        for a in (-1, 0, 3, n + 2):
+    # the Koszul relation at every a and the unit vectors on the window
+    # pin every coordinate of every [O(a)]
+    for n in range(2, 9):
+        for a in range(n):
+            assert reduce_line(a, n).coords == tuple(int(j == a) for j in range(n))
+        for a in range(-3 * n, 3 * n + 1):
             total = zero_class(n)
             for i in range(n + 1):
                 total = total + reduce_line(a - i, n).scale((-1) ** i * comb(n, i))
-            assert total.coords == (0,) * n
+            assert total.coords == (0,) * n, (n, a)
 
 
 def test_kclass_jp_n2():
     assert kclass_jp(0, 2).coords == (2, -2)
+
+
+def test_kclass_jp_matches_koszul_resolution():
+    # sum_p (-1)^p [Lambda^p T (x) O(b)], with the wedge powers from the
+    # Euler sequence recursion [Lambda^p T] = C(n,p) [O(p)] - [Lambda^(p-1) T]
+    for n in range(2, 9):
+        wedge = [{0: 1}]
+        for p in range(1, n):
+            prev = wedge[-1]
+            wedge.append({t: -c for t, c in prev.items()})
+            wedge[-1][p] = wedge[-1].get(p, 0) + comb(n, p)
+        for b in range(-3 * n, 3 * n + 1):
+            total = zero_class(n)
+            for p, lines in enumerate(wedge):
+                for t, c in lines.items():
+                    total = total + reduce_line(t + b, n).scale((-1) ** p * c)
+            assert kclass_jp(b, n) == total, (n, b)
 
 
 def test_kclass_jp_euler_pairing():

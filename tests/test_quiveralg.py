@@ -203,8 +203,13 @@ def test_compare_examples():
 def test_dim_table_parity_invariant():
     for n in (2, 3):
         table = dim_table(n, 5)
+        assert set(table) == {
+            (a, b, l)
+            for l in range(6) for a in range(n) for b in range(n)
+            if (l - (b - a)) % 2 == 0
+        }
         for (a, b, l), d in table.items():
-            if l < abs(b - a) or (l - (b - a)) % 2:
+            if l < abs(b - a):
                 assert d == 0
             elif l == abs(b - a):
                 assert d > 0
