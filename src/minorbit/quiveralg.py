@@ -13,24 +13,31 @@ is used at small scale.  The engine builds the same quotient degree by
 degree: writing W for the space spanned by (top arrow) applied to the
 previous degree's quotient, the degree-(l+1) quotient is W modulo the
 relation instances whose context sits entirely below the top arrow.
+Every arrow and every relation generator is homogeneous for the
+GL(V)-torus weight (f_i -> +e_i, v_i -> -e_i), so the engine splits
+each cell into weight blocks and eliminates one block at a time.
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
 surjection onto the graded Hom pieces of the cone, whose dimensions
 (the closed-form trace coranks of `cohengine.sym_pair_corank`) bound it
-from below.  Equality of the bounds certifies the value; disagreement
-is reported, never patched.
+from below.  The surjection preserves the torus weight, so each block
+has its own exact lower bound (`_weight_target`); the blocks are
+certified one by one and summed per cell.  Equality of the bounds
+certifies the value; disagreement is reported, never patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import add
 
 import numpy as np
 
 from .cohengine import sym_pair_corank
 from .linalg import MODP, MODP_SMALL, ModPRref, rank_exact
-from .relations import RelationGen, relation_generators
+from .relations import relation_generators
 
 
 @dataclass(frozen=True)
@@ -167,30 +174,76 @@ def _cell_target(n: int, a: int, b: int, length: int) -> int:
     return sym_pair_corank(n, down2 // 2, up2 // 2)
 
 
+def _weight_target(n: int, a: int, b: int, length: int, w: tuple[int, ...]) -> int:
+    """Exact lower bound for the weight-w block of a cell.
+
+    The GL(V)-torus weight of a path adds e_i for each f_i and -e_i for
+    each v_i, so a path of the cell has u = (length + b - a)/2 forward
+    arrows and a weight w with sum(w) = b - a.  The evaluation sends it
+    to a monomial pair x^alpha y^beta with alpha - beta = w, so the
+    surjection behind `_cell_target` is a sum of one surjection per
+    weight.  The pairs of weight w with |alpha| = u are alpha =
+    max(w, 0) + gamma and beta = max(-w, 0) + gamma, with gamma >= 0 of
+    size k = u - sum(max(w_i, 0)): there are C(k + n - 1, n - 1) of them
+    when k >= 0 and none otherwise.  The trace t = sum_i x_i y_i has
+    weight 0, lowers k by one and is injective (Sym V (x) Sym V* is a
+    domain), so the weight-w part of its cokernel has dimension
+    C(k + n - 1, n - 1) - C(k + n - 2, n - 1) = C(k + n - 2, n - 2) for
+    k >= 0, and 0 otherwise.  Summed over w this is `_cell_target`.
+    """
+    up2 = length + b - a
+    if up2 < 0 or up2 % 2:
+        return 0
+    k = up2 // 2 - sum(x for x in w if x > 0)
+    return comb(k + n - 2, n - 2) if k >= 0 else 0
+
+
+def _weight(n: int, steps) -> tuple[int, ...]:
+    """Torus weight of a word: +e_i per f_i, -e_i per v_i."""
+    w = [0] * n
+    for kind, i in steps:
+        w[i - 1] += 1 if kind == "f" else -1
+    return tuple(w)
+
+
 class CertificationError(RuntimeError):
     pass
 
 
 class _Cell:
-    __slots__ = ("dim", "mats")
+    __slots__ = ("dim", "blocks")
 
-    def __init__(self, dim: int, mats: dict):
-        self.dim = dim
-        self.mats = mats  # arrow -> matrix from the source cell one level down
+    def __init__(self, dim: int, blocks: dict):
+        self.dim = dim  # the cell total: the sum of its block dims
+        # weight -> (block dim, {arrow: matrix from the arrow's source
+        # block one level down}); blocks of dimension 0 are not kept
+        self.blocks = blocks
 
 
 class QuiverDimEngine:
-    """Degree-by-degree quotient construction, mod p, certified against
-    the exact corank targets."""
+    """Degree-by-degree quotient construction, mod p, one torus-weight
+    block at a time.
+
+    Every relation generator is homogeneous for the torus weight
+    (`_build_level` raises ValueError otherwise), and so are the arrows,
+    so the quotient splits into weight blocks: the W-space of block w of
+    a cell is made of the pieces (arrow, source block of weight
+    w - wt(arrow)), and its relation rows are the generators applied to
+    the blocks of weight w - wt(generator) two levels down.  Each block
+    is eliminated on its own and stopped at W_w - `_weight_target`; so
+    every block dim is at least its target, and a cell (whose dim is the
+    sum of its blocks) meets `_cell_target` exactly when every block
+    meets its own.  Cells that do not are listed in `uncertified`."""
 
     def __init__(self, n: int):
         self.n = n
         # big vertices produce wide coordinate spaces; a 16-bit prime
         # keeps every float64 dot product exact there
         self.p = MODP if n <= 4 else MODP_SMALL
+        origin = (0,) * n
         base = {}
         for a in range(n):
-            base[(a, a)] = _Cell(1, {})
+            base[(a, a)] = _Cell(1, {origin: (1, {})})
         self.levels: list[dict] = [base]
         self.uncertified: list[tuple] = []
 
@@ -208,55 +261,96 @@ class QuiverDimEngine:
         return cell.dim if cell else 0
 
     def _build_level(self, l: int) -> None:
-        n, p = self.n, self.p
-        newlevel: dict = {}
-        gens_by_target: dict[int, list[RelationGen]] = {}
+        n = self.n
+        gens_by_target: dict[int, list] = {}
         if l >= 2:
             for gen in relation_generators(n):
-                gens_by_target.setdefault(gen.target, []).append(gen)
+                weights = {_weight(n, steps) for _, steps in gen.terms}
+                if len(weights) != 1:
+                    raise ValueError(
+                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                        f"is not torus-weight homogeneous: {gen.terms}"
+                    )
+                terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
+                gens_by_target.setdefault(gen.target, []).append(
+                    (gen.source, weights.pop(), terms))
+        prev = self.levels[l - 1]
+        below = self.levels[l - 2] if l >= 2 else {}
+        newlevel: dict = {}
         for a in range(n):
             for b in range(n):
-                blocks = {}  # (arrow, source vertex) -> (offset in W, width)
-                woff = 0
+                # weight w -> {arrow: source block of weight w - wt(arrow)}
+                pieces: dict = {}
                 for arrow, src in self._arrows_into(b):
-                    sdim = self._prev_dim(a, src, l - 1)
-                    if sdim:
-                        blocks[(arrow, src)] = (woff, sdim)
-                        woff += sdim
-                if woff == 0:
-                    continue
-                W = woff
-                target = _cell_target(n, a, b, l)
-                rref = ModPRref(W, p)
-                for gen in gens_by_target.get(b, []):
-                    dq = self._prev_dim(a, gen.source, l - 2)
-                    if dq == 0:
+                    cell = prev.get((a, src))
+                    if cell is None:
                         continue
-                    if rref.rank >= W - target:
-                        break
-                    # a term (first, top) maps the (a, source) cell two
-                    # levels down through `first` into the (a, mid) cell,
-                    # whose image under `top` is the block (top, mid) of W
-                    big = np.zeros((W, dq))
-                    for coeff, (first, top) in gen.terms:
-                        mid = _step_target(n, gen.source, first)
-                        off, width = blocks[(top, mid)]
-                        mat = self.levels[l - 1][(a, mid)].mats[first]
-                        big[off : off + width, :] += coeff * mat
-                    rref.add(big.T % p, stop_at_rank=W - target)
-                # the projection W -> quotient: a nonpivot column maps to
-                # its own coordinate, a pivot column to minus its row of E
-                nonpiv, E = rref.projection()
-                dim = W - rref.rank
-                T = np.zeros((dim, W))
-                T[np.arange(dim), nonpiv] = 1
-                T[:, rref.pivots] = (-E.T) % p
-                mats = {arrow: T[:, off : off + sdim]
-                        for (arrow, _), (off, sdim) in blocks.items()}
-                newlevel[(a, b)] = _Cell(dim, mats)
+                    aw = _weight(n, (arrow,))
+                    for sw, block in cell.blocks.items():
+                        pieces.setdefault(tuple(map(add, sw, aw)), {})[arrow] = block
+                if not pieces:
+                    continue
+                # weight w -> [(dim of the block of weight w - wt(gen) two
+                # levels down, the generator's terms)]
+                rels: dict = {}
+                for src, gw, terms in gens_by_target.get(b, ()):
+                    cell = below.get((a, src))
+                    if cell is None:
+                        continue
+                    for sw, (sdim, _) in cell.blocks.items():
+                        rels.setdefault(tuple(map(add, sw, gw)), []).append((sdim, terms))
+                blocks = {}
+                for w, pw in pieces.items():
+                    block = self._eliminate(
+                        pw, rels.get(w, ()), _weight_target(n, a, b, l, w))
+                    if block[0]:
+                        blocks[w] = block
+                dim = sum(d for d, _ in blocks.values())
+                newlevel[(a, b)] = _Cell(dim, blocks)
+                target = _cell_target(n, a, b, l)
                 if dim != target:
                     self.uncertified.append((a, b, l, dim, target))
         self.levels.append(newlevel)
+
+    def _eliminate(self, pieces, rels, target):
+        """(dim, maps) of one weight block: its W-space is made of
+        `pieces`, {arrow: source block}, `rels` lists the generators
+        applied to a block two levels down, and elimination stops at
+        W - target."""
+        p = self.p
+        offs = {}
+        W = 0
+        for arrow, (sdim, smats) in pieces.items():
+            offs[arrow] = (W, sdim, smats)
+            W += sdim
+        stop = W - target
+        rref = ModPRref(W, p)
+        if stop > 0 and rels:
+            # a term (first, top) maps the source block through `first`
+            # into the (a, mid) block that `top` carries into this one,
+            # the piece `top` of W; a missing piece is a zero block, where
+            # the term dies
+            rows = np.zeros((sum(dq for dq, _ in rels), W))
+            start = 0
+            for dq, terms in rels:
+                r = rows[start : start + dq]
+                start += dq
+                for coeff, first, top in terms:
+                    piece = offs.get(top)
+                    if piece:
+                        off, width, mats = piece
+                        m = mats[first].T
+                        r[:, off : off + width] += m if coeff == 1 else coeff * m
+            rref.add(rows % p, stop_at_rank=stop)
+        # the projection W -> quotient: a nonpivot column maps to its own
+        # coordinate, a pivot column to minus its row of E
+        nonpiv, E = rref.projection()
+        dim = W - rref.rank
+        T = np.zeros((dim, W))
+        T[np.arange(dim), nonpiv] = 1
+        T[:, rref.pivots] = (-E.T) % p
+        return dim, {arrow: T[:, off : off + width]
+                     for arrow, (off, width, _) in offs.items()}
 
     def _arrows_into(self, b: int):
         out = []
@@ -304,7 +398,13 @@ def evaluation_kills_generators(n: int) -> bool:
     lower bound annihilates the relation ideal: commutation relations
     evaluate to syntactically equal monomials and trace relations to the
     trace element itself, which spans the quotient kernel.  Returns True
-    when every generator term-multiset matches that pattern."""
+    when every generator term-multiset matches that pattern.
+
+    It also shows that every generator is torus-weight homogeneous, as
+    the engine's weight blocks require: all terms of a commutator have
+    one (down, up) label content, hence one weight, and every trace term
+    f_i v_i has weight 0.  (The engine raises ValueError on a generator
+    that is not homogeneous.)"""
     for gen in relation_generators(n):
         content = set()
         for coeff, steps in gen.terms:
@@ -359,6 +459,8 @@ class CompareReport:
     max_len: int
     cells: tuple[CellResult, ...]
     mismatches: tuple[CellResult, ...]
+    # the engine's uncertified (a, b, length, dim, target) cells in range
+    uncertified: tuple[tuple[int, int, int, int, int], ...]
 
     @property
     def passed(self) -> bool:
@@ -377,6 +479,10 @@ class CompareReport:
                 }
                 for c in self.mismatches
             ],
+            "uncertified": [
+                {"a": a, "b": b, "length": length, "dim": dim, "target": target}
+                for a, b, length, dim, target in self.uncertified
+            ],
         }
 
 
@@ -385,9 +491,13 @@ def compare_with_nccr(n: int, max_len: int) -> CompareReport:
     path-algebra dimension with the graded Hom dimension of the matching
     piece on the cone: a path with p backward arrows from a to b matches
     internal degree min(p, p + b - a) of Hom(O(a), O(b)).  All
-    mismatches are reported verbatim."""
+    mismatches are reported verbatim, and so are the cells in range that
+    the engine could not certify (their reported dims come from the
+    direct oracle)."""
     cells = []
     for (a, b, length), dim in dim_table(n, max_len).items():
         expected = _cell_target(n, a, b, length)
         cells.append(CellResult(a, b, length, dim, expected, dim == expected))
-    return CompareReport(n, max_len, tuple(cells), tuple(c for c in cells if not c.ok))
+    uncertified = tuple(u for u in _engine(n).uncertified if u[2] <= max_len)
+    return CompareReport(n, max_len, tuple(cells),
+                         tuple(c for c in cells if not c.ok), uncertified)

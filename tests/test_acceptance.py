@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from minorbit import acceptance, bwb, kfunctor, quiveralg
+from minorbit.relations import RelationGen
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -33,6 +34,29 @@ def test_criterion_1_checks_the_evaluation(monkeypatch):
     res = acceptance.criterion_1()
     assert not res.passed
     assert "(3, 'evaluation does not kill the generators')" in res.detail
+
+
+def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch):
+    # relabel one term of the first ff commutator at n = 3: f_1 f_2 - f_3 f_1
+    # is no longer torus-weight homogeneous, so the evaluation step fails
+    # and the engine refuses to split its cells into weight blocks
+    real = quiveralg.relation_generators
+
+    def mislabelled(n):
+        gens = list(real(n))
+        if n == 3:
+            g = gens[0]
+            assert g.name == "ff" and g.terms[1][1] == (("f", 2), ("f", 1))
+            terms = (g.terms[0], (-1, (("f", 3), ("f", 1))))
+            gens[0] = RelationGen(g.source, g.target, terms, g.name)
+        return tuple(gens)
+
+    monkeypatch.setattr(quiveralg, "relation_generators", mislabelled)
+    res = acceptance.criterion_1()
+    assert not res.passed
+    assert "(3, 'evaluation does not kill the generators')" in res.detail
+    with pytest.raises(ValueError, match="not torus-weight homogeneous"):
+        quiveralg.QuiverDimEngine(3).ensure(2)
 
 
 def test_criterion_5_cross_checks_unequal_twists(monkeypatch):

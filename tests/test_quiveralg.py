@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from minorbit import quiveralg
@@ -198,6 +200,7 @@ def test_compare_examples():
     assert not rep.mismatches
     d = rep.as_dict()
     assert d["pass"] is True and d["cells_checked"] == len(rep.cells)
+    assert d["uncertified"] == []
 
 
 def test_dim_table_parity_invariant():
@@ -254,3 +257,82 @@ def test_uncertified_large_cell_raises(monkeypatch):
     with pytest.raises(CertificationError, match=r"a=1, b=1, l=6"):
         graded_dim(Quiver(3), 1, 1, 6)
     assert quiveralg._engines[3].uncertified == [(1, 1, 6, 64, 63)]
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_weight_targets_sum_to_the_cell_target():
+    # the weights of a cell are the alpha - beta, with alpha and beta
+    # compositions of its forward and backward arrow counts into n parts
+    for n in range(2, 6):
+        for l in range(8):
+            for a in range(n):
+                for b in range(n):
+                    up2, down2 = l + (b - a), l - (b - a)
+                    if up2 < 0 or down2 < 0 or up2 % 2:
+                        continue
+                    weights = {
+                        tuple(x - y for x, y in zip(alpha, beta))
+                        for alpha in _compositions(up2 // 2, n)
+                        for beta in _compositions(down2 // 2, n)
+                    }
+                    total = sum(quiveralg._weight_target(n, a, b, l, w) for w in weights)
+                    assert total == quiveralg._cell_target(n, a, b, l), (n, a, b, l)
+
+
+def test_block_dims_are_label_symmetric():
+    # permuting the labels 1..n maps the quiver and its relations to
+    # themselves, so a block's dim depends on its weight only up to
+    # permutation; the engine eliminates every weight on its own
+    for n in (3, 4):
+        eng = quiveralg._engine(n)
+        eng.ensure(5)
+        for l in range(6):
+            for cell in eng.levels[l].values():
+                dims = {w: d for w, (d, _) in cell.blocks.items()}
+                assert sum(dims.values()) == cell.dim
+                for w, d in dims.items():
+                    for sigma in permutations(range(n)):
+                        assert dims.get(tuple(w[i] for i in sigma), 0) == d, (n, l, w)
+
+
+def test_overstated_weight_target_is_uncertified(monkeypatch):
+    # a block stopped one row early keeps one dimension too many; its
+    # cell misses the cell target, is listed, and graded_dim asks the
+    # direct oracle instead
+    q = Quiver(3)
+    true_dim = graded_dim_direct(q, 0, 1, 3)
+    real_target = quiveralg._weight_target
+    real_direct = quiveralg.graded_dim_direct
+    cell, weight = (3, 0, 1, 3), (1, 0, 0)
+
+    def target(n, a, b, length, w):
+        t = real_target(n, a, b, length, w)
+        return t + 1 if ((n, a, b, length), w) == (cell, weight) else t
+
+    direct_calls = []
+
+    def direct(quiver, a, b, length):
+        direct_calls.append((quiver.n, a, b, length))
+        return real_direct(quiver, a, b, length)
+
+    monkeypatch.setattr(quiveralg, "_weight_target", target)
+    monkeypatch.setattr(quiveralg, "graded_dim_direct", direct)
+    monkeypatch.setattr(quiveralg, "_engines", {})
+    assert graded_dim(q, 0, 1, 3) == true_dim
+    assert direct_calls == [cell]
+    entry = (0, 1, 3, true_dim + 1, true_dim)
+    assert quiveralg._engines[3].uncertified == [entry]
+    rep = compare_with_nccr(3, 3)
+    assert rep.passed
+    assert rep.as_dict()["uncertified"] == [
+        dict(zip(("a", "b", "length", "dim", "target"), entry))
+    ]
+    assert compare_with_nccr(3, 2).as_dict()["uncertified"] == []
