@@ -12,7 +12,9 @@ directory.  Two measurements:
   (the quiver engine's useful-row ratio is 0.59); rows are offered in
   blocks of 8, the mean block height of the engine's `add` calls on the
   quiver workload (14935 rows in 1817 calls, from a traced run);
-  median of REPEATS runs;
+  median of REPEATS runs.  These widths predate the engine's
+  torus-weight blocks, which eliminate no matrix wider than 180 columns
+  (n=6, l=6), so they now measure the kernel far outside its use;
 - seconds per level of a fresh QuiverDimEngine(4) built up to l=6
   (criterion 1's n=4 grid), one run.
 
@@ -55,7 +57,7 @@ def rows_per_s(np, linalg) -> dict:
         mat, rank = _matrix(np, width, seed=width)
         times = []
         for _ in range(REPEATS):
-            acc = linalg.ModPRref(width, linalg.MODP)
+            acc = linalg.ModPRref(width)
             t0 = time.perf_counter()
             for start in range(0, mat.shape[0], BLOCK_ROWS):
                 acc.add(mat[start : start + BLOCK_ROWS])

@@ -33,7 +33,9 @@ def criterion_1() -> CriterionResult:
     evaluation kills every relation generator, so that is checked first,
     and a failure skips that n's comparison.  The same check shows that
     every generator is torus-weight homogeneous, which the engine's
-    weight blocks rely on."""
+    weight blocks rely on.  A cell that the engine leaves uncertified
+    fails the criterion even when the direct oracle's value matches, so
+    a rank lost mod p cannot hide behind the fallback."""
     fails = []
     for n, max_len in ((2, 6), (3, 6), (4, 8), (5, 6)):
         if not quiveralg.evaluation_kills_generators(n):
@@ -42,11 +44,14 @@ def criterion_1() -> CriterionResult:
         rep = quiveralg.compare_with_nccr(n, max_len)
         if not rep.passed:
             fails.append((n, rep.mismatches[:3]))
+        if rep.uncertified:
+            fails.append((n, "uncertified", rep.uncertified))
     return CriterionResult(
         1,
         "quiver graded dimensions equal graded Hom dimensions (n=2,3 l<=6, "
-        "n=4 l<=8, n=5 l<=6); the monomial evaluation kills every relation "
-        "generator, so every generator is torus-weight homogeneous",
+        "n=4 l<=8, n=5 l<=6), every cell certified by the engine; the "
+        "monomial evaluation kills every relation generator, so every "
+        "generator is torus-weight homogeneous",
         not fails,
         f"failures: {fails}" if fails else "",
     )

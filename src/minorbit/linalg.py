@@ -6,8 +6,10 @@ Two rank routines are provided:
   the small matrices of the direct path-algebra oracle (the fallback
   when a quiver cell fails certification);
 - `ModPRref`: a mod-p reduced-row-echelon accumulator on numpy float64
-  buffers, the one elimination kernel of the quiver engine (float64
-  arithmetic is exact because width * (p - 1)**2 < 2**53 is enforced).
+  buffers, the one elimination kernel of the quiver engine.  It works
+  modulo one fixed prime, `MODP`.  Float64 arithmetic is exact while
+  width * (MODP - 1)**2 < 2**53, that is for widths up to 8192; the
+  engine's torus-weight blocks are at most 180 wide (n=6, l=6).
 
 A mod-p rank is always a lower bound for the rational rank, so "full
 column rank mod p" certifies full rational column rank, and a mod-p
@@ -24,13 +26,6 @@ import numpy as np
 
 # 2**20 - 3, prime (asserted in the test suite)
 MODP = 1048573
-# largest prime below 2**16; used when row widths would push float64
-# dot products past 2**53 with the default prime
-MODP_SMALL = 65521
-
-# rows per elimination chunk of ModPRref.add; the result does not depend
-# on it (the buffer is the unique RREF of its row space)
-_CHUNK = 512
 
 
 def rank_exact(rows, ncols: int) -> int:
@@ -62,110 +57,74 @@ def rank_exact(rows, ncols: int) -> int:
 
 
 class ModPRref:
-    """Accumulates vectors mod p, kept in reduced row-echelon form.
+    """Accumulates vectors mod `MODP`, kept in reduced row-echelon form.
 
-    Rows are stored unsorted; `pivots[i]` is the pivot column of row i and
-    every row is fully reduced against every other, so the class of a
-    vector v modulo the row space is v - v[pivots] @ rows.
+    Rows are stored unsorted; `pivots[i]` is the pivot column of row i,
+    in insertion order, and every row is fully reduced against every
+    other, so the class of a vector v modulo the row space is
+    v - v[pivots] @ rows.
 
-    `add` eliminates block-wise (delayed reduction in the style of
-    FFLAS-FFPACK).  Each chunk of offered rows is reduced against the
-    buffer with one matrix product, its surviving rows are brought to
-    reduced row-echelon form among themselves only, and the rows already
-    in the buffer are then cleared at the new pivots with one more
-    product and a single `% p`.  Old rows never change their leading
-    column, so the buffer is always the unique RREF of its row space:
-    the result does not depend on how rows are split into chunks or
-    `add` calls.
+    `add` inserts one row at a time: the row is reduced against the
+    buffer, scaled to a leading 1, and cleared from the other rows at
+    its pivot.  Two facts keep this loop all the kernel needs.  The
+    buffer is the unique RREF of its row space (old rows never change
+    their leading column), so the result does not depend on how rows are
+    split into `add` calls.  And the rank of a block is at most its
+    width, so the buffer, which grows as rows arrive, never holds more
+    than `width` rows; the quiver engine eliminates torus-weight blocks
+    at most 180 wide.
 
-    `stop_at_rank` is checked before every row, also inside a chunk, and
-    a chunk that stops early still clears the older rows at the pivots
-    it added.  Callers pass W - target, where the target is an exact
-    lower bound for the quotient dimension: the mod-p rank of every row
-    they will ever offer is at most the rational rank, W - dim <=
-    W - target, so once the threshold is reached the buffer already
-    spans all of them and stopping only skips rows that cannot change it.
+    `stop_at_rank` is checked before every row.  Callers pass W - target,
+    where the target is an exact lower bound for the quotient dimension:
+    the mod-p rank of every row they will ever offer is at most the
+    rational rank, W - dim <= W - target, so once the threshold is
+    reached the buffer already spans all of them and stopping only skips
+    rows that cannot change it.
     """
 
-    def __init__(self, width: int, p: int = MODP):
-        self.width = width
-        self.p = p
+    def __init__(self, width: int):
         # accumulated dot products must stay exactly representable
-        if width * (p - 1) ** 2 >= 2 ** 53:
-            raise ValueError(
-                f"width {width} too large for prime {p}; use a smaller prime"
-            )
-        self._buf = np.zeros((max(16, min(width, 1024)), width))
-        self._n = 0
+        if width * (MODP - 1) ** 2 >= 2 ** 53:
+            raise ValueError(f"width {width} too large for prime {MODP}")
+        self.width = width
+        self._buf = np.zeros((0, width))
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
-        return self._n
+        return len(self.pivots)
 
     def rows(self) -> np.ndarray:
-        return self._buf[: self._n]
-
-    def reduce(self, block) -> np.ndarray:
-        """Reduce the rows of `block` modulo the current row space."""
-        block = np.asarray(block, dtype=np.float64) % self.p
-        if self._n:
-            # rows()[:, pivots] is the identity, so the pivot columns of
-            # the result are zero and only the free columns are computed
-            free = self.nonpivots()
-            out = np.zeros_like(block)
-            out[:, free] = (
-                block[:, free] - block[:, self.pivots] @ self._buf[: self._n, free]
-            ) % self.p
-            block = out
-        return block
-
-    def _grow(self) -> None:
-        if self._n == self._buf.shape[0]:
-            new = np.zeros((2 * self._buf.shape[0], self.width))
-            new[: self._n] = self._buf[: self._n]
-            self._buf = new
+        return self._buf[: self.rank]
 
     def add(self, block, stop_at_rank: int | None = None) -> None:
         """Insert rows of `block`; stop early once `stop_at_rank` is reached
         (callers use this only when the remaining rows provably cannot
         lower the quotient dimension further)."""
-        block = np.asarray(block, dtype=np.float64)
-        p = self.p
-        for start in range(0, block.shape[0], _CHUNK):
-            if stop_at_rank is not None and self._n >= stop_at_rank:
+        block = np.asarray(block, dtype=np.float64) % MODP
+        r = self.rank
+        height = min(r + block.shape[0], self.width)
+        if height > self._buf.shape[0]:
+            buf = np.zeros((height, self.width))
+            buf[:r] = self._buf[:r]
+            self._buf = buf
+        for row in block:
+            if stop_at_rank is not None and r >= stop_at_rank:
                 return
-            sub = self.reduce(block[start : start + _CHUNK])
-            base = self._n
-            for row in sub:
-                if stop_at_rank is not None and self._n >= stop_at_rank:
-                    break
-                # only this chunk's rows: sub is already reduced by the rest
-                new = self._buf[base : self._n]
-                if self._n > base:
-                    row = (row - row[self.pivots[base:]] @ new) % p
-                nz = np.flatnonzero(row)
-                if nz.size == 0:
-                    continue
-                lead = int(nz[0])
-                row = (row * pow(int(row[lead]), p - 2, p)) % p
-                col = new[:, lead]
-                if np.any(col):
-                    new[:] = (new - np.outer(col, row)) % p
-                self._grow()
-                self._buf[self._n] = row
-                self._n += 1
-                self.pivots.append(lead)
-            if 0 < base < self._n:
-                # the chunk's rows are zero at the old pivots and the
-                # identity at their own, so the update clears the old
-                # rows at the new pivots and changes only free columns
-                free = self.nonpivots()
-                newp = self.pivots[base:]
-                old = self._buf[:base]
-                upd = (old[:, free] - old[:, newp] @ self._buf[base : self._n, free]) % p
-                old[:, newp] = 0
-                old[:, free] = upd
+            rows = self._buf[:r]
+            if r:
+                row = (row - row[self.pivots] @ rows) % MODP
+            nz = np.flatnonzero(row)
+            if nz.size == 0:
+                continue
+            lead = int(nz[0])
+            row = (row * pow(int(row[lead]), MODP - 2, MODP)) % MODP
+            col = rows[:, lead]
+            if np.any(col):
+                rows[:] = (rows - np.outer(col, row)) % MODP
+            self._buf[r] = row
+            self.pivots.append(lead)
+            r += 1
 
     def nonpivots(self) -> list[int]:
         pset = set(self.pivots)

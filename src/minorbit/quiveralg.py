@@ -36,7 +36,7 @@ from operator import add
 import numpy as np
 
 from .cohengine import sym_pair_corank
-from .linalg import MODP, MODP_SMALL, ModPRref, rank_exact
+from .linalg import MODP, ModPRref, rank_exact
 from .relations import relation_generators
 
 
@@ -237,9 +237,6 @@ class QuiverDimEngine:
 
     def __init__(self, n: int):
         self.n = n
-        # big vertices produce wide coordinate spaces; a 16-bit prime
-        # keeps every float64 dot product exact there
-        self.p = MODP if n <= 4 else MODP_SMALL
         origin = (0,) * n
         base = {}
         for a in range(n):
@@ -317,14 +314,13 @@ class QuiverDimEngine:
         `pieces`, {arrow: source block}, `rels` lists the generators
         applied to a block two levels down, and elimination stops at
         W - target."""
-        p = self.p
         offs = {}
         W = 0
         for arrow, (sdim, smats) in pieces.items():
             offs[arrow] = (W, sdim, smats)
             W += sdim
         stop = W - target
-        rref = ModPRref(W, p)
+        rref = ModPRref(W)
         if stop > 0 and rels:
             # a term (first, top) maps the source block through `first`
             # into the (a, mid) block that `top` carries into this one,
@@ -341,14 +337,14 @@ class QuiverDimEngine:
                         off, width, mats = piece
                         m = mats[first].T
                         r[:, off : off + width] += m if coeff == 1 else coeff * m
-            rref.add(rows % p, stop_at_rank=stop)
+            rref.add(rows, stop_at_rank=stop)
         # the projection W -> quotient: a nonpivot column maps to its own
         # coordinate, a pivot column to minus its row of E
         nonpiv, E = rref.projection()
         dim = W - rref.rank
         T = np.zeros((dim, W))
         T[np.arange(dim), nonpiv] = 1
-        T[:, rref.pivots] = (-E.T) % p
+        T[:, rref.pivots] = (-E.T) % MODP
         return dim, {arrow: T[:, off : off + width]
                      for arrow, (off, width, _) in offs.items()}
 

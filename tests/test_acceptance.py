@@ -36,6 +36,19 @@ def test_criterion_1_checks_the_evaluation(monkeypatch):
     assert "(3, 'evaluation does not kill the generators')" in res.detail
 
 
+def test_criterion_1_fails_on_an_uncertified_cell(monkeypatch):
+    # a cell the engine leaves uncertified gets its value from the direct
+    # oracle, which can match the target; the criterion must still fail
+    def with_uncertified(n, max_len):
+        unc = ((0, 1, 3, 6, 5),) if n == 3 else ()
+        return quiveralg.CompareReport(n, max_len, (), (), unc)
+
+    monkeypatch.setattr(quiveralg, "compare_with_nccr", with_uncertified)
+    res = acceptance.criterion_1()
+    assert not res.passed
+    assert "(3, 'uncertified', ((0, 1, 3, 6, 5),))" in res.detail
+
+
 def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch):
     # relabel one term of the first ff commutator at n = 3: f_1 f_2 - f_3 f_1
     # is no longer torus-weight homogeneous, so the evaluation step fails

@@ -3,10 +3,14 @@ import numpy as np
 import pytest
 
 from minorbit import linalg
-from minorbit.linalg import MODP, MODP_SMALL, ModPRref, rank_exact
+from minorbit.linalg import MODP, ModPRref, rank_exact
+
+# 2**16 - 15: a second prime for the naive-reference tests, which patch it
+# in as linalg.MODP to show the kernel does not rely on MODP's value
+OTHER_P = 65521
 
 
-@pytest.mark.parametrize("p", [MODP, MODP_SMALL])
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
 def test_modp_is_prime(p):
     assert p > 2 and p % 2
     d = 3
@@ -16,9 +20,10 @@ def test_modp_is_prime(p):
 
 
 def test_modp_rref_rejects_overflowable_width():
+    # width * (MODP - 1)**2 < 2**53 holds up to width 2**13 exactly
+    ModPRref(2 ** 13)
     with pytest.raises(ValueError):
-        ModPRref(2 ** 14, MODP)
-    ModPRref(2 ** 14, MODP_SMALL)  # fine with the 16-bit prime
+        ModPRref(2 ** 13 + 1)
 
 
 def test_rank_exact_small():
@@ -49,8 +54,8 @@ def test_modp_rref_projection():
     # class of e0 is -e1 in quotient coordinates
     v = np.zeros(3)
     v[0] = 1
-    reduced = acc.reduce(v[None, :])[0]
-    assert reduced[0] == 0
+    cls = (v[nonpiv] - v[acc.pivots] @ E) % MODP
+    assert np.array_equal(cls, [MODP - 1, 0])
 
 
 def test_early_stop_respects_threshold():
@@ -61,8 +66,8 @@ def test_early_stop_respects_threshold():
 
 
 def _naive_rref(mat, p, stop_at_rank=None):
-    """Row-at-a-time mod-p RREF in insertion order: the reference that
-    the blocked kernel of ModPRref.add must reproduce exactly."""
+    """Row-at-a-time mod-p RREF in insertion order, on integer rows: the
+    reference that ModPRref.add must reproduce exactly."""
     rows, pivots = [], []
     for v in np.asarray(mat, dtype=np.int64) % p:
         if len(rows) == stop_at_rank:
@@ -83,17 +88,25 @@ def _rank_deficient(rng, m, w, r):
     return rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, w))
 
 
-@pytest.mark.parametrize("chunk", [3, 16, linalg._CHUNK])
-@pytest.mark.parametrize("p", [MODP, MODP_SMALL])
+def _batches(mat, chunk):
+    """`mat` split into consecutive blocks of at most `chunk` rows."""
+    return np.split(mat, range(chunk, len(mat), chunk))
+
+
+@pytest.mark.parametrize("chunk", [3, 16, 512])
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
 def test_blocked_rref_matches_naive_and_exact(monkeypatch, p, chunk):
-    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    # rows arrive in add calls at random cuts, each further split into
+    # blocks of at most `chunk` rows; 512 exceeds every matrix height
+    monkeypatch.setattr(linalg, "MODP", p)
     rng = np.random.default_rng(11)
     for m, w, r in ((40, 25, 15), (60, 30, 18), (24, 40, 24)):
         mat = _rank_deficient(rng, m, w, r)
-        acc = ModPRref(w, p)
+        acc = ModPRref(w)
         cuts = sorted(rng.choice(np.arange(1, m), size=3, replace=False))
         for part in np.split(mat, cuts):
-            acc.add(part.astype(float))
+            for block in _batches(part, chunk):
+                acc.add(block.astype(float))
         exact = [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
         assert acc.rank == rank_exact(exact, w)
         rows = acc.rows()
@@ -106,15 +119,30 @@ def test_blocked_rref_matches_naive_and_exact(monkeypatch, p, chunk):
         assert np.array_equal(E, np.array(ref_rows)[:, nonpiv])
 
 
-@pytest.mark.parametrize("chunk", [4, linalg._CHUNK])
-def test_blocked_rref_early_stop_matches_naive(monkeypatch, chunk):
-    # a stop inside a chunk must still clear the older rows at the
-    # pivots that chunk added
-    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+@pytest.mark.parametrize("chunk", [4, 512])
+def test_blocked_rref_early_stop_matches_naive(chunk):
+    # a stop in a later add call must leave the rows of the earlier ones
+    # cleared at every pivot added before the stop; rows go in blocks of
+    # at most `chunk`, so chunk=4 spreads the first nine rows over three
+    # calls and makes further calls after the stop, which must add nothing
     mat = _rank_deficient(np.random.default_rng(3), 30, 20, 14)
     acc = ModPRref(20)
-    acc.add(mat[:9].astype(float))
-    acc.add(mat[9:].astype(float), stop_at_rank=11)
+    for block in _batches(mat[:9], chunk):
+        acc.add(block.astype(float))
+    for block in _batches(mat[9:], chunk):
+        acc.add(block.astype(float), stop_at_rank=11)
     ref_rows, ref_pivots = _naive_rref(mat, MODP, stop_at_rank=11)
     assert acc.rank == 11 and acc.pivots == ref_pivots
     assert np.array_equal(acc.rows(), np.array(ref_rows))
+
+
+def test_add_reduces_its_rows_mod_p():
+    # entries far above MODP must not reach the float64 dot products
+    rng = np.random.default_rng(7)
+    mat = _rank_deficient(rng, 12, 10, 6)
+    shifted = mat + MODP * rng.integers(-2 ** 30, 2 ** 30, size=mat.shape)
+    acc, ref = ModPRref(10), ModPRref(10)
+    acc.add(shifted.astype(float))
+    ref.add(mat.astype(float))
+    assert acc.pivots == ref.pivots
+    assert np.array_equal(acc.rows(), ref.rows())

@@ -218,16 +218,6 @@ def test_dim_table_parity_invariant():
                 assert d > 0
 
 
-def test_n2_skew_group_anchor():
-    q = Quiver(2)
-    for l in range(9):
-        for a in range(2):
-            for b in range(2):
-                if (l - abs(b - a)) % 2:
-                    continue
-                assert graded_dim(q, a, b, l) == l + 1
-
-
 def _understate_target(monkeypatch, cell):
     """Make the corank target of one (n, a, b, l) cell one too small, so
     the engine's mod-p dimension no longer meets it; start from fresh
