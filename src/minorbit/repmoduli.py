@@ -11,14 +11,16 @@ and correspond to the point ([alpha], X = alpha beta^T) of the
 resolution: X is square-zero of rank at most one, with rank exactly one
 precisely for the simple representations (beta != 0).
 
-Scalars default to Fraction; any field-like type with arithmetic
-operators works (a small GF(p) wrapper is provided for fuzzing).
+Scalars are rationals (Fraction, the default, or int) or elements of
+one prime field GF(p), through the small wrapper below that the tests
+fuzz with; `check_relations` accepts exactly these two kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .relations import relation_generators
@@ -128,26 +130,76 @@ class RelationCheck:
     vertex: int | None = None
 
 
+# (n, id of a relation_generators tuple) -> (that tuple, its table); the
+# tuple is held so that its id cannot be reused by another tuple
+_TABLES: dict = {}
+
+
+def _relation_table(n: int, gens: tuple) -> tuple:
+    """The generators as rows (name, source, ((coeff, a, b), ...)): term
+    coeff * (word) acts by coeff * s[a] * s[b] on the flat scalar list s
+    of `_lift` (f layers first, then v layers).  Compiled once per
+    generator tuple, so a replaced `relation_generators` is honoured."""
+    entry = _TABLES.get((n, id(gens)))
+    if entry is not None:
+        return entry[1]
+    v0 = (n - 1) * n
+    rows = []
+    for gen in gens:
+        terms = []
+        for coeff, steps in gen.terms:
+            if len(steps) != 2 or not isinstance(coeff, int):
+                raise ValueError(
+                    f"{gen.name} at {gen.source}: term {coeff}*{steps} is not an "
+                    "integer multiple of a two-arrow word")
+            idx, k = [], gen.source
+            for kind, i in steps:
+                up = kind == "f"
+                layer = k if up else k - 1
+                if not (0 <= layer <= n - 2 and 1 <= i <= n):
+                    raise ValueError(f"{gen.name} at {gen.source}: word {steps} leaves the quiver")
+                idx.append((0 if up else v0) + layer * n + i - 1)
+                k += 1 if up else -1
+            terms.append((coeff, idx[0], idx[1]))
+        rows.append((gen.name, gen.source, tuple(terms)))
+    rows = tuple(rows)
+    _TABLES[(n, id(gens))] = (gens, rows)
+    return rows
+
+
+def _lift(r: Rep) -> tuple[list, int]:
+    """The rep's scalars as integers, f layers first, with the modulus to
+    test them in: p for GF(p) scalars, lifted to their values; 0 for
+    rationals, each written as N / D over the common denominator D and
+    lifted to N."""
+    s = [x for layer in r.f_scalars + r.v_scalars for x in layer]
+    if isinstance(s[0], GF):
+        return [x.v for x in s], s[0].p
+    d = lcm(*(x.denominator for x in s))
+    return [x.numerator * (d // x.denominator) for x in s], 0
+
+
 def check_relations(r: Rep) -> RelationCheck:
     """Evaluate every generator of the relation ideal (see `relations`)
     on the rep's scalars: a word acts by the product of its arrows'
     scalars, and the terms of each generator must sum to zero.  Reports
-    the first generator that does not, with its source vertex."""
-    f, v = r.f_scalars, r.v_scalars
-    for gen in relation_generators(r.n):
+    the first generator that does not, with its source vertex.
+
+    The sums are taken in integers.  Rational scalars are lifted to
+    numerators N over their common denominator D.  Every term of every
+    generator is an integer times a two-arrow word, which acts by
+    (N_a / D)(N_b / D), so a generator's sum is D^-2 times the integer
+    sum coeff * N_a * N_b, and it is zero exactly when that integer is.
+    GF(p) scalars are lifted to their values in 0..p-1, and the integer
+    sum is tested modulo p.  The scalars of one rep must therefore be all
+    Fraction or int, or all GF elements of one prime."""
+    vals, p = _lift(r)
+    for name, source, terms in _relation_table(r.n, relation_generators(r.n)):
         total = 0
-        for coeff, steps in gen.terms:
-            val, k = coeff, gen.source
-            for kind, i in steps:
-                if kind == "f":
-                    val = val * f[k][i - 1]
-                    k += 1
-                else:
-                    val = val * v[k - 1][i - 1]
-                    k -= 1
-            total = total + val
-        if total != 0:
-            return RelationCheck(False, gen.name, gen.source)
+        for coeff, a, b in terms:
+            total += coeff * vals[a] * vals[b]
+        if (total % p) if p else total:
+            return RelationCheck(False, name, source)
     return RelationCheck(True)
 
 

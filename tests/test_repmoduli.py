@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction as Q
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -110,10 +111,110 @@ def test_trace_fv_generators_catch_a_changed_scalar(monkeypatch):
         if g.name == "trace-fv" and g.source == 3
     )
     assert len(only) == 1
+    # a table cached by n alone would keep checking every generator here
+    assert check_relations(_TRIPLE_REP).passed
     monkeypatch.setattr(repmoduli, "relation_generators", lambda n: only)
     assert check_relations(_TRIPLE_REP).passed
     chk = check_relations(_bump(_TRIPLE_REP, "v", 2, 0))
     assert (chk.passed, chk.relation, chk.vertex) == (False, "trace-fv", 3)
+
+
+def _reference_check(r):
+    """check_relations as a word walk in the scalars' own arithmetic: the
+    oracle for the integer table."""
+    f, v = r.f_scalars, r.v_scalars
+    for gen in relations.relation_generators(r.n):
+        total = 0
+        for coeff, steps in gen.terms:
+            val, k = coeff, gen.source
+            for kind, i in steps:
+                if kind == "f":
+                    val = val * f[k][i - 1]
+                    k += 1
+                else:
+                    val = val * v[k - 1][i - 1]
+                    k -= 1
+            total = total + val
+        if total != 0:
+            return (False, gen.name, gen.source)
+    return (True, None, None)
+
+
+def _verdict(r):
+    chk = check_relations(r)
+    return (chk.passed, chk.relation, chk.vertex)
+
+
+def _change_one(r, rng, delta):
+    """r with one random scalar moved by delta."""
+    tables = {"f": [list(x) for x in r.f_scalars], "v": [list(x) for x in r.v_scalars]}
+    layer = tables[rng.choice("fv")]
+    k, i = rng.randrange(r.n - 1), rng.randrange(r.n)
+    layer[k][i] = layer[k][i] + delta
+    return Rep(r.n, tuple(map(tuple, tables["f"])), tuple(map(tuple, tables["v"])))
+
+
+@pytest.mark.parametrize("field", ["fraction", "gf10007"])
+def test_integer_table_agrees_with_the_word_walk(field):
+    rng = Random(11)
+    gf = lambda x: GF(10007, x)
+    for n in range(2, 7):
+        for _ in range(15):
+            if field == "fraction":
+                t = random_triple(n, rng)
+                c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1))
+                delta = Q(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 7))
+            else:
+                t = random_triple(n, rng, field=gf)
+                c = (1,) + tuple(gf(rng.randint(1, 10006)) for _ in range(n - 1))
+                delta = gf(rng.randint(1, 10006))
+            r = rescale(rep_from_triple(t), c)
+            assert _verdict(r) == _reference_check(r) == (True, None, None)
+            bad = _change_one(r, rng, delta)
+            assert _verdict(bad) == _reference_check(bad)
+
+
+def test_a_change_below_one_over_the_common_denominator_fails():
+    r = rescale(_TRIPLE_REP, (1, Q(5, 3), 2, Q(7, 2)))
+    scalars = [x for layer in r.f_scalars + r.v_scalars for x in layer]
+    assert len({x.denominator for x in scalars}) > 2
+    d = lcm(*(x.denominator for x in scalars))
+    assert check_relations(r).passed
+    tables = [list(x) for x in r.v_scalars]
+    tables[1][0] += Q(1, 11 * d)
+    bad = Rep(r.n, r.f_scalars, tuple(map(tuple, tables)))
+    expected = _reference_check(bad)
+    assert not expected[0]
+    assert _verdict(bad) == expected
+
+
+def test_gf_sums_are_tested_modulo_p():
+    # <beta, alpha> = 1*3 + 1*4 = 7: trace-vf(0) sums to the integer 7
+    gf = lambda x: GF(7, x)
+    r = rep_from_triple(RepTriple(2, (gf(1), gf(1)), (gf(3), gf(4))))
+    gen = next(g for g in relations.relation_generators(2) if g.name == "trace-vf")
+    f, v = r.f_scalars[0], r.v_scalars[0]
+    assert sum(f[s[0][1] - 1].v * v[s[1][1] - 1].v for _, s in gen.terms) == 7
+    assert check_relations(r).passed
+    bad = _bump(r, "v", 0, 0)
+    assert _verdict(bad) == _reference_check(bad) == (False, "trace-vf", 0)
+
+
+@pytest.mark.parametrize(
+    "steps, match",
+    [
+        ((("f", 1),), "two-arrow"),
+        ((("f", 1), ("v", 1), ("f", 2)), "two-arrow"),
+        ((("v", 1), ("v", 2)), "leaves the quiver"),
+        ((("f", 1), ("f", 5)), "leaves the quiver"),
+    ],
+    ids=["one-arrow", "three-arrow", "below-vertex-0", "no-label-5"],
+)
+def test_table_rejects_a_term_that_is_not_a_two_arrow_word(monkeypatch, steps, match):
+    odd = (relations.RelationGen(1, 1, ((1, steps),), "odd"),)
+    monkeypatch.setattr(repmoduli, "relation_generators", lambda n: odd)
+    with pytest.raises(ValueError, match=match):
+        check_relations(_TRIPLE_REP)
 
 
 def test_import_loads_no_numpy():
