@@ -1,7 +1,6 @@
 """Criterion 9's battery in-process: seconds per n on two grids.
 
-    python3 bench/battery.py --label change [--src DIR] [--out FILE] \\
-        [--repeat R]
+    python3 bench/battery.py --label change [--src DIR] [--out FILE]
 
 Imports minorbit from --src (default: ./src of this checkout), so the
 same script measures another checkout by pointing --src at its src/
@@ -13,9 +12,9 @@ n = 2..6 on two grids:
 - criterion9: 1000 samples per n, seed 1000 + n (the grid `minorbit
   accept` runs).
 
-Each grid runs --repeat times (default 3) after one untimed warm-up
-call per n, so import and cache set-up stay outside the timings; the
-median per n and the median grid total are recorded.  The run fails if
+Each grid runs REPEATS times after one untimed warm-up call per n, so
+import and cache set-up stay outside the timings; the median per n and
+the median grid total are recorded.  The run fails if
 any battery fails.  Results are stored under --label in --out (default
 BENCH_11.json in the current directory); other labels in that file are
 kept, so a parent and a change measured on the same machine end up side
@@ -26,22 +25,22 @@ two checkouts back to back.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
-import os
 import sys
 import time
 from pathlib import Path
 from statistics import median
 
+from benchjson import record
+
 NS = range(2, 7)
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
+REPEATS = 3
 
 
-def time_grid(repmoduli, samples: int, seed0: int, repeat: int) -> dict:
+def time_grid(repmoduli, samples: int, seed0: int) -> dict:
     per_n = {n: [] for n in NS}
     totals = []
-    for _ in range(repeat):
+    for _ in range(REPEATS):
         total = 0.0
         for n in NS:
             t0 = time.perf_counter()
@@ -61,22 +60,11 @@ def time_grid(repmoduli, samples: int, seed0: int, repeat: int) -> dict:
     }
 
 
-def _cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     ap.add_argument("--out", default="BENCH_11.json")
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
     sys.path.insert(0, args.src)
@@ -86,19 +74,10 @@ def main() -> None:
         repmoduli.run_battery(n, 1, n)
     grids = {}
     for name, (samples, seed0) in GRIDS.items():
-        grids[name] = time_grid(repmoduli, samples, seed0, args.repeat)
+        grids[name] = time_grid(repmoduli, samples, seed0)
         print(f"{name}: {grids[name]['total_s']:.3f} s "
               f"(runs {grids[name]['total_runs_s']})", flush=True)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["layer"] = "repmoduli"
-    doc["machine"] = {
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "cpu": _cpu_model(),
-    }
-    doc.setdefault("runs", {})[args.label] = grids
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    record(args.out, "repmoduli", args.label, grids)
 
 
 if __name__ == "__main__":

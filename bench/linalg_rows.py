@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 from statistics import median
+
+from benchjson import record
 
 WIDTHS = (300, 700, 1280)
 RANK_SHARE = 0.6
@@ -85,16 +85,6 @@ def engine_levels(quiveralg) -> dict:
     return {"n": ENGINE_N, "level_s": levels, "total_s": round(sum(levels.values()), 3)}
 
 
-def _cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
@@ -110,17 +100,7 @@ def main() -> None:
         "rows_per_s": rows_per_s(np, linalg),
         "engine": engine_levels(quiveralg),
     }
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["layer"] = "linalg"
-    doc["machine"] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "cpu": _cpu_model(),
-    }
-    doc.setdefault("runs", {})[args.label] = result
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    record(args.out, "linalg", args.label, result, numpy=np.__version__)
     print(json.dumps({args.label: result}, indent=2))
 
 

@@ -29,12 +29,11 @@ shared machine; run the two checkouts back to back.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
+
+from benchjson import record
 
 DEFAULT_CASES = ("4:7", "5:5")
 
@@ -79,16 +78,6 @@ def run_case(quiveralg, n: int, max_len: int) -> dict:
     return {"n": n, "max_len": max_len, "levels": levels, "total_s": total}
 
 
-def _cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
@@ -106,17 +95,7 @@ def main() -> None:
     for case in args.case or DEFAULT_CASES:
         n, max_len = map(int, case.split(":"))
         cases[f"n{n}"] = run_case(quiveralg, n, max_len)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["layer"] = "quiveralg"
-    doc["machine"] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "cpu": _cpu_model(),
-    }
-    doc.setdefault("runs", {})[args.label] = cases
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    record(args.out, "quiveralg", args.label, cases, numpy=np.__version__)
 
 
 if __name__ == "__main__":
