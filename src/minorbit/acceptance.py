@@ -33,9 +33,8 @@ def criterion_1() -> CriterionResult:
     evaluation kills every relation generator, so that is checked first,
     and a failure skips that n's comparison.  The same check shows that
     every generator is torus-weight homogeneous, which the engine's
-    weight blocks rely on.  A cell that the engine leaves uncertified
-    fails the criterion even when the direct oracle's value matches, so
-    a rank lost mod p cannot hide behind the fallback."""
+    weight blocks rely on.  Every cell the engine cannot certify is a
+    mismatch and fails the criterion."""
     fails = []
     for n, max_len in ((2, 6), (3, 6), (4, 8), (5, 6)):
         if not quiveralg.evaluation_kills_generators(n):
@@ -44,8 +43,6 @@ def criterion_1() -> CriterionResult:
         rep = quiveralg.compare_with_nccr(n, max_len)
         if not rep.passed:
             fails.append((n, rep.mismatches[:3]))
-        if rep.uncertified:
-            fails.append((n, "uncertified", rep.uncertified))
     return CriterionResult(
         1,
         "quiver graded dimensions equal graded Hom dimensions (n=2,3 l<=6, "
@@ -236,10 +233,9 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    bad = []
-    for (a, b, length), d in quiveralg.dim_table(2, 8).items():
-        if d != length + 1:
-            bad.append((a, b, length, d))
+    rep = quiveralg.compare_with_nccr(2, 8)
+    bad = list(rep.mismatches)
+    bad += [(c.a, c.b, c.length, c.dim) for c in rep.cells if c.dim != c.length + 1]
     for n in range(2, 7):
         if cohengine.nccr_rank("Lambda_k", n) != 2 * n:
             bad.append((n, "Lambda_k"))
@@ -247,7 +243,8 @@ def criterion_10() -> CriterionResult:
             bad.append((n, "LambdaPrime"))
     return CriterionResult(
         10,
-        "n=2 anchor: every admissible cell has dimension l+1 (l<=8); "
+        "n=2 anchor: every admissible cell is certified and has dimension "
+        "l+1 (l<=8); "
         "window ranks summed over the Tk and TPrime summands are 2n and "
         "2^n (n<=6)",
         not bad,

@@ -415,6 +415,9 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
+    except quiveralg.CertificationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return CHECK_FAILURE
     except BundleParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

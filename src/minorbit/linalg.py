@@ -3,8 +3,8 @@
 Two rank routines are provided:
 
 - `rank_exact`: exact fraction-free elimination over the integers, for
-  the small matrices of the direct path-algebra oracle (the fallback
-  when a quiver cell fails certification);
+  the small matrices of the direct path-algebra oracle (the tests'
+  reference for the quiver engine);
 - `ModPRref`: a mod-p reduced-row-echelon accumulator on numpy float64
   buffers, the one elimination kernel of the quiver engine.  It works
   modulo one fixed prime, `MODP`.  Float64 arithmetic is exact while

@@ -9,9 +9,10 @@ paths from a to b of length l modulo the ideal.
 
 Two computations are provided.  The direct oracle materializes the free
 span and the contextual relation instances and takes an exact rank; it
-is used at small scale.  The engine builds the same quotient degree by
-degree: writing W for the space spanned by (top arrow) applied to the
-previous degree's quotient, the degree-(l+1) quotient is W modulo the
+is the tests' reference for the engine at small scale and never a
+fallback.  The engine builds the same quotient degree by degree:
+writing W for the space spanned by (top arrow) applied to the previous
+degree's quotient, the degree-(l+1) quotient is W modulo the
 relation instances whose context sits entirely below the top arrow.
 Every arrow and every relation generator is homogeneous for the
 GL(V)-torus weight (f_i -> +e_i, v_i -> -e_i), so the engine splits
@@ -24,7 +25,8 @@ surjection onto the graded Hom pieces of the cone, whose dimensions
 from below.  The surjection preserves the torus weight, so each block
 has its own exact lower bound (`_weight_target`); the blocks are
 certified one by one and summed per cell.  Equality of the bounds
-certifies the value; disagreement is reported, never patched.
+certifies the value; a cell whose bounds disagree raises
+`CertificationError` and is reported, never patched.
 """
 
 from __future__ import annotations
@@ -207,7 +209,14 @@ def _weight(n: int, steps) -> tuple[int, ...]:
 
 
 class CertificationError(RuntimeError):
-    pass
+    """A cell whose mod-p dimension misses its corank lower bound; `cell`
+    is the engine's (a, b, length, dim, target) entry."""
+
+    def __init__(self, cell: tuple[int, int, int, int, int]):
+        a, b, length, dim, target = cell
+        super().__init__(f"cell (a={a}, b={b}, l={length}): mod-p dimension "
+                         f"{dim} misses the corank lower bound {target}")
+        self.cell = cell
 
 
 class _Cell:
@@ -225,7 +234,7 @@ class QuiverDimEngine:
     block at a time.
 
     Every relation generator is homogeneous for the torus weight
-    (`_build_level` raises ValueError otherwise), and so are the arrows,
+    (the constructor raises ValueError otherwise), and so are the arrows,
     so the quotient splits into weight blocks: the W-space of block w of
     a cell is made of the pieces (arrow, source block of weight
     w - wt(arrow)), and its relation rows are the generators applied to
@@ -243,6 +252,18 @@ class QuiverDimEngine:
             base[(a, a)] = _Cell(1, {origin: (1, {})})
         self.levels: list[dict] = [base]
         self.uncertified: list[tuple] = []
+        # target vertex -> [(source, weight, [(coeff, first, top)])]
+        self._gens_by_target: dict[int, list] = {}
+        for gen in relation_generators(n):
+            weights = {_weight(n, steps) for _, steps in gen.terms}
+            if len(weights) != 1:
+                raise ValueError(
+                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                    f"is not torus-weight homogeneous: {gen.terms}"
+                )
+            terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
+            self._gens_by_target.setdefault(gen.target, []).append(
+                (gen.source, weights.pop(), terms))
 
     def dim(self, a: int, b: int, length: int) -> int:
         self.ensure(length)
@@ -259,18 +280,6 @@ class QuiverDimEngine:
 
     def _build_level(self, l: int) -> None:
         n = self.n
-        gens_by_target: dict[int, list] = {}
-        if l >= 2:
-            for gen in relation_generators(n):
-                weights = {_weight(n, steps) for _, steps in gen.terms}
-                if len(weights) != 1:
-                    raise ValueError(
-                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
-                        f"is not torus-weight homogeneous: {gen.terms}"
-                    )
-                terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
-                gens_by_target.setdefault(gen.target, []).append(
-                    (gen.source, weights.pop(), terms))
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
         newlevel: dict = {}
@@ -290,7 +299,7 @@ class QuiverDimEngine:
                 # weight w -> [(dim of the block of weight w - wt(gen) two
                 # levels down, the generator's terms)]
                 rels: dict = {}
-                for src, gw, terms in gens_by_target.get(b, ()):
+                for src, gw, terms in self._gens_by_target.get(b, ()):
                     cell = below.get((a, src))
                     if cell is None:
                         continue
@@ -359,9 +368,6 @@ class QuiverDimEngine:
 
 _engines: dict[int, QuiverDimEngine] = {}
 
-# cells at or below this free-path count may fall back to the direct oracle
-_DIRECT_FALLBACK_LIMIT = 4000
-
 
 def _engine(n: int) -> QuiverDimEngine:
     if n not in _engines:
@@ -371,22 +377,15 @@ def _engine(n: int) -> QuiverDimEngine:
 
 def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     """Dimension of the degree-(a, b, length) piece of the quotient path
-    algebra.  Engine values are certified exact by the corank sandwich;
-    a certification failure falls back to the direct exact oracle when
-    feasible and raises otherwise."""
+    algebra: the engine's value, certified exact by the corank sandwich.
+    A cell whose value misses its corank target raises
+    `CertificationError`."""
     n = quiver.n
-    eng = _engine(n)
-    value = eng.dim(a, b, length)
+    value = _engine(n).dim(a, b, length)
     target = _cell_target(n, a, b, length)
-    if value == target:
-        return value
-    if path_count(n, a, b, length) <= _DIRECT_FALLBACK_LIMIT:
-        return graded_dim_direct(quiver, a, b, length)
-    raise CertificationError(
-        f"cell (a={a}, b={b}, l={length}): mod-p dimension {value} exceeds the "
-        f"corank lower bound {target} and the cell is too large for the direct "
-        "oracle; the discrepancy is reported, not resolved"
-    )
+    if value != target:
+        raise CertificationError((a, b, length, value, target))
+    return value
 
 
 def evaluation_kills_generators(n: int) -> bool:
@@ -421,18 +420,23 @@ def evaluation_kills_generators(n: int) -> bool:
     return True
 
 
-def dim_table(n: int, max_len: int) -> dict[tuple[int, int, int], int]:
-    """Table {(a, b, length): dim} over the cells with
-    length = b - a (mod 2); every arrow moves one vertex, so the other
-    cells hold no paths.  Entries with length < |b - a| are 0."""
-    q = Quiver(n)
-    out = {}
+def _parity_cells(n: int, max_len: int):
+    """The cells (a, b, length) with length = b - a (mod 2), length
+    ascending; every arrow moves one vertex, so the other cells hold no
+    paths."""
     for length in range(max_len + 1):
         for a in range(n):
             for b in range(n):
                 if (length - (b - a)) % 2 == 0:
-                    out[(a, b, length)] = graded_dim(q, a, b, length)
-    return out
+                    yield a, b, length
+
+
+def dim_table(n: int, max_len: int) -> dict[tuple[int, int, int], int]:
+    """Table {(a, b, length): dim} over the parity cells; entries with
+    length < |b - a| are 0.  Raises `CertificationError` on the first
+    uncertified cell."""
+    q = Quiver(n)
+    return {cell: graded_dim(q, *cell) for cell in _parity_cells(n, max_len)}
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +449,15 @@ class CellResult:
     b: int
     length: int
     dim: int
-    expected: int
-    ok: bool
 
 
 @dataclass(frozen=True)
 class CompareReport:
     n: int
     max_len: int
-    cells: tuple[CellResult, ...]
-    mismatches: tuple[CellResult, ...]
-    # the engine's uncertified (a, b, length, dim, target) cells in range
-    uncertified: tuple[tuple[int, int, int, int, int], ...]
+    cells: tuple[CellResult, ...]  # the certified cells
+    # the (a, b, length, dim, target) entries of the uncertified cells
+    mismatches: tuple[tuple[int, int, int, int, int], ...]
 
     @property
     def passed(self) -> bool:
@@ -467,33 +468,26 @@ class CompareReport:
             "n": self.n,
             "max_len": self.max_len,
             "pass": self.passed,
-            "cells_checked": len(self.cells),
+            "cells_checked": len(self.cells) + len(self.mismatches),
             "mismatches": [
-                {
-                    "a": c.a, "b": c.b, "length": c.length,
-                    "dim": c.dim, "expected": c.expected,
-                }
-                for c in self.mismatches
-            ],
-            "uncertified": [
-                {"a": a, "b": b, "length": length, "dim": dim, "target": target}
-                for a, b, length, dim, target in self.uncertified
+                dict(zip(("a", "b", "length", "dim", "target"), m))
+                for m in self.mismatches
             ],
         }
 
 
 def compare_with_nccr(n: int, max_len: int) -> CompareReport:
-    """For every cell of :func:`dim_table`, compare the quotient
-    path-algebra dimension with the graded Hom dimension of the matching
-    piece on the cone: a path with p backward arrows from a to b matches
-    internal degree min(p, p + b - a) of Hom(O(a), O(b)).  All
-    mismatches are reported verbatim, and so are the cells in range that
-    the engine could not certify (their reported dims come from the
-    direct oracle)."""
-    cells = []
-    for (a, b, length), dim in dim_table(n, max_len).items():
-        expected = _cell_target(n, a, b, length)
-        cells.append(CellResult(a, b, length, dim, expected, dim == expected))
-    uncertified = tuple(u for u in _engine(n).uncertified if u[2] <= max_len)
-    return CompareReport(n, max_len, tuple(cells),
-                         tuple(c for c in cells if not c.ok), uncertified)
+    """For every parity cell, compare the quotient path-algebra
+    dimension with the graded Hom dimension of the matching piece on the
+    cone: a path with p backward arrows from a to b matches internal
+    degree min(p, p + b - a) of Hom(O(a), O(b)).  That dimension is the
+    corank target, so every certified cell matches it; each cell that
+    `graded_dim` cannot certify is listed under ``mismatches``."""
+    q = Quiver(n)
+    cells, mismatches = [], []
+    for a, b, length in _parity_cells(n, max_len):
+        try:
+            cells.append(CellResult(a, b, length, graded_dim(q, a, b, length)))
+        except CertificationError as e:
+            mismatches.append(e.cell)
+    return CompareReport(n, max_len, tuple(cells), tuple(mismatches))

@@ -37,16 +37,34 @@ def test_criterion_1_checks_the_evaluation(monkeypatch):
 
 
 def test_criterion_1_fails_on_an_uncertified_cell(monkeypatch):
-    # a cell the engine leaves uncertified gets its value from the direct
-    # oracle, which can match the target; the criterion must still fail
-    def with_uncertified(n, max_len):
-        unc = ((0, 1, 3, 6, 5),) if n == 3 else ()
-        return quiveralg.CompareReport(n, max_len, (), (), unc)
+    # every cell the engine cannot certify is a mismatch of the report,
+    # and any mismatch fails the criterion
+    def with_mismatch(n, max_len):
+        mismatches = ((0, 1, 3, 6, 5),) if n == 3 else ()
+        return quiveralg.CompareReport(n, max_len, (), mismatches)
 
-    monkeypatch.setattr(quiveralg, "compare_with_nccr", with_uncertified)
+    monkeypatch.setattr(quiveralg, "compare_with_nccr", with_mismatch)
     res = acceptance.criterion_1()
     assert not res.passed
-    assert "(3, 'uncertified', ((0, 1, 3, 6, 5),))" in res.detail
+    assert res.detail == "failures: [(3, ((0, 1, 3, 6, 5),))]"
+
+
+def test_criterion_1_fails_instead_of_raising(understate_target):
+    # an uncertified cell is a failed check, not an error that stops
+    # the acceptance run before criteria 2-10
+    understate_target((3, 1, 1, 6))
+    res = acceptance.criterion_1()
+    assert not res.passed
+    assert res.detail == "failures: [(3, ((1, 1, 6, 64, 63),))]"
+
+
+def test_criterion_10_fails_on_an_uncertified_cell(understate_target):
+    # the understated cell keeps its dimension l+1, so only its
+    # certification can fail the anchor
+    understate_target((2, 0, 0, 4))
+    res = acceptance.criterion_10()
+    assert not res.passed
+    assert res.detail == "failures: [(0, 0, 4, 5, 4)]"
 
 
 def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch):

@@ -87,6 +87,20 @@ def test_quiver_compare(capsys):
     assert payload["pass"] is True
 
 
+def test_quiver_uncertified_cell_is_a_check_failure(capsys, understate_target):
+    understate_target((3, 1, 1, 6))
+    rc, out, err = run(capsys, ["quiver", "--dims", "--n", "3", "--max-len", "6"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cell (a=1, b=1, l=6)")
+    assert len(err.splitlines()) == 1
+    rc, out, _ = run(capsys, ["quiver", "--compare", "--n", "3", "--max-len", "6"])
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["mismatches"] == [
+        {"a": 1, "b": 1, "length": 6, "dim": 64, "target": 63}]
+
+
 def test_quiver_dims_csv(capsys):
     rc, out, _ = run(
         capsys,

@@ -200,7 +200,8 @@ def test_compare_examples():
     assert not rep.mismatches
     d = rep.as_dict()
     assert d["pass"] is True and d["cells_checked"] == len(rep.cells)
-    assert d["uncertified"] == []
+    assert d["mismatches"] == []
+    assert {(c.a, c.b, c.length): c.dim for c in rep.cells} == dim_table(3, 6)
 
 
 def test_dim_table_parity_invariant():
@@ -218,35 +219,48 @@ def test_dim_table_parity_invariant():
                 assert d > 0
 
 
-def _understate_target(monkeypatch, cell):
-    """Make the corank target of one (n, a, b, l) cell one too small, so
-    the engine's mod-p dimension no longer meets it; start from fresh
-    engines and restore the cached ones afterwards."""
-    true_target = quiveralg._cell_target
-
-    def target(n, a, b, length):
-        t = true_target(n, a, b, length)
-        return t - 1 if (n, a, b, length) == cell else t
-
-    monkeypatch.setattr(quiveralg, "_cell_target", target)
-    monkeypatch.setattr(quiveralg, "_engines", {})
+def _no_direct_calls(monkeypatch):
+    """Record every call of the direct oracle; graded_dim must make none."""
+    calls = []
+    monkeypatch.setattr(quiveralg, "graded_dim_direct",
+                        lambda *args: calls.append(args))
+    return calls
 
 
-def test_uncertified_small_cell_falls_back_to_direct_oracle(monkeypatch):
-    q = Quiver(3)
-    true_dim = graded_dim_direct(q, 0, 1, 3)
-    assert path_count(3, 0, 1, 3) <= quiveralg._DIRECT_FALLBACK_LIMIT
-    _understate_target(monkeypatch, (3, 0, 1, 3))
-    assert graded_dim(q, 0, 1, 3) == true_dim
-    assert quiveralg._engines[3].uncertified == [(0, 1, 3, true_dim, true_dim - 1)]
+def test_uncertified_cell_raises_without_the_direct_oracle(monkeypatch, understate_target):
+    # a small cell once went to the direct oracle; now it raises like any
+    # other, carrying the engine's entry, and the oracle is never asked
+    calls = _no_direct_calls(monkeypatch)
+    assert path_count(3, 0, 1, 3) < path_count(3, 1, 1, 6)
+    understate_target((3, 0, 1, 3))
+    with pytest.raises(CertificationError, match=r"a=0, b=1, l=3") as e:
+        graded_dim(Quiver(3), 0, 1, 3)
+    assert e.value.cell == (0, 1, 3, 15, 14)
+    assert quiveralg._engines[3].uncertified == [(0, 1, 3, 15, 14)]
+    assert calls == []
 
 
-def test_uncertified_large_cell_raises(monkeypatch):
-    assert path_count(3, 1, 1, 6) > quiveralg._DIRECT_FALLBACK_LIMIT
-    _understate_target(monkeypatch, (3, 1, 1, 6))
-    with pytest.raises(CertificationError, match=r"a=1, b=1, l=6"):
+def test_uncertified_large_cell_raises(monkeypatch, understate_target):
+    calls = _no_direct_calls(monkeypatch)
+    understate_target((3, 1, 1, 6))
+    with pytest.raises(CertificationError, match=r"a=1, b=1, l=6") as e:
         graded_dim(Quiver(3), 1, 1, 6)
+    assert e.value.cell == (1, 1, 6, 64, 63)
     assert quiveralg._engines[3].uncertified == [(1, 1, 6, 64, 63)]
+    assert calls == []
+
+
+def test_compare_lists_an_uncertified_cell_and_keeps_going(understate_target):
+    understate_target((3, 1, 1, 6))
+    rep = compare_with_nccr(3, 6)
+    assert not rep.passed
+    assert rep.mismatches == ((1, 1, 6, 64, 63),)
+    assert rep.as_dict()["mismatches"] == [
+        {"a": 1, "b": 1, "length": 6, "dim": 64, "target": 63}]
+    # every other parity cell is still certified and reported
+    expected = set(quiveralg._parity_cells(3, 6)) - {(1, 1, 6)}
+    assert {(c.a, c.b, c.length) for c in rep.cells} == expected
+    assert rep.as_dict()["cells_checked"] == len(expected) + 1
 
 
 def _compositions(total, parts):
@@ -295,34 +309,26 @@ def test_block_dims_are_label_symmetric():
 
 def test_overstated_weight_target_is_uncertified(monkeypatch):
     # a block stopped one row early keeps one dimension too many; its
-    # cell misses the cell target, is listed, and graded_dim asks the
-    # direct oracle instead
+    # cell misses the cell target, is listed by the engine, and is the
+    # one mismatch of the comparison that reaches it
     q = Quiver(3)
     true_dim = graded_dim_direct(q, 0, 1, 3)
     real_target = quiveralg._weight_target
-    real_direct = quiveralg.graded_dim_direct
     cell, weight = (3, 0, 1, 3), (1, 0, 0)
 
     def target(n, a, b, length, w):
         t = real_target(n, a, b, length, w)
         return t + 1 if ((n, a, b, length), w) == (cell, weight) else t
 
-    direct_calls = []
-
-    def direct(quiver, a, b, length):
-        direct_calls.append((quiver.n, a, b, length))
-        return real_direct(quiver, a, b, length)
-
     monkeypatch.setattr(quiveralg, "_weight_target", target)
-    monkeypatch.setattr(quiveralg, "graded_dim_direct", direct)
     monkeypatch.setattr(quiveralg, "_engines", {})
-    assert graded_dim(q, 0, 1, 3) == true_dim
-    assert direct_calls == [cell]
+    calls = _no_direct_calls(monkeypatch)
     entry = (0, 1, 3, true_dim + 1, true_dim)
-    assert quiveralg._engines[3].uncertified == [entry]
     rep = compare_with_nccr(3, 3)
-    assert rep.passed
-    assert rep.as_dict()["uncertified"] == [
+    assert quiveralg._engines[3].uncertified == [entry]
+    assert rep.mismatches == (entry,)
+    assert rep.as_dict()["mismatches"] == [
         dict(zip(("a", "b", "length", "dim", "target"), entry))
     ]
-    assert compare_with_nccr(3, 2).as_dict()["uncertified"] == []
+    assert compare_with_nccr(3, 2).passed
+    assert calls == []
