@@ -5,9 +5,12 @@ Two rank routines are provided:
 - `rank_exact`: exact fraction-free elimination over the integers, for
   the small matrices of the direct path-algebra oracle (the tests'
   reference for the quiver engine);
-- `ModPRref`: a mod-p reduced-row-echelon accumulator on numpy float64
-  buffers, the one elimination kernel of the quiver engine.  It works
-  modulo one fixed prime, `MODP`.  Float64 arithmetic is exact while
+- one mod-p reduced-row-echelon loop on numpy float64 buffers, the
+  elimination kernel of the quiver engine.  It runs over a stack of
+  same-width matrices at once (`rref_stack`, with `quotient_maps` for
+  the projections onto the quotients), and `ModPRref` is its view of a
+  single matrix that grows by `add` calls.  It works modulo one fixed
+  prime, `MODP`.  Float64 arithmetic is exact while
   width * (MODP - 1)**2 < 2**53, that is for widths up to 8192; the
   engine's torus-weight blocks are at most 180 wide (n=6, l=6).
 
@@ -56,8 +59,110 @@ def rank_exact(rows, ncols: int) -> int:
     return len(echelon)
 
 
+def _check_width(width: int) -> None:
+    # accumulated dot products must stay exactly representable
+    if width * (MODP - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"width {width} too large for prime {MODP}")
+
+
+def _eliminate(stack, stops, buf, pivots, ranks) -> None:
+    """The elimination loop: insert the rows of every matrix of `stack`
+    (B, H, W), in order, into that matrix's reduced row-echelon buffer.
+
+    Matrix i holds `ranks[i]` rows, `buf[i, :ranks[i]]`, with pivot
+    columns `pivots[i, :ranks[i]]` in insertion order; its rows past the
+    rank are zero.  Row step t runs over every matrix still short of its
+    stop: row t is reduced mod `MODP` and against the buffer, and if
+    anything is left it is scaled to a leading 1, cleared from the
+    buffer's other rows at its lead, and appended.  A matrix drops out
+    once its rank reaches `stops[i]`.  `buf`, `pivots` and `ranks` are
+    updated in place; `buf` needs room for every rank a matrix can reach.
+    Zero rows change nothing, so matrices of different heights can share
+    a stack, zero-padded.
+    """
+    p = MODP
+    todo = np.flatnonzero(ranks < stops)
+    for t in range(stack.shape[1]):
+        if not todo.size:
+            return
+        v = stack[todo, t] % p
+        r = int(ranks[todo].max())
+        if r:
+            # a buffer row past the rank is zero, so its pivot is moot
+            coef = v[np.arange(len(todo))[:, None], pivots[todo, :r]]
+            v = (v - (coef[:, None, :] @ buf[todo, :r])[:, 0]) % p
+        nz = v != 0
+        live = nz.any(axis=1)
+        if not live.any():
+            continue
+        got, v = todo[live], v[live]
+        lead = nz[live].argmax(axis=1)
+        inv = [pow(int(x), p - 2, p) for x in v[np.arange(len(got)), lead].tolist()]
+        v = v * np.array(inv)[:, None] % p
+        r = int(ranks[got].max())
+        if r:
+            rows = buf[got, :r]
+            col = rows[np.arange(len(got)), :, lead]
+            if col.any():
+                buf[got, :r] = (rows - col[:, :, None] * v[:, None, :]) % p
+        at = ranks[got]
+        buf[got, at] = v
+        pivots[got, at] = lead
+        ranks[got] += 1
+        todo = todo[ranks[todo] < stops[todo]]
+
+
+def rref_stack(stack, stops):
+    """Reduced row echelon forms mod `MODP` of a stack (B, H, W) of
+    same-width matrices, matrix i stopped once its rank reaches
+    `stops[i]` (see `ModPRref` for why a caller may stop early).
+
+    Returns (rows, pivots, ranks): matrix i has rank `ranks[i]`, rows
+    `rows[i, :ranks[i]]` and pivot columns `pivots[i, :ranks[i]]` in
+    insertion order.  Rows of a matrix shorter than H are zero-padded.
+    """
+    B, H, W = stack.shape
+    _check_width(W)
+    stops = np.asarray(stops, dtype=np.intp)
+    # no rank exceeds the height, the width or the stop
+    R = max(0, min(H, W, int(stops.max(initial=0))))
+    rows = np.zeros((B, R, W))
+    pivots = np.zeros((B, R), dtype=np.intp)
+    ranks = np.zeros(B, dtype=np.intp)
+    _eliminate(stack, stops, rows, pivots, ranks)
+    return rows, pivots, ranks
+
+
+def quotient_maps(rows, pivots, ranks) -> list[np.ndarray]:
+    """For each matrix of an `rref_stack` result, the projection T
+    (W - rank, W) onto the quotient by its row space: the class of v is
+    T @ v, so a nonpivot column maps to its own coordinate and a pivot
+    column to minus its row of E = rows[:, nonpivots].  Built in one pass
+    per rank."""
+    B, _, W = rows.shape
+    out: list = [None] * B
+    for r in sorted(set(ranks.tolist())):
+        idx = np.flatnonzero(ranks == r)
+        G, d = len(idx), W - r
+        g = np.arange(G)[:, None]
+        piv = pivots[idx, :r]
+        free = np.ones((G, W), dtype=bool)
+        free[g, piv] = False
+        nonpiv = np.nonzero(free)[1].reshape(G, d)
+        # T transposed, (W, d) per matrix
+        Tt = np.zeros((G, W, d))
+        Tt[g, nonpiv, np.arange(d)] = 1
+        E = rows[idx[:, None, None], np.arange(r)[:, None], nonpiv[:, None, :]]
+        Tt[g, piv] = -E % MODP
+        for j, i in enumerate(idx.tolist()):
+            out[i] = Tt[j].T
+    return out
+
+
 class ModPRref:
-    """Accumulates vectors mod `MODP`, kept in reduced row-echelon form.
+    """Accumulates vectors mod `MODP`, kept in reduced row-echelon form:
+    the single-matrix view of the loop that `rref_stack` runs over a
+    stack.
 
     Rows are stored unsorted; `pivots[i]` is the pivot column of row i,
     in insertion order, and every row is fully reduced against every
@@ -69,10 +174,10 @@ class ModPRref:
     its pivot.  Two facts keep this loop all the kernel needs.  The
     buffer is the unique RREF of its row space (old rows never change
     their leading column), so the result does not depend on how rows are
-    split into `add` calls.  And the rank of a block is at most its
-    width, so the buffer, which grows as rows arrive, never holds more
-    than `width` rows; the quiver engine eliminates torus-weight blocks
-    at most 180 wide.
+    split into `add` calls, nor on which other matrices share a stack.
+    And the rank of a block is at most its width, so the buffer, which
+    grows as rows arrive, never holds more than `width` rows; the quiver
+    engine eliminates torus-weight blocks at most 180 wide.
 
     `stop_at_rank` is checked before every row.  Callers pass W - target,
     where the target is an exact lower bound for the quotient dimension:
@@ -83,16 +188,19 @@ class ModPRref:
     """
 
     def __init__(self, width: int):
-        # accumulated dot products must stay exactly representable
-        if width * (MODP - 1) ** 2 >= 2 ** 53:
-            raise ValueError(f"width {width} too large for prime {MODP}")
+        _check_width(width)
         self.width = width
         self._buf = np.zeros((0, width))
-        self.pivots: list[int] = []
+        self._pivots = np.zeros((1, width), dtype=np.intp)
+        self._rank = np.zeros(1, dtype=np.intp)
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return int(self._rank[0])
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._pivots[0, : self.rank].tolist()
 
     def rows(self) -> np.ndarray:
         return self._buf[: self.rank]
@@ -101,30 +209,16 @@ class ModPRref:
         """Insert rows of `block`; stop early once `stop_at_rank` is reached
         (callers use this only when the remaining rows provably cannot
         lower the quotient dimension further)."""
-        block = np.asarray(block, dtype=np.float64) % MODP
+        block = np.asarray(block, dtype=np.float64)
         r = self.rank
         height = min(r + block.shape[0], self.width)
         if height > self._buf.shape[0]:
             buf = np.zeros((height, self.width))
             buf[:r] = self._buf[:r]
             self._buf = buf
-        for row in block:
-            if stop_at_rank is not None and r >= stop_at_rank:
-                return
-            rows = self._buf[:r]
-            if r:
-                row = (row - row[self.pivots] @ rows) % MODP
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                continue
-            lead = int(nz[0])
-            row = (row * pow(int(row[lead]), MODP - 2, MODP)) % MODP
-            col = rows[:, lead]
-            if np.any(col):
-                rows[:] = (rows - np.outer(col, row)) % MODP
-            self._buf[r] = row
-            self.pivots.append(lead)
-            r += 1
+        stop = self.width if stop_at_rank is None else stop_at_rank
+        _eliminate(block[None], np.array([stop]), self._buf[None],
+                   self._pivots, self._rank)
 
     def nonpivots(self) -> list[int]:
         pset = set(self.pivots)

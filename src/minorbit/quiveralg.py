@@ -16,7 +16,8 @@ degree's quotient, the degree-(l+1) quotient is W modulo the
 relation instances whose context sits entirely below the top arrow.
 Every arrow and every relation generator is homogeneous for the
 GL(V)-torus weight (f_i -> +e_i, v_i -> -e_i), so the engine splits
-each cell into weight blocks and eliminates one block at a time.
+each cell into weight blocks, each eliminated on its own rows; the
+blocks of a level that share a width go through one batched mod-p call.
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
@@ -25,7 +26,8 @@ surjection onto the graded Hom pieces of the cone, whose dimensions
 from below.  The surjection preserves the torus weight, so each block
 has its own exact lower bound (`_weight_target`); the blocks are
 certified one by one and summed per cell.  Equality of the bounds
-certifies the value; a cell whose bounds disagree raises
+certifies the value; the engine records its verdict on every cell as
+it builds the level, and a cell whose bounds disagree raises
 `CertificationError` and is reported, never patched.
 """
 
@@ -38,7 +40,7 @@ from operator import add
 import numpy as np
 
 from .cohengine import sym_pair_corank
-from .linalg import MODP, ModPRref, rank_exact
+from .linalg import quotient_maps, rank_exact, rref_stack
 from .relations import relation_generators
 
 
@@ -208,6 +210,34 @@ def _weight(n: int, steps) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _relation_rows(rows, pieces, rels) -> None:
+    """Write the relation rows of a weight block into `rows` (zero on
+    entry, at least as tall as the block's rows): `pieces` is {arrow:
+    source block}, whose widths lay out W in order, and `rels` lists
+    the generators applied to a block two levels down."""
+    offs, off = {}, 0
+    for arrow, (sdim, mats) in pieces.items():
+        offs[arrow] = (off, sdim, mats)
+        off += sdim
+    start = 0
+    for dq, terms in rels:
+        r = rows[start : start + dq]
+        start += dq
+        # a term (first, top) maps the source block through `first` into
+        # the (a, mid) block that `top` carries into this one, the piece
+        # `top` of W; a missing piece is a zero block, where the term
+        # dies.  The terms of a generator end in distinct arrows, so each
+        # writes its own columns.
+        for coeff, first, top in terms:
+            piece = offs.get(top)
+            if piece:
+                off, width, mats = piece
+                if coeff == 1:
+                    r[:, off : off + width] = mats[first].T
+                else:
+                    np.multiply(mats[first].T, coeff, out=r[:, off : off + width])
+
+
 class CertificationError(RuntimeError):
     """A cell whose mod-p dimension misses its corank lower bound; `cell`
     is the engine's (a, b, length, dim, target) entry."""
@@ -217,6 +247,12 @@ class CertificationError(RuntimeError):
         super().__init__(f"cell (a={a}, b={b}, l={length}): mod-p dimension "
                          f"{dim} misses the corank lower bound {target}")
         self.cell = cell
+
+
+# float64 entries in one stack of same-width blocks (256 KiB): bounds the
+# transient memory of a level while keeping the stacks of small blocks
+# large enough to share the loop's per-row cost
+_STACK_CAP = 2 ** 15
 
 
 class _Cell:
@@ -238,11 +274,16 @@ class QuiverDimEngine:
     so the quotient splits into weight blocks: the W-space of block w of
     a cell is made of the pieces (arrow, source block of weight
     w - wt(arrow)), and its relation rows are the generators applied to
-    the blocks of weight w - wt(generator) two levels down.  Each block
-    is eliminated on its own and stopped at W_w - `_weight_target`; so
+    the blocks of weight w - wt(generator) two levels down.  A level is
+    built in two passes: the first collects every block of every cell,
+    the second eliminates the blocks of one width together
+    (`linalg.rref_stack`), each stopped at W_w - `_weight_target`.  The
+    blocks stay independent (each has its own rows, stop and RREF), so
     every block dim is at least its target, and a cell (whose dim is the
     sum of its blocks) meets `_cell_target` exactly when every block
-    meets its own.  Cells that do not are listed in `uncertified`."""
+    meets its own.  The engine records its verdict on every cell of a
+    level as it builds it, in `verdicts`; the cells that miss their
+    target are listed in `uncertified`."""
 
     def __init__(self, n: int):
         self.n = n
@@ -251,7 +292,9 @@ class QuiverDimEngine:
         for a in range(n):
             base[(a, a)] = _Cell(1, {origin: (1, {})})
         self.levels: list[dict] = [base]
-        self.uncertified: list[tuple] = []
+        # (a, b, length) -> None if certified, else (a, b, length, dim, target)
+        self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
+        self._certify(0)
         # target vertex -> [(source, weight, [(coeff, first, top)])]
         self._gens_by_target: dict[int, list] = {}
         for gen in relation_generators(n):
@@ -261,9 +304,18 @@ class QuiverDimEngine:
                     f"generator {gen.name} ({gen.source} -> {gen.target}) "
                     f"is not torus-weight homogeneous: {gen.terms}"
                 )
+            if len({steps[-1] for _, steps in gen.terms}) != len(gen.terms):
+                raise ValueError(
+                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                    f"has two terms ending in one arrow: {gen.terms}"
+                )
             terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
             self._gens_by_target.setdefault(gen.target, []).append(
                 (gen.source, weights.pop(), terms))
+
+    @property
+    def uncertified(self) -> list[tuple[int, int, int, int, int]]:
+        return [entry for entry in self.verdicts.values() if entry]
 
     def dim(self, a: int, b: int, length: int) -> int:
         self.ensure(length)
@@ -282,7 +334,10 @@ class QuiverDimEngine:
         n = self.n
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
-        newlevel: dict = {}
+        # every weight block of the level: where it sits, (a, b, w), and
+        # what it is made of, ({arrow: source block}, W, stop, relation
+        # terms); the pieces of W follow the order of `_arrows_into`
+        where, blocks = [], []
         for a in range(n):
             for b in range(n):
                 # weight w -> {arrow: source block of weight w - wt(arrow)}
@@ -305,57 +360,72 @@ class QuiverDimEngine:
                         continue
                     for sw, (sdim, _) in cell.blocks.items():
                         rels.setdefault(tuple(map(add, sw, gw)), []).append((sdim, terms))
-                blocks = {}
                 for w, pw in pieces.items():
-                    block = self._eliminate(
-                        pw, rels.get(w, ()), _weight_target(n, a, b, l, w))
-                    if block[0]:
-                        blocks[w] = block
-                dim = sum(d for d, _ in blocks.values())
-                newlevel[(a, b)] = _Cell(dim, blocks)
-                target = _cell_target(n, a, b, l)
-                if dim != target:
-                    self.uncertified.append((a, b, l, dim, target))
+                    W = sum(sdim for sdim, _ in pw.values())
+                    stop = W - _weight_target(n, a, b, l, w)
+                    where.append((a, b, w))
+                    blocks.append((pw, W, stop, rels.get(w, ()) if stop > 0 else ()))
+        newlevel: dict = {}
+        for (a, b, w), block in zip(where, self._eliminate(blocks)):
+            cell = newlevel.get((a, b))
+            if cell is None:
+                cell = newlevel[(a, b)] = _Cell(0, {})
+            if block[0]:
+                cell.dim += block[0]
+                cell.blocks[w] = block
         self.levels.append(newlevel)
+        self._certify(l)
 
-    def _eliminate(self, pieces, rels, target):
-        """(dim, maps) of one weight block: its W-space is made of
-        `pieces`, {arrow: source block}, `rels` lists the generators
-        applied to a block two levels down, and elimination stops at
-        W - target."""
-        offs = {}
-        W = 0
-        for arrow, (sdim, smats) in pieces.items():
-            offs[arrow] = (W, sdim, smats)
-            W += sdim
-        stop = W - target
-        rref = ModPRref(W)
-        if stop > 0 and rels:
-            # a term (first, top) maps the source block through `first`
-            # into the (a, mid) block that `top` carries into this one,
-            # the piece `top` of W; a missing piece is a zero block, where
-            # the term dies
-            rows = np.zeros((sum(dq for dq, _ in rels), W))
+    @staticmethod
+    def _eliminate(blocks) -> list[tuple[int, dict]]:
+        """(dim, maps) of every block, where maps[arrow] is the part of the
+        block's projection T (dim, W) onto its quotient on the arrow's
+        piece of W.
+
+        The blocks of one width W are eliminated together, one
+        `rref_stack` call per part of at most `_STACK_CAP` stacked
+        entries (or of one block that alone is larger), tallest blocks
+        first.  Each part's stack is freed before the next, and each
+        block's entry in `blocks` once its maps are built, so the
+        transient memory of a level stays small."""
+        by_width: dict = {}
+        heights = []
+        for i, (_, W, _, rels) in enumerate(blocks):
+            by_width.setdefault(W, []).append(i)
+            heights.append(sum(dq for dq, _ in rels))
+        out: list = [None] * len(blocks)
+        for W, idx in by_width.items():
+            idx.sort(key=heights.__getitem__, reverse=True)
             start = 0
-            for dq, terms in rels:
-                r = rows[start : start + dq]
-                start += dq
-                for coeff, first, top in terms:
-                    piece = offs.get(top)
-                    if piece:
-                        off, width, mats = piece
-                        m = mats[first].T
-                        r[:, off : off + width] += m if coeff == 1 else coeff * m
-            rref.add(rows, stop_at_rank=stop)
-        # the projection W -> quotient: a nonpivot column maps to its own
-        # coordinate, a pivot column to minus its row of E
-        nonpiv, E = rref.projection()
-        dim = W - rref.rank
-        T = np.zeros((dim, W))
-        T[np.arange(dim), nonpiv] = 1
-        T[:, rref.pivots] = (-E.T) % MODP
-        return dim, {arrow: T[:, off : off + width]
-                     for arrow, (off, width, _) in offs.items()}
+            while start < len(idx):
+                H = heights[idx[start]]
+                part = idx[start : start + max(1, _STACK_CAP // max(H * W, 1))]
+                start += len(part)
+                stack = np.zeros((len(part), H, W))
+                for rows, i in zip(stack, part):
+                    pieces, _, _, rels = blocks[i]
+                    _relation_rows(rows, pieces, rels)
+                rref = rref_stack(stack, [blocks[i][2] for i in part])
+                del stack
+                for i, T in zip(part, quotient_maps(*rref)):
+                    maps, off = {}, 0
+                    for arrow, (sdim, _) in blocks[i][0].items():
+                        maps[arrow] = T[:, off : off + sdim]
+                        off += sdim
+                    out[i] = (len(T), maps)
+                    blocks[i] = None
+        return out
+
+    def _certify(self, l: int) -> None:
+        """Record the verdict on every (a, b, l) cell, with or without
+        paths: None if its dim meets `_cell_target`, otherwise its
+        (a, b, l, dim, target) entry."""
+        for a in range(self.n):
+            for b in range(self.n):
+                dim = self._prev_dim(a, b, l)
+                target = _cell_target(self.n, a, b, l)
+                self.verdicts[(a, b, l)] = (
+                    None if dim == target else (a, b, l, dim, target))
 
     def _arrows_into(self, b: int):
         out = []
@@ -379,13 +449,13 @@ def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     """Dimension of the degree-(a, b, length) piece of the quotient path
     algebra: the engine's value, certified exact by the corank sandwich.
     A cell whose value misses its corank target raises
-    `CertificationError`."""
-    n = quiver.n
-    value = _engine(n).dim(a, b, length)
-    target = _cell_target(n, a, b, length)
-    if value != target:
-        raise CertificationError((a, b, length, value, target))
-    return value
+    `CertificationError` with the engine's entry for it."""
+    eng = _engine(quiver.n)
+    eng.ensure(length)
+    entry = eng.verdicts[(a, b, length)]
+    if entry:
+        raise CertificationError(entry)
+    return eng.dim(a, b, length)
 
 
 def evaluation_kills_generators(n: int) -> bool:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from minorbit import linalg
-from minorbit.linalg import MODP, ModPRref, rank_exact
+from minorbit.linalg import MODP, ModPRref, quotient_maps, rank_exact, rref_stack
 
 # 2**16 - 15: a second prime for the naive-reference tests, which patch it
 # in as linalg.MODP to show the kernel does not rely on MODP's value
@@ -146,3 +146,40 @@ def test_add_reduces_its_rows_mod_p():
     ref.add(mat.astype(float))
     assert acc.pivots == ref.pivots
     assert np.array_equal(acc.rows(), ref.rows())
+
+
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
+def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
+    # one width, heights from 0 to the stack's height (shorter matrices
+    # zero-padded), and per-matrix stops: none, below the rank, at it, 0;
+    # the stacked entries are shifted by multiples of p far above it
+    monkeypatch.setattr(linalg, "MODP", p)
+    rng = np.random.default_rng(17)
+    w, H = 12, 20
+    mats, stops = [], []
+    for i in range(16):
+        m = int(rng.integers(0, H + 1)) if i else H
+        mat = _rank_deficient(rng, m, w, int(rng.integers(0, min(m, w) + 1)))
+        rank = len(_naive_rref(mat, p)[1])
+        stops.append([w, rank, max(rank - 2, 0), 0][i % 4])
+        mats.append(mat)
+    stack = np.zeros((len(mats), H, w))
+    for layer, mat in zip(stack, mats):
+        layer[: len(mat)] = mat + p * rng.integers(-2 ** 20, 2 ** 20, size=mat.shape)
+    rows, pivots, ranks = rref_stack(stack, stops)
+    maps = quotient_maps(rows, pivots, ranks)
+    assert any(r < len(_naive_rref(m, p)[1]) for m, r in zip(mats, ranks))
+    for i, (mat, stop) in enumerate(zip(mats, stops)):
+        ref_rows, ref_pivots = _naive_rref(mat, p, stop_at_rank=stop)
+        r = int(ranks[i])
+        assert r == len(ref_pivots) and pivots[i, :r].tolist() == ref_pivots
+        assert np.array_equal(rows[i, :r], np.array(ref_rows).reshape(r, w))
+        assert not rows[i, r:].any()
+        # the projection onto the quotient: v -> v[nonpiv] - v[piv] @ E
+        acc = ModPRref(w)
+        acc.add(mat.astype(float), stop_at_rank=stop)
+        nonpiv, E = acc.projection()
+        assert acc.rank == r and acc.pivots == ref_pivots
+        v = rng.integers(0, p, size=w).astype(float)
+        assert maps[i].shape == (w - r, w)
+        assert np.array_equal(maps[i] @ v % p, (v[nonpiv] - v[ref_pivots] @ E) % p)

@@ -1,9 +1,10 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from minorbit import quiveralg
-from minorbit.linalg import rank_exact
+from minorbit.linalg import MODP, ModPRref, rank_exact
 from minorbit.quiveralg import (
     CertificationError,
     QuiverDimEngine,
@@ -332,3 +333,115 @@ def test_overstated_weight_target_is_uncertified(monkeypatch):
     ]
     assert compare_with_nccr(3, 2).passed
     assert calls == []
+
+
+def _rebuilt_block(eng, l, a, b, w):
+    """(dim, maps) of the weight-w block of cell (a, b, l), eliminated on
+    its own through ModPRref from the engine's blocks one and two levels
+    down: its pieces in the order of the arrows into b, its relation rows
+    generator by generator, stopped at W - `_weight_target`."""
+    n = eng.n
+    below = eng.levels[l - 2] if l >= 2 else {}
+    offs, W = {}, 0
+    for arrow, src in eng._arrows_into(b):
+        cell = eng.levels[l - 1].get((a, src))
+        sw = tuple(x - y for x, y in zip(w, quiveralg._weight(n, (arrow,))))
+        if cell and sw in cell.blocks:
+            sdim, mats = cell.blocks[sw]
+            offs[arrow] = (W, sdim, mats)
+            W += sdim
+    rows = []
+    for gen in relation_generators(n):
+        cell = below.get((a, gen.source))
+        gw = quiveralg._weight(n, gen.terms[0][1])
+        sw = tuple(x - y for x, y in zip(w, gw))
+        if gen.target != b or not cell or sw not in cell.blocks:
+            continue
+        r = np.zeros((cell.blocks[sw][0], W))
+        for coeff, (first, top) in gen.terms:
+            if top in offs:
+                off, width, mats = offs[top]
+                r[:, off : off + width] += coeff * mats[first].T
+        rows.append(r)
+    rref = ModPRref(W)
+    stop = W - quiveralg._weight_target(n, a, b, l, w)
+    if rows and stop > 0:
+        rref.add(np.vstack(rows), stop_at_rank=stop)
+    nonpiv, E = rref.projection()
+    dim = W - rref.rank
+    T = np.zeros((dim, W))
+    T[np.arange(dim), nonpiv] = 1
+    T[:, rref.pivots] = (-E.T) % MODP
+    return dim, {arrow: T[:, off : off + width] for arrow, (off, width, _) in offs.items()}
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
+def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
+    # the engine eliminates a level's same-width blocks in shared stacks;
+    # each block, rebuilt and eliminated on its own, must give the same
+    # dim and the same map on every arrow, entry for entry
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    checked = 0
+    for l in range(1, max_len + 1):
+        for (a, b), cell in eng.levels[l].items():
+            weights = {
+                tuple(x + y for x, y in zip(sw, quiveralg._weight(n, (arrow,))))
+                for arrow, src in eng._arrows_into(b)
+                if (a, src) in eng.levels[l - 1]
+                for sw in eng.levels[l - 1][(a, src)].blocks
+            }
+            rebuilt = {w: _rebuilt_block(eng, l, a, b, w) for w in weights}
+            rebuilt = {w: block for w, block in rebuilt.items() if block[0]}
+            assert cell.blocks.keys() == rebuilt.keys(), (l, a, b)
+            for w, (dim, maps) in cell.blocks.items():
+                ref_dim, ref_maps = rebuilt[w]
+                assert dim == ref_dim and maps.keys() == ref_maps.keys()
+                for arrow, m in maps.items():
+                    assert m.shape == ref_maps[arrow].shape
+                    assert np.array_equal(m, ref_maps[arrow]), (l, a, b, w, arrow)
+                checked += 1
+    assert checked > 100
+
+
+def test_graded_dim_reads_the_engine_verdict(monkeypatch):
+    # the engine certifies each cell once, as it builds the level;
+    # graded_dim reports that verdict and computes no target of its own
+    eng = quiveralg._engine(3)
+    eng.ensure(4)
+    assert set(eng.verdicts) == {
+        (a, b, l) for l in range(len(eng.levels)) for a in range(3) for b in range(3)}
+
+    def no_target(*args):
+        raise AssertionError("graded_dim recomputed a target")
+
+    monkeypatch.setattr(quiveralg, "_cell_target", no_target)
+    assert graded_dim(Quiver(3), 1, 1, 4) == eng.dim(1, 1, 4)
+
+
+def test_a_cell_without_paths_keeps_its_check(understate_target):
+    # (0, 3, 1) at n = 4 is a parity cell with no paths: its dim 0 is
+    # certified against its target like any other cell's
+    understate_target((4, 0, 3, 1))
+    entry = (0, 3, 1, 0, -1)
+    with pytest.raises(CertificationError) as e:
+        graded_dim(Quiver(4), 0, 3, 1)
+    assert e.value.cell == entry
+    assert quiveralg._engines[4].uncertified == [entry]
+    assert compare_with_nccr(4, 1).mismatches == (entry,)
+
+
+def test_engine_rejects_a_generator_with_two_terms_on_one_arrow(monkeypatch):
+    # each term of a generator writes the piece of W of its last arrow,
+    # so two terms ending in one arrow would overwrite each other
+    real = quiveralg.relation_generators
+
+    def doubled(n):
+        gens = list(real(n))
+        g = gens[0]
+        gens[0] = type(g)(g.source, g.target, (g.terms[0], g.terms[0]), g.name)
+        return tuple(gens)
+
+    monkeypatch.setattr(quiveralg, "relation_generators", doubled)
+    with pytest.raises(ValueError, match="two terms ending in one arrow"):
+        QuiverDimEngine(3)
