@@ -13,11 +13,11 @@ level:
 - cell_W: the widest cell's spanning-set width, the sum of its source
   cells' dims over the arrows into it (what perfbench's quiveralg.max_W
   reads);
-- block_W: the widest matrix the engine eliminates.  An engine whose
-  cells carry torus-weight blocks eliminates one block at a time, and
-  block w's width is the sum of its source blocks of weight
-  w - wt(arrow); an engine without blocks eliminates the whole cell, so
-  there block_W is cell_W.
+- block_W: the widest matrix the engine eliminates.  The engine
+  eliminates one torus-weight block at a time, and block w's width is
+  the sum of its source blocks of weight w - wt(arrow).  The engine's
+  levels map each cell to its blocks, {w: (dim, maps)}; a checkout whose
+  levels hold other records needs the script of its own tree.
 
 The run fails if any cell is left uncertified.  Results are stored under
 --label in --out (default BENCH_9.json in the current directory); other
@@ -41,22 +41,15 @@ DEFAULT_CASES = ("4:7", "5:5")
 def widths(quiveralg, eng, l: int) -> tuple[int, int]:
     """(widest cell W, widest block W) of level l."""
     cell_w = block_w = 0
-    for (a, b), cell in eng.levels[l].items():
-        sources = [(arrow, eng.levels[l - 1].get((a, src)))
-                   for arrow, src in eng._arrows_into(b)]
-        width = sum(c.dim for _, c in sources if c)
-        cell_w = max(cell_w, width)
-        if not hasattr(cell, "blocks"):
-            block_w = max(block_w, width)
-            continue
+    for a, b in eng.levels[l]:
+        # weight w -> the width of block w: its source blocks' dims
         per_weight: dict = {}
-        for arrow, c in sources:
-            if c is None:
-                continue
+        for arrow, src in eng._arrows_into(b):
             aw = quiveralg._weight(eng.n, (arrow,))
-            for sw, (sdim, _) in c.blocks.items():
+            for sw, (sdim, _) in eng.levels[l - 1].get((a, src), {}).items():
                 w = tuple(x + y for x, y in zip(sw, aw))
                 per_weight[w] = per_weight.get(w, 0) + sdim
+        cell_w = max(cell_w, sum(per_weight.values()))
         block_w = max(block_w, max(per_weight.values(), default=0))
     return cell_w, block_w
 

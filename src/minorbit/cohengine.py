@@ -38,6 +38,8 @@ class GradedDims:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if self.cap < 0:
+            raise ValueError(f"cap={self.cap} out of range: must be at least 0")
         if len(self.dims) != self.cap + 1:
             raise ValueError("dims must have cap+1 entries")
 

@@ -268,11 +268,18 @@ def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
     sequence, and only the Euler characteristic of such a profile is
     cross-checked (criterion 5, against `chi_jp_class`); the equal-twist
     case needs none, as the contributions sit in distinct total degrees."""
+    return dict(_omega_profile(c - b, n))
+
+
+@lru_cache(maxsize=None)
+def _omega_profile(t: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (degree, dim) items of sum_q H^{*-q}(P, Omega^q(t)), degree
+    ascending; cached, as each (t, n) builds n `bwb.omega` bundles."""
     out: dict[int, int] = {}
     for q in range(n):
-        for p, v in bwb.cohomology(bwb.omega(n, q, c - b)).items():
+        for p, v in bwb.cohomology(bwb.omega(n, q, t)).items():
             out[p + q] = out.get(p + q, 0) + v
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def _profile_jp_ch(n: int) -> ExtProfile:

@@ -167,7 +167,10 @@ class ModPRref:
     Rows are stored unsorted; `pivots[i]` is the pivot column of row i,
     in insertion order, and every row is fully reduced against every
     other, so the class of a vector v modulo the row space is
-    v - v[pivots] @ rows.
+    v - v[pivots] @ rows.  `projection` returns it in quotient
+    coordinates: T (width - rank, width), whose row j picks the j-th
+    nonpivot column and whose column at pivot i is minus row i at the
+    nonpivots, so the class of v is T @ v mod `MODP`.
 
     `add` inserts one row at a time: the row is reduced against the
     buffer, scaled to a leading 1, and cleared from the other rows at
@@ -220,12 +223,8 @@ class ModPRref:
         _eliminate(block[None], np.array([stop]), self._buf[None],
                    self._pivots, self._rank)
 
-    def nonpivots(self) -> list[int]:
-        pset = set(self.pivots)
-        return [c for c in range(self.width) if c not in pset]
-
-    def projection(self) -> tuple[list[int], np.ndarray]:
-        """Quotient coordinates: (nonpivot columns, matrix E) so that the
-        class of v is v[nonpivots] - v[pivots] @ E."""
-        nonpiv = self.nonpivots()
-        return nonpiv, self.rows()[:, nonpiv].copy()
+    def projection(self) -> np.ndarray:
+        """The projection T (width - rank, width) onto the quotient by the
+        row space, as `quotient_maps` builds it: the class of v is
+        T @ v mod `MODP`."""
+        return quotient_maps(self._buf[None], self._pivots, self._rank)[0]

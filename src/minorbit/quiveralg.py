@@ -16,8 +16,9 @@ degree's quotient, the degree-(l+1) quotient is W modulo the
 relation instances whose context sits entirely below the top arrow.
 Every arrow and every relation generator is homogeneous for the
 GL(V)-torus weight (f_i -> +e_i, v_i -> -e_i), so the engine splits
-each cell into weight blocks, each eliminated on its own rows; the
-blocks of a level that share a width go through one batched mod-p call.
+each cell into weight blocks, each eliminated on its own rows; a level
+maps each cell to its blocks, {weight: (dim, maps)}, and the blocks of
+a level that share a width go through one batched mod-p call.
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -210,17 +211,14 @@ def _weight(n: int, steps) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _relation_rows(rows, pieces, rels) -> None:
+def _relation_rows(rows, layout, rels) -> None:
     """Write the relation rows of a weight block into `rows` (zero on
-    entry, at least as tall as the block's rows): `pieces` is {arrow:
-    source block}, whose widths lay out W in order, and `rels` lists
-    the generators applied to a block two levels down."""
-    offs, off = {}, 0
-    for arrow, (sdim, mats) in pieces.items():
-        offs[arrow] = (off, sdim, mats)
-        off += sdim
+    entry, at least as tall as the block's rows): `layout` is {arrow:
+    (column offset, source block)}, and `rels` is the flat list dq,
+    terms, ... of the generators applied to blocks two levels down."""
     start = 0
-    for dq, terms in rels:
+    it = iter(rels)
+    for dq, terms in zip(it, it):
         r = rows[start : start + dq]
         start += dq
         # a term (first, top) maps the source block through `first` into
@@ -229,9 +227,9 @@ def _relation_rows(rows, pieces, rels) -> None:
         # dies.  The terms of a generator end in distinct arrows, so each
         # writes its own columns.
         for coeff, first, top in terms:
-            piece = offs.get(top)
+            piece = layout.get(top)
             if piece:
-                off, width, mats = piece
+                off, (width, mats) = piece
                 if coeff == 1:
                     r[:, off : off + width] = mats[first].T
                 else:
@@ -255,43 +253,34 @@ class CertificationError(RuntimeError):
 _STACK_CAP = 2 ** 15
 
 
-class _Cell:
-    __slots__ = ("dim", "blocks")
-
-    def __init__(self, dim: int, blocks: dict):
-        self.dim = dim  # the cell total: the sum of its block dims
-        # weight -> (block dim, {arrow: matrix from the arrow's source
-        # block one level down}); blocks of dimension 0 are not kept
-        self.blocks = blocks
-
-
 class QuiverDimEngine:
     """Degree-by-degree quotient construction, mod p, one torus-weight
     block at a time.
 
-    Every relation generator is homogeneous for the torus weight
-    (the constructor raises ValueError otherwise), and so are the arrows,
-    so the quotient splits into weight blocks: the W-space of block w of
-    a cell is made of the pieces (arrow, source block of weight
-    w - wt(arrow)), and its relation rows are the generators applied to
-    the blocks of weight w - wt(generator) two levels down.  A level is
-    built in two passes: the first collects every block of every cell,
-    the second eliminates the blocks of one width together
-    (`linalg.rref_stack`), each stopped at W_w - `_weight_target`.  The
-    blocks stay independent (each has its own rows, stop and RREF), so
-    every block dim is at least its target, and a cell (whose dim is the
-    sum of its blocks) meets `_cell_target` exactly when every block
-    meets its own.  The engine records its verdict on every cell of a
-    level as it builds it, in `verdicts`; the cells that miss their
-    target are listed in `uncertified`."""
+    Every relation generator is homogeneous for the torus weight (the
+    constructor raises ValueError otherwise), and so are the arrows, so
+    the quotient splits into weight blocks.  `levels[l]` maps each cell
+    (a, b) reached from level l - 1 to its blocks, {w: (dim, {arrow:
+    map})}: the map on an arrow is the part of the block's projection T
+    (dim, W) onto its quotient on the arrow's piece of W, the source
+    block of weight w - wt(arrow).  Blocks of dim 0 are not kept, and a
+    cell's dim is the sum of its blocks.  A level is built in two passes:
+    the first collects each block once, with its layout {arrow: (column
+    offset, source block)} and its relation rows (the generators applied
+    to the blocks of weight w - wt(generator) two levels down), into the
+    group of its width W; the second eliminates each group together
+    (`linalg.rref_stack`), every block stopped at W - `_weight_target`.
+    The blocks stay independent (each has its own rows, stop and RREF),
+    so every block dim is at least its target, and a cell meets
+    `_cell_target` exactly when every block meets its own.  The engine
+    records its verdict on every cell of a level as it builds it, in
+    `verdicts`; the cells that miss their target are listed in
+    `uncertified`."""
 
     def __init__(self, n: int):
         self.n = n
         origin = (0,) * n
-        base = {}
-        for a in range(n):
-            base[(a, a)] = _Cell(1, {origin: (1, {})})
-        self.levels: list[dict] = [base]
+        self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(n)}]
         # (a, b, length) -> None if certified, else (a, b, length, dim, target)
         self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
         self._certify(0)
@@ -319,102 +308,80 @@ class QuiverDimEngine:
 
     def dim(self, a: int, b: int, length: int) -> int:
         self.ensure(length)
-        cell = self.levels[length].get((a, b))
-        return cell.dim if cell else 0
+        return self._prev_dim(a, b, length)
 
     def ensure(self, length: int) -> None:
         while len(self.levels) <= length:
             self._build_level(len(self.levels))
 
     def _prev_dim(self, a: int, s: int, lev: int) -> int:
-        cell = self.levels[lev].get((a, s))
-        return cell.dim if cell else 0
+        blocks = self.levels[lev].get((a, s))
+        return sum(dim for dim, _ in blocks.values()) if blocks else 0
 
     def _build_level(self, l: int) -> None:
         n = self.n
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
-        # every weight block of the level: where it sits, (a, b, w), and
-        # what it is made of, ({arrow: source block}, W, stop, relation
-        # terms); the pieces of W follow the order of `_arrows_into`
-        where, blocks = [], []
+        newlevel: dict = {}
+        # W -> [(height, the cell's blocks, w, layout, stop, relation terms)]
+        groups: dict = {}
         for a in range(n):
             for b in range(n):
-                # weight w -> {arrow: source block of weight w - wt(arrow)}
-                pieces: dict = {}
+                # weight w -> its layout, and w -> its width so far
+                layouts, widths = {}, {}
                 for arrow, src in self._arrows_into(b):
-                    cell = prev.get((a, src))
-                    if cell is None:
-                        continue
                     aw = _weight(n, (arrow,))
-                    for sw, block in cell.blocks.items():
-                        pieces.setdefault(tuple(map(add, sw, aw)), {})[arrow] = block
-                if not pieces:
+                    for sw, block in prev.get((a, src), {}).items():
+                        w = tuple(map(add, sw, aw))
+                        off = widths.get(w, 0)
+                        widths[w] = off + block[0]
+                        layouts.setdefault(w, {})[arrow] = (off, block)
+                if not layouts:
                     continue
-                # weight w -> [(dim of the block of weight w - wt(gen) two
-                # levels down, the generator's terms)]
+                blocks = newlevel[(a, b)] = {}
+                # weight w -> [dq, terms, dq, terms, ...]: per generator, the
+                # dim of the block of weight w - wt(gen) two levels down and
+                # the generator's terms, flat to save a tuple per pair
                 rels: dict = {}
                 for src, gw, terms in self._gens_by_target.get(b, ()):
-                    cell = below.get((a, src))
-                    if cell is None:
-                        continue
-                    for sw, (sdim, _) in cell.blocks.items():
-                        rels.setdefault(tuple(map(add, sw, gw)), []).append((sdim, terms))
-                for w, pw in pieces.items():
-                    W = sum(sdim for sdim, _ in pw.values())
+                    for sw, (sdim, _) in below.get((a, src), {}).items():
+                        rels.setdefault(tuple(map(add, sw, gw)), []).extend((sdim, terms))
+                for w, layout in layouts.items():
+                    W = widths[w]
                     stop = W - _weight_target(n, a, b, l, w)
-                    where.append((a, b, w))
-                    blocks.append((pw, W, stop, rels.get(w, ()) if stop > 0 else ()))
-        newlevel: dict = {}
-        for (a, b, w), block in zip(where, self._eliminate(blocks)):
-            cell = newlevel.get((a, b))
-            if cell is None:
-                cell = newlevel[(a, b)] = _Cell(0, {})
-            if block[0]:
-                cell.dim += block[0]
-                cell.blocks[w] = block
+                    rel = rels.get(w, ()) if stop > 0 else ()
+                    groups.setdefault(W, []).append(
+                        (sum(rel[::2]), blocks, w, layout, stop, rel))
+        # widest first, while the level holds the fewest maps
+        for W in sorted(groups, reverse=True):
+            self._eliminate(W, groups.pop(W))
         self.levels.append(newlevel)
         self._certify(l)
 
     @staticmethod
-    def _eliminate(blocks) -> list[tuple[int, dict]]:
-        """(dim, maps) of every block, where maps[arrow] is the part of the
-        block's projection T (dim, W) onto its quotient on the arrow's
-        piece of W.
-
-        The blocks of one width W are eliminated together, one
-        `rref_stack` call per part of at most `_STACK_CAP` stacked
-        entries (or of one block that alone is larger), tallest blocks
-        first.  Each part's stack is freed before the next, and each
-        block's entry in `blocks` once its maps are built, so the
-        transient memory of a level stays small."""
-        by_width: dict = {}
-        heights = []
-        for i, (_, W, _, rels) in enumerate(blocks):
-            by_width.setdefault(W, []).append(i)
-            heights.append(sum(dq for dq, _ in rels))
-        out: list = [None] * len(blocks)
-        for W, idx in by_width.items():
-            idx.sort(key=heights.__getitem__, reverse=True)
-            start = 0
-            while start < len(idx):
-                H = heights[idx[start]]
-                part = idx[start : start + max(1, _STACK_CAP // max(H * W, 1))]
-                start += len(part)
-                stack = np.zeros((len(part), H, W))
-                for rows, i in zip(stack, part):
-                    pieces, _, _, rels = blocks[i]
-                    _relation_rows(rows, pieces, rels)
-                rref = rref_stack(stack, [blocks[i][2] for i in part])
-                del stack
-                for i, T in zip(part, quotient_maps(*rref)):
-                    maps, off = {}, 0
-                    for arrow, (sdim, _) in blocks[i][0].items():
-                        maps[arrow] = T[:, off : off + sdim]
-                        off += sdim
-                    out[i] = (len(T), maps)
-                    blocks[i] = None
-        return out
+    def _eliminate(W: int, group) -> None:
+        """Eliminate a group of width-W blocks, tallest first, one
+        `rref_stack` call per part of at most `_STACK_CAP` stacked entries
+        (or of one block that alone is larger), and store each block's
+        (dim, maps) in its cell.  Each record is dropped as its maps are
+        stored, so the transient memory of a level stays small."""
+        group.sort(key=itemgetter(0))
+        while group:
+            H = group[-1][0]
+            part = group[-max(1, _STACK_CAP // max(H * W, 1)) :]
+            del group[-len(part) :]
+            stack = np.zeros((len(part), H, W))
+            for rows, (_, _, _, layout, _, rel) in zip(stack, part):
+                _relation_rows(rows, layout, rel)
+            rref = rref_stack(stack, [block[4] for block in part])
+            del stack
+            projections = quotient_maps(*rref)
+            while part:
+                _, blocks, w, layout, _, _ = part.pop()
+                T = projections.pop()
+                if len(T):
+                    blocks[w] = (len(T), {arrow: T[:, off : off + sdim]
+                                          for arrow, (off, (sdim, _)) in layout.items()})
 
     def _certify(self, l: int) -> None:
         """Record the verdict on every (a, b, l) cell, with or without
@@ -493,7 +460,9 @@ def evaluation_kills_generators(n: int) -> bool:
 def _parity_cells(n: int, max_len: int):
     """The cells (a, b, length) with length = b - a (mod 2), length
     ascending; every arrow moves one vertex, so the other cells hold no
-    paths."""
+    paths.  Raises ValueError if max_len < 0."""
+    if max_len < 0:
+        raise ValueError(f"max_len={max_len} out of range: must be at least 0")
     for length in range(max_len + 1):
         for a in range(n):
             for b in range(n):

@@ -78,6 +78,17 @@ def test_out_of_range_parameters_report_range(capsys):
     rc, _, err = run(capsys, ["hilbert", "--module", "M(7)", "--n", "3"])
     assert rc == 2
     assert "range" in err
+    # a negative length or degree cap has nothing to check, so it must
+    # not pass vacuously
+    for argv in (
+        ["quiver", "--compare", "--n", "3", "--max-len", "-1"],
+        ["quiver", "--dims", "--max-len", "-2"],
+        ["mutate", "--orbit", "--n", "3", "--cap", "-1"],
+        ["hilbert", "--module", "M(0)", "--n", "3", "--cap", "-1"],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: ") and "range" in err, argv
 
 
 def test_quiver_compare(capsys):

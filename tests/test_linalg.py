@@ -49,13 +49,13 @@ def test_modp_rref_matches_exact_on_random_integer_matrices():
 def test_modp_rref_projection():
     acc = ModPRref(3)
     acc.add(np.array([[1.0, 1.0, 0.0]]))
-    nonpiv, E = acc.projection()
-    assert nonpiv == [1, 2]
+    T = acc.projection()
+    # the nonpivot columns 1, 2 are the quotient coordinates
+    assert T.shape == (2, 3) and np.array_equal(T[:, 1:], np.eye(2))
     # class of e0 is -e1 in quotient coordinates
     v = np.zeros(3)
     v[0] = 1
-    cls = (v[nonpiv] - v[acc.pivots] @ E) % MODP
-    assert np.array_equal(cls, [MODP - 1, 0])
+    assert np.array_equal(T @ v % MODP, [MODP - 1, 0])
 
 
 def test_early_stop_respects_threshold():
@@ -115,8 +115,12 @@ def test_blocked_rref_matches_naive_and_exact(monkeypatch, p, chunk):
             assert not np.any(row[:c]) and row[c] == 1
         ref_rows, ref_pivots = _naive_rref(mat, p)
         assert acc.pivots == ref_pivots
-        nonpiv, E = acc.projection()
-        assert np.array_equal(E, np.array(ref_rows)[:, nonpiv])
+        # T is the identity on the nonpivot columns and minus the rows
+        # there on the pivot columns
+        nonpiv = [c for c in range(w) if c not in ref_pivots]
+        T = acc.projection()
+        assert np.array_equal(T[:, nonpiv], np.eye(w - acc.rank))
+        assert np.array_equal(T[:, ref_pivots], -np.array(ref_rows)[:, nonpiv].T % p)
 
 
 @pytest.mark.parametrize("chunk", [4, 512])
@@ -175,11 +179,15 @@ def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
         assert r == len(ref_pivots) and pivots[i, :r].tolist() == ref_pivots
         assert np.array_equal(rows[i, :r], np.array(ref_rows).reshape(r, w))
         assert not rows[i, r:].any()
-        # the projection onto the quotient: v -> v[nonpiv] - v[piv] @ E
+        # the projection onto the quotient: v -> v[nonpiv] - v[piv] @ E,
+        # E the naive rows at the nonpivots; a single-matrix ModPRref
+        # gives the same T
+        nonpiv = [c for c in range(w) if c not in ref_pivots]
+        E = np.array(ref_rows).reshape(r, w)[:, nonpiv]
         acc = ModPRref(w)
         acc.add(mat.astype(float), stop_at_rank=stop)
-        nonpiv, E = acc.projection()
         assert acc.rank == r and acc.pivots == ref_pivots
         v = rng.integers(0, p, size=w).astype(float)
         assert maps[i].shape == (w - r, w)
         assert np.array_equal(maps[i] @ v % p, (v[nonpiv] - v[ref_pivots] @ E) % p)
+        assert np.array_equal(acc.projection(), maps[i])
