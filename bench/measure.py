@@ -1,0 +1,249 @@
+"""Time and memory of the quiver engine, criterion 1 and criterion 9's battery.
+
+    python3 bench/measure.py --out FILE [--src LABEL=DIR ...] \\
+        [--repeats K] [--case CASE ...]
+
+Each --src tree (default: change=./src of this checkout) is imported
+under its own package name, minorbit_LABEL, so two trees run side by
+side in one process.  Every case runs once untimed per tree (the
+warm-up), then --repeats times (default 10) per tree; with two trees
+the runs alternate and their order flips on every repeat.  A case is
+
+- N:L: `ensure(l)` for l = 1..L on a fresh QuiverDimEngine(N), timed
+  per level.  One more run per tree, under tracemalloc, records per
+  level cell_W (the widest cell's spanning-set width, as perfbench's
+  quiveralg.max_W reads it), block_W (the widest torus-weight block
+  the engine eliminates), peak_mb (peak traced memory during
+  `ensure(l)` above the level's start) and kept_mb (what it keeps);
+- criterion1: `acceptance.criterion_1()` from fresh engines;
+- battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
+  two grids, perfbench (100 samples, seed n: the benchmark's battery
+  workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
+  grid `minorbit accept` runs).
+
+The default cases are 4:8, 5:6, 6:5, criterion1 and battery.  Each
+tree's entry holds every timing's median over the repeats and the
+median total; with two trees, each case also records the per-pair
+ratio of totals (second tree / first tree), its median and quartiles,
+and the number of pairs the second tree won.  The run stops on an
+uncertified cell, a failed criterion 1 or a failed battery.  Results
+go under runs.LABEL and pairs.SECOND/FIRST in --out; other entries in
+that file are kept.  Timings are wall clock on a possibly shared
+machine, which is why the two trees alternate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+from statistics import median, quantiles
+
+import numpy as np
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+DEFAULT_CASES = ("4:8", "5:6", "6:5", "criterion1", "battery")
+GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
+BATTERY_NS = range(2, 7)
+
+
+def load(label: str, src) -> object:
+    """Import the minorbit package under `src` as minorbit_`label`."""
+    name = f"minorbit_{label}"
+    pkg = Path(src).resolve() / "minorbit"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tree
+    spec.loader.exec_module(tree)
+    # acceptance imports quiveralg and repmoduli, so all three are attributes
+    importlib.import_module(f"{name}.acceptance")
+    return tree
+
+
+def widths(quiveralg, eng, l: int) -> tuple[int, int]:
+    """(widest cell W, widest block W) of level l."""
+    cell_w = block_w = 0
+    for a, b in eng.levels[l]:
+        # weight w -> the width of block w: its source blocks' dims
+        per_weight: dict = {}
+        for arrow, src in eng._arrows_into(b):
+            aw = quiveralg._weight(eng.n, (arrow,))
+            for sw, (sdim, _) in eng.levels[l - 1].get((a, src), {}).items():
+                w = tuple(x + y for x, y in zip(sw, aw))
+                per_weight[w] = per_weight.get(w, 0) + sdim
+        cell_w = max(cell_w, sum(per_weight.values()))
+        block_w = max(block_w, max(per_weight.values(), default=0))
+    return cell_w, block_w
+
+
+def certified(eng) -> None:
+    if eng.uncertified:
+        raise SystemExit(f"n={eng.n}: uncertified cells {eng.uncertified}")
+
+
+def level_seconds(quiveralg, n: int, max_len: int) -> dict[str, float]:
+    eng = quiveralg.QuiverDimEngine(n)
+    out = {}
+    for l in range(1, max_len + 1):
+        t0 = time.perf_counter()
+        eng.ensure(l)
+        out[f"l{l}"] = time.perf_counter() - t0
+    certified(eng)
+    return out
+
+
+def level_memory(quiveralg, n: int, max_len: int) -> dict[str, dict]:
+    """cell_W, block_W, peak_mb and kept_mb per level, under tracemalloc."""
+    eng = quiveralg.QuiverDimEngine(n)
+    memory = []
+    tracemalloc.start()
+    try:
+        for l in range(1, max_len + 1):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            eng.ensure(l)
+            now, peak = tracemalloc.get_traced_memory()
+            memory.append(((peak - start) / 2 ** 20, (now - start) / 2 ** 20))
+    finally:
+        tracemalloc.stop()
+    certified(eng)
+    out = {}
+    for l, (peak, kept) in enumerate(memory, start=1):
+        cell_w, block_w = widths(quiveralg, eng, l)
+        out[f"l{l}"] = {"cell_W": cell_w, "block_W": block_w,
+                        "peak_mb": round(peak, 3), "kept_mb": round(kept, 3)}
+    return out
+
+
+def criterion1_seconds(tree) -> dict[str, float]:
+    tree.quiveralg._engines.clear()
+    t0 = time.perf_counter()
+    res = tree.acceptance.criterion_1()
+    seconds = time.perf_counter() - t0
+    if not res.passed:
+        raise SystemExit(f"criterion 1 failed: {res.detail}")
+    return {"criterion1": seconds}
+
+
+def battery_seconds(tree) -> dict[str, float]:
+    out = {}
+    for grid, (samples, seed0) in GRIDS.items():
+        for n in BATTERY_NS:
+            t0 = time.perf_counter()
+            rep = tree.repmoduli.run_battery(n, samples, seed0 + n)
+            out[f"{grid}.n{n}"] = time.perf_counter() - t0
+            if not rep.passed:
+                raise SystemExit(f"battery {grid} n={n} failed: {rep.failures}")
+    return out
+
+
+def timer(case: str):
+    """The function timing one run of `case` on a tree."""
+    if case == "criterion1":
+        return criterion1_seconds
+    if case == "battery":
+        return battery_seconds
+    n, max_len = map(int, case.split(":"))
+    return lambda tree: level_seconds(tree.quiveralg, n, max_len)
+
+
+def alternate(trees: dict, run, repeats: int) -> dict[str, list]:
+    """One untimed warm-up per tree, then `repeats` runs of each tree,
+    the order of the trees flipped on every repeat."""
+    for tree in trees.values():
+        run(tree)
+    runs = {label: [] for label in trees}
+    order = list(trees)
+    for _ in range(repeats):
+        for label in order:
+            runs[label].append(run(trees[label]))
+        order.reverse()
+    return runs
+
+
+def summary(runs: list[dict]) -> dict:
+    totals = [sum(r.values()) for r in runs]
+    return {"s": {k: round(median(r[k] for r in runs), 4) for k in runs[0]},
+            "total_s": round(median(totals), 4),
+            "total_runs_s": [round(t, 4) for t in totals]}
+
+
+def compare(first: list[dict], second: list[dict]) -> dict:
+    """Per-pair ratio of totals, second / first."""
+    ratios = [sum(b.values()) / sum(a.values()) for a, b in zip(first, second)]
+    q1, _, q3 = quantiles(ratios, n=4, method="inclusive")
+    return {"ratios": [round(r, 4) for r in ratios],
+            "median": round(median(ratios), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4),
+            "second_won": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+
+
+def cpu_model() -> str:
+    info = Path("/proc/cpuinfo")
+    lines = info.read_text().splitlines() if info.exists() else []
+    return next((line.split(":", 1)[1].strip() for line in lines
+                 if line.startswith("model name")), platform.processor())
+
+
+def source(text: str) -> tuple[str, str]:
+    """LABEL=DIR, LABEL an identifier and DIR holding minorbit/."""
+    label, sep, src = text.partition("=")
+    if not (sep and label.isidentifier() and (Path(src) / "minorbit").is_dir()):
+        raise ValueError(text)
+    return label, src
+
+
+def case_name(text: str) -> str:
+    timer(text)  # raises ValueError unless text is N:L, criterion1 or battery
+    return text
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append", type=source, metavar="LABEL=DIR",
+                    help="a tree to measure; at most two (default change=./src)")
+    ap.add_argument("--out", required=True, help="the JSON file to record in")
+    ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
+    ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
+                    help=f"N:L, criterion1 or battery (default {' '.join(DEFAULT_CASES)})")
+    args = ap.parse_args(argv)
+    pairs = args.src or [("change", DEFAULT_SRC)]
+    sources = dict(pairs)
+    if len(sources) < len(pairs) or len(sources) > 2:
+        ap.error("--src takes at most two trees with distinct labels")
+    if args.repeats < 2:
+        ap.error("--repeats must be at least 2")
+
+    trees = {label: load(label, src) for label, src in sources.items()}
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["machine"] = {"python": platform.python_version(), "numpy": np.__version__,
+                      "nproc": os.cpu_count(), "cpu": cpu_model()}
+    for case in args.case or DEFAULT_CASES:
+        runs = alternate(trees, timer(case), args.repeats)
+        for label, tree in trees.items():
+            entry = summary(runs[label])
+            if ":" in case:
+                entry["levels"] = level_memory(tree.quiveralg, *map(int, case.split(":")))
+            doc.setdefault("runs", {}).setdefault(label, {})[case] = entry
+            print(f"{label} {case}: {entry['total_s']:.3f} s", flush=True)
+        if len(trees) == 2:
+            first, second = trees
+            pair = compare(runs[first], runs[second])
+            doc.setdefault("pairs", {}).setdefault(f"{second}/{first}", {})[case] = pair
+            print(f"{second}/{first} {case}: median {pair['median']:.3f} "
+                  f"[{pair['q1']:.3f}, {pair['q3']:.3f}], {second} won "
+                  f"{pair['second_won']}/{pair['pairs']}", flush=True)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -116,13 +116,22 @@ def _load_config(path: str | None) -> dict:
                 continue
             if "=" not in line:
                 raise SystemExit(f"config line {lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in _DEFAULTS:
+                raise SystemExit(f"config line {lineno}: unknown key {k!r} "
+                                 f"(expected one of {', '.join(_DEFAULTS)})")
+            if k == "output" and v not in _OUTPUTS:
+                raise SystemExit(f"config line {lineno}: output must be one of "
+                                 f"{', '.join(_OUTPUTS)}, not {v!r}")
+            out[k] = v
     return out
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    if args.output == "csv" and csv_rows is not None:
+    if args.output == "csv":
+        if csv_rows is None:
+            raise SystemExit(f"{args.command}: this report has no table for "
+                             "--output csv; use json or pretty")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         if csv_header:
@@ -135,7 +144,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
         base = os.environ.get("MINORBIT_OUTPUT_DIR", ".")
-        path = os.path.join(base, args.out)
+        path = os.path.join(base, os.path.normpath(args.out))
         with open(path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
         print(path)
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, need_n=True):
         if need_n:
             p.add_argument("--n", type=int, default=None, help="dimension parameter (>= 2)")
-        p.add_argument("--output", choices=["json", "csv", "pretty"], default=None)
+        p.add_argument("--output", choices=_OUTPUTS, default=None)
         p.add_argument("--out", help="write output to this file (under MINORBIT_OUTPUT_DIR)")
 
     p = sub.add_parser("coh", help="cohomology table of a bundle")
@@ -389,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {"n": 3, "cap": 6, "max_len": 6, "output": "json"}
+_OUTPUTS = ("json", "csv", "pretty")
 
 
 def _apply_config(args) -> None:
@@ -404,6 +414,10 @@ def _apply_config(args) -> None:
                 setattr(args, key, default)
     if getattr(args, "n", 2) < 2:
         raise SystemExit("--n must be at least 2")
+    out = getattr(args, "out", None)
+    if out and (os.path.isabs(out) or os.path.normpath(out).split(os.sep)[0] == os.pardir):
+        raise SystemExit(f"--out {out!r} must be a relative path that stays "
+                         "under MINORBIT_OUTPUT_DIR")
 
 
 def main(argv=None) -> int:

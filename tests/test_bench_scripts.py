@@ -1,33 +1,41 @@
-"""The committed measuring scripts in bench/ run on the current engine.
+"""bench/measure.py runs on the current engine and alternates two trees.
 
-They read the engine's data model directly, so a change to it must
-update them; these runs catch one that does not.  bench/linalg_rows.py
-is left out: its widest case takes too long for this suite."""
+It reads the engine's data model directly, so a change to that model
+must update it; these runs catch one that does not."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from minorbit import quiveralg
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
-def bench(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    import quiver_batch
-    import quiver_blocks
+def measure(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import measure
 
-    return quiver_batch, quiver_blocks
+    return measure
 
 
-def test_quiver_blocks_widths(bench):
-    _, quiver_blocks = bench
+@pytest.fixture
+def trees(measure):
+    """This checkout's src loaded twice, as minorbit_a and minorbit_b."""
+    yield {label: measure.load(label, ROOT / "src") for label in ("a", "b")}
+    for name in [m for m in sys.modules if m.startswith(("minorbit_a", "minorbit_b"))]:
+        del sys.modules[name]
+
+
+def test_level_widths(measure):
     eng = quiveralg.QuiverDimEngine(3)
     eng.ensure(3)
+    levels = measure.level_memory(quiveralg, 3, 3)
     for l in range(1, 4):
-        cell_w, block_w = quiver_blocks.widths(quiveralg, eng, l)
+        cell_w, block_w = measure.widths(quiveralg, eng, l)
+        assert (levels[f"l{l}"]["cell_W"], levels[f"l{l}"]["block_W"]) == (cell_w, block_w)
         # the cell width as perfbench's tracer reads it
         assert cell_w == max(
             sum(eng._prev_dim(a, src, l - 1) for _, src in eng._arrows_into(b))
@@ -37,14 +45,47 @@ def test_quiver_blocks_widths(bench):
         assert all(sum(m.shape[1] for m in maps.values()) <= block_w
                    for blocks in eng.levels[l].values()
                    for _, maps in blocks.values())
-    result = quiver_blocks.run_case(quiveralg, 3, 3)
-    assert list(result["levels"]) == ["l1", "l2", "l3"]
 
 
-def test_quiver_batch_time_and_memory(bench):
-    quiver_batch, _ = bench
-    seconds = quiver_batch.level_seconds(quiveralg, 3, 3)
-    assert len(seconds) == 3 and all(s >= 0 for s in seconds)
-    memory = quiver_batch.level_memory(quiveralg, 3, 3)
-    assert len(memory) == 3
-    assert all(peak >= kept > 0 for peak, kept in memory)
+def test_level_seconds_and_memory(measure):
+    seconds = measure.level_seconds(quiveralg, 3, 3)
+    assert list(seconds) == ["l1", "l2", "l3"]
+    assert all(s >= 0 for s in seconds.values())
+    memory = measure.level_memory(quiveralg, 3, 3)
+    assert list(memory) == ["l1", "l2", "l3"]
+    assert all(m["peak_mb"] >= m["kept_mb"] > 0 for m in memory.values())
+
+
+def test_two_trees_alternate(measure, trees, monkeypatch):
+    a, b = trees["a"], trees["b"]
+    assert a.quiveralg is not b.quiveralg and quiveralg not in (a.quiveralg, b.quiveralg)
+    a.quiveralg._engine(3)
+    assert 3 in a.quiveralg._engines and b.quiveralg._engines == {}
+    monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0)})
+    for case in ("3:3", "battery"):
+        calls = []
+        timer = measure.timer(case)
+
+        def logged(tree):
+            calls.append(tree.__name__.removeprefix("minorbit_"))
+            return timer(tree)
+
+        runs = measure.alternate(trees, logged, 4)
+        # one warm-up each, then the order flips on every repeat
+        assert calls == ["a", "b", "a", "b", "b", "a", "a", "b", "b", "a"]
+        assert len(runs["a"]) == len(runs["b"]) == 4
+        assert list(measure.summary(runs["a"])["s"]) == list(runs["a"][0])
+        pair = measure.compare(runs["a"], runs["b"])
+        assert pair["pairs"] == 4 and 0 <= pair["second_won"] <= 4
+        assert pair["q1"] <= pair["median"] <= pair["q3"]
+
+
+def test_uncertified_cell_stops_the_run(measure, trees, monkeypatch):
+    qa = trees["b"].quiveralg
+    true_target = qa._cell_target
+    monkeypatch.setattr(qa, "_cell_target", lambda n, a, b, length: (
+        true_target(n, a, b, length) - ((a, b, length) == (1, 1, 2))))
+    with pytest.raises(SystemExit, match=r"uncertified cells \[\(1, 1, 2,"):
+        measure.alternate(trees, measure.timer("3:3"), 2)
+    # the other tree's engine keeps its own target
+    measure.level_seconds(trees["a"].quiveralg, 3, 3)

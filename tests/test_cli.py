@@ -199,6 +199,43 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert json.loads(written.read_text())["cohomology"] == {"0": 2}
 
 
+def assert_usage_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "", argv
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def test_out_stays_under_output_dir(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "base"
+    base.mkdir()
+    monkeypatch.setenv("MINORBIT_OUTPUT_DIR", str(base))
+    for out in (str(tmp_path / "abs.json"), "../up.json", "sub/../../up.json"):
+        assert_usage_error(capsys, ["coh", "--n", "2", "--bundle", "O(1)", "--out", out])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base"]
+    assert not any(base.iterdir())
+    rc, _, _ = run(capsys, ["coh", "--n", "2", "--bundle", "O(1)", "--out", "sub/../in.json"])
+    assert rc == 0 and (base / "in.json").exists()
+
+
+def test_config_rejects_unknown_keys_and_outputs(tmp_path, capsys):
+    for text in ("output=xml\n", "n=2\nmax-len=2\n"):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        assert_usage_error(
+            capsys, ["--config", str(cfg), "quiver", "--dims", "--n", "2", "--max-len", "1"])
+
+
+def test_csv_needs_a_table(capsys):
+    for argv in (
+        ["tilting", "--family", "Tk", "--n", "3"],
+        ["quiver", "--compare", "--n", "2", "--max-len", "2"],
+        ["rep", "--alpha", "0,0,1", "--beta", "1/2,0,0"],
+        ["kflop", "--matrix", "--n", "3"],
+        ["mutate", "--orbit", "--n", "3"],
+    ):
+        assert_usage_error(capsys, argv + ["--output", "csv"])
+
+
 def test_determinism(capsys):
     rc1, out1, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])
     rc2, out2, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])
