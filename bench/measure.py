@@ -12,8 +12,8 @@ the runs alternate and their order flips on every repeat.  A case is
 - N:L: `ensure(l)` for l = 1..L on a fresh QuiverDimEngine(N), timed
   per level.  One more run per tree, under tracemalloc, records per
   level cell_W (the widest cell's spanning-set width, as perfbench's
-  quiveralg.max_W reads it), block_W (the widest torus-weight block
-  the engine eliminates), peak_mb (peak traced memory during
+  quiveralg.max_W reads it), block_W (the widest canonical weight
+  block the engine eliminates), peak_mb (peak traced memory during
   `ensure(l)` above the level's start) and kept_mb (what it keeps);
 - criterion1: `acceptance.criterion_1()` from fresh engines;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
@@ -21,15 +21,15 @@ the runs alternate and their order flips on every repeat.  A case is
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
   grid `minorbit accept` runs).
 
-The default cases are 4:8, 5:6, 6:5, criterion1 and battery.  Each
-tree's entry holds every timing's median over the repeats and the
-median total; with two trees, each case also records the per-pair
-ratio of totals (second tree / first tree), its median and quartiles,
-and the number of pairs the second tree won.  The run stops on an
-uncertified cell, a failed criterion 1 or a failed battery.  Results
-go under runs.LABEL and pairs.SECOND/FIRST in --out; other entries in
-that file are kept.  Timings are wall clock on a possibly shared
-machine, which is why the two trees alternate.
+The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
+criterion1 and battery.  Each tree's entry holds every timing's median
+over the repeats and the median total; with two trees, each case also
+records the per-pair ratio of totals (second tree / first tree), its
+median and quartiles, and the number of pairs the second tree won.
+The run stops on an uncertified cell, a failed criterion 1 or a failed
+battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
+other entries in that file are kept.  Timings are wall clock on a
+possibly shared machine, which is why the two trees alternate.
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ import platform
 import sys
 import time
 import tracemalloc
+from operator import add, sub
 from pathlib import Path
 from statistics import median, quantiles
 
 import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
-DEFAULT_CASES = ("4:8", "5:6", "6:5", "criterion1", "battery")
+DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "criterion1", "battery")
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
 BATTERY_NS = range(2, 7)
 
@@ -69,18 +70,24 @@ def load(label: str, src) -> object:
 
 
 def widths(quiveralg, eng, l: int) -> tuple[int, int]:
-    """(widest cell W, widest block W) of level l."""
+    """(widest cell W, widest block W) of level l.  A cell's W sums its
+    source cells' dims, as perfbench's quiveralg.max_W reads it; a block
+    is one the engine eliminates, of canonical weight w, and its W sums
+    the dims of its source blocks w - wt(arrow).  An engine that keeps
+    every weight (one without `block`) eliminates every block."""
+    if hasattr(eng, "block"):
+        canon, block = (lambda w: eng._canonical(w)[0]), eng.block
+    else:
+        canon, block = (lambda w: w), (lambda l, a, b, w: eng.levels[l].get((a, b), {}).get(w))
     cell_w = block_w = 0
     for a, b in eng.levels[l]:
-        # weight w -> the width of block w: its source blocks' dims
-        per_weight: dict = {}
-        for arrow, src in eng._arrows_into(b):
-            aw = quiveralg._weight(eng.n, (arrow,))
-            for sw, (sdim, _) in eng.levels[l - 1].get((a, src), {}).items():
-                w = tuple(x + y for x, y in zip(sw, aw))
-                per_weight[w] = per_weight.get(w, 0) + sdim
-        cell_w = max(cell_w, sum(per_weight.values()))
-        block_w = max(block_w, max(per_weight.values(), default=0))
+        into = [(src, quiveralg._weight(eng.n, (arrow,))) for arrow, src in eng._arrows_into(b)]
+        cell_w = max(cell_w, sum(eng._prev_dim(a, src, l - 1) for src, _ in into))
+        targets = {canon(tuple(map(add, sw, aw)))
+                   for src, aw in into for sw in eng.levels[l - 1].get((a, src), ())}
+        for w in targets:
+            sources = (block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
+            block_w = max(block_w, sum(source[0] for source in sources if source))
     return cell_w, block_w
 
 

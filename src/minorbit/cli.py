@@ -109,7 +109,11 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise SystemExit(f"--config {path!r}: {e.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -129,9 +133,6 @@ def _load_config(path: str | None) -> dict:
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     if args.output == "csv":
-        if csv_rows is None:
-            raise SystemExit(f"{args.command}: this report has no table for "
-                             "--output csv; use json or pretty")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         if csv_header:
@@ -145,8 +146,11 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     if getattr(args, "out", None):
         base = os.environ.get("MINORBIT_OUTPUT_DIR", ".")
         path = os.path.join(base, os.path.normpath(args.out))
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise SystemExit(f"--out {args.out!r}: {e.strerror}") from None
         print(path)
     else:
         print(text.rstrip("\n"))
@@ -414,10 +418,23 @@ def _apply_config(args) -> None:
                 setattr(args, key, default)
     if getattr(args, "n", 2) < 2:
         raise SystemExit("--n must be at least 2")
+    if getattr(args, "output", None) == "csv" and not _has_table(args):
+        raise SystemExit(f"{args.command}: this report has no table for "
+                         "--output csv; use json or pretty")
     out = getattr(args, "out", None)
     if out and (os.path.isabs(out) or os.path.normpath(out).split(os.sep)[0] == os.pardir):
         raise SystemExit(f"--out {out!r} must be a relative path that stays "
                          "under MINORBIT_OUTPUT_DIR")
+    if out:
+        folder = os.path.dirname(os.path.join(
+            os.environ.get("MINORBIT_OUTPUT_DIR", "."), os.path.normpath(out)))
+        if not os.path.isdir(folder):
+            raise SystemExit(f"--out {out!r}: no directory {folder!r}")
+
+
+def _has_table(args) -> bool:
+    """Whether the report of this command has a table for --output csv."""
+    return args.command in ("coh", "hilbert") or (args.command == "quiver" and args.dims)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ Two rank routines are provided:
   single matrix that grows by `add` calls.  It works modulo one fixed
   prime, `MODP`.  Float64 arithmetic is exact while
   width * (MODP - 1)**2 < 2**53, that is for widths up to 8192; the
-  engine's torus-weight blocks are at most 180 wide (n=6, l=6).
+  engine's torus-weight blocks are at most 294 wide (n=7, l=6).
 
 A mod-p rank is always a lower bound for the rational rank, so "full
 column rank mod p" certifies full rational column rank, and a mod-p
@@ -133,14 +133,16 @@ def rref_stack(stack, stops):
     return rows, pivots, ranks
 
 
-def quotient_maps(rows, pivots, ranks) -> list[np.ndarray]:
+def quotient_maps(rows, pivots, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """For each matrix of an `rref_stack` result, the projection T
-    (W - rank, W) onto the quotient by its row space: the class of v is
-    T @ v, so a nonpivot column maps to its own coordinate and a pivot
-    column to minus its row of E = rows[:, nonpivots].  Built in one pass
-    per rank."""
+    (W - rank, W) onto the quotient by its row space, and its nonpivot
+    columns, ascending.  The class of v is T @ v: the j-th nonpivot
+    column maps to the j-th quotient coordinate and a pivot column to
+    minus its row of E = rows[:, nonpivots].  Built in one pass per
+    rank."""
     B, _, W = rows.shape
     out: list = [None] * B
+    free_cols: list = [None] * B
     for r in sorted(set(ranks.tolist())):
         idx = np.flatnonzero(ranks == r)
         G, d = len(idx), W - r
@@ -156,7 +158,8 @@ def quotient_maps(rows, pivots, ranks) -> list[np.ndarray]:
         Tt[g, piv] = -E % MODP
         for j, i in enumerate(idx.tolist()):
             out[i] = Tt[j].T
-    return out
+            free_cols[i] = nonpiv[j]
+    return out, free_cols
 
 
 class ModPRref:
@@ -180,7 +183,7 @@ class ModPRref:
     split into `add` calls, nor on which other matrices share a stack.
     And the rank of a block is at most its width, so the buffer, which
     grows as rows arrive, never holds more than `width` rows; the quiver
-    engine eliminates torus-weight blocks at most 180 wide.
+    engine eliminates torus-weight blocks at most 294 wide.
 
     `stop_at_rank` is checked before every row.  Callers pass W - target,
     where the target is an exact lower bound for the quotient dimension:
@@ -227,4 +230,4 @@ class ModPRref:
         """The projection T (width - rank, width) onto the quotient by the
         row space, as `quotient_maps` builds it: the class of v is
         T @ v mod `MODP`."""
-        return quotient_maps(self._buf[None], self._pivots, self._rank)[0]
+        return quotient_maps(self._buf[None], self._pivots, self._rank)[0][0]

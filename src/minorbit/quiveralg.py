@@ -16,32 +16,51 @@ degree's quotient, the degree-(l+1) quotient is W modulo the
 relation instances whose context sits entirely below the top arrow.
 Every arrow and every relation generator is homogeneous for the
 GL(V)-torus weight (f_i -> +e_i, v_i -> -e_i), so the engine splits
-each cell into weight blocks, each eliminated on its own rows; a level
-maps each cell to its blocks, {weight: (dim, maps)}, and the blocks of
-a level that share a width go through one batched mod-p call.
+each cell into weight blocks, each eliminated on its own rows.
+
+The symmetric group S_n permutes the labels 1..n.  It maps the quiver
+to itself and the generators to generators up to sign, so each sigma
+is an algebra automorphism over Z that carries the weight-u block of a
+cell onto the weight-sigma(u) block.  The engine therefore eliminates
+only the canonical blocks, w sorted descending, one per S_n-orbit, and
+the blocks of a level that share a width go through one batched mod-p
+call.  The basis of any other block u is pi_u applied to the basis of
+canon(u), pi_u the stable sort taking canon(u) to u.  In these bases
+the map of block u on an arrow y is the action of a permutation tau on
+its source block, followed by the canonical block's map on pi_u^-1(y);
+tau fixes the source block's canonical weight, and acts through the
+matrices rho(s_k) of the adjacent swaps fixing that weight, which the
+engine reads off each canonical block's nonpivot columns.  The top level's
+other blocks are never built, and a lower one's maps are transported
+only when a relation row of the next level asks for them.
+
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
 surjection onto the graded Hom pieces of the cone, whose dimensions
 (the closed-form trace coranks of `cohengine.sym_pair_corank`) bound it
 from below.  The surjection preserves the torus weight, so each block
-has its own exact lower bound (`_weight_target`); the blocks are
-certified one by one and summed per cell.  Equality of the bounds
-certifies the value; the engine records its verdict on every cell as
-it builds the level, and a cell whose bounds disagree raises
-`CertificationError` and is reported, never patched.
+has its own exact lower bound (`_weight_target`), which depends only on
+the multiset of the weight.  Each canonical block is certified against
+it; sigma, being defined over Z, carries the certified rational
+dimension to every block of the orbit, whose target is the same, and a
+cell's dimension is the sum over its canonical blocks of dimension
+times orbit size.  Equality of the bounds certifies the value; the
+engine records its verdict on every cell as it builds the level, and a
+cell whose bounds disagree raises `CertificationError` and is
+reported, never patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 import numpy as np
 
 from .cohengine import sym_pair_corank
-from .linalg import quotient_maps, rank_exact, rref_stack
+from .linalg import MODP, quotient_maps, rank_exact, rref_stack
 from .relations import relation_generators
 
 
@@ -214,7 +233,9 @@ def _weight(n: int, steps) -> tuple[int, ...]:
 def _relation_rows(rows, layout, rels) -> None:
     """Write the relation rows of a weight block into `rows` (zero on
     entry, at least as tall as the block's rows): `layout` is {arrow:
-    (column offset, source block)}, and `rels` is the flat list dq,
+    (column offset, source block)}, a source block (dim, maps) as
+    `QuiverDimEngine.block` reads it, so a non-canonical one's maps are
+    transported as the rows read them; `rels` is the flat list dq,
     terms, ... of the generators applied to blocks two levels down."""
     start = 0
     it = iter(rels)
@@ -253,40 +274,74 @@ class CertificationError(RuntimeError):
 _STACK_CAP = 2 ** 15
 
 
-class QuiverDimEngine:
-    """Degree-by-degree quotient construction, mod p, one torus-weight
-    block at a time.
+class _Transported(dict):
+    """{arrow: map} of a block whose weight is not canonical: each map is
+    transported from the canonical block on its first lookup."""
 
-    Every relation generator is homogeneous for the torus weight (the
-    constructor raises ValueError otherwise), and so are the arrows, so
-    the quotient splits into weight blocks.  `levels[l]` maps each cell
-    (a, b) reached from level l - 1 to its blocks, {w: (dim, {arrow:
-    map})}: the map on an arrow is the part of the block's projection T
-    (dim, W) onto its quotient on the arrow's piece of W, the source
-    block of weight w - wt(arrow).  Blocks of dim 0 are not kept, and a
-    cell's dim is the sum of its blocks.  A level is built in two passes:
-    the first collects each block once, with its layout {arrow: (column
-    offset, source block)} and its relation rows (the generators applied
-    to the blocks of weight w - wt(generator) two levels down), into the
-    group of its width W; the second eliminates each group together
+    def __init__(self, eng, l, a, b, w):
+        super().__init__()
+        self._at = (eng, l, a, b, w)
+
+    def __missing__(self, arrow):
+        eng, l, a, b, w = self._at
+        m = self[arrow] = eng._transport(l, a, b, w, arrow)
+        return m
+
+
+class QuiverDimEngine:
+    """Degree-by-degree quotient construction, mod p, one S_n-orbit of
+    torus-weight blocks at a time.
+
+    Every relation generator is homogeneous for the torus weight and the
+    generating set is stable under the adjacent label swaps up to sign
+    (the constructor raises ValueError otherwise), so the quotient splits
+    into weight blocks, and the blocks of weights u and sigma(u) are
+    isomorphic.  `levels[l]` maps each cell (a, b) reached from level
+    l - 1 to its canonical blocks, {w: (dim, {arrow: map})} with w
+    sorted descending: the map on an arrow is the part of the block's
+    projection T (dim, W) onto its quotient on the arrow's piece of W,
+    the source block of weight w - wt(arrow), in that block's basis.
+    Blocks of dim 0 are not kept; a cell's dim is the sum over its
+    blocks of dim times orbit size.  `block` reads any weight, the maps
+    of a non-canonical one transported on demand (`_transport`).
+
+    A level is built in two passes: the first collects each canonical
+    block once, with its layout {arrow: (column offset, source block)}
+    and its relation rows (the generators applied to the blocks of
+    weight w - wt(generator) two levels down), into the group of its
+    width W; the second eliminates each group together
     (`linalg.rref_stack`), every block stopped at W - `_weight_target`.
     The blocks stay independent (each has its own rows, stop and RREF),
     so every block dim is at least its target, and a cell meets
-    `_cell_target` exactly when every block meets its own.  The engine
-    records its verdict on every cell of a level as it builds it, in
-    `verdicts`; the cells that miss their target are listed in
+    `_cell_target` exactly when every canonical block meets its own.
+    The engine records its verdict on every cell of a level as it builds
+    it, in `verdicts`; the cells that miss their target are listed in
     `uncertified`."""
 
     def __init__(self, n: int):
         self.n = n
         origin = (0,) * n
         self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(n)}]
+        # parallel to levels: (a, b) -> {w: the block's nonpivot columns}
+        self._free: list[dict] = [{}]
         # (a, b, length) -> None if certified, else (a, b, length, dim, target)
         self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
+        self._id = tuple(range(n))
+        self._swaps = [self._id[:k] + (k + 1, k) + self._id[k + 2 :] for k in range(n - 1)]
+        self._aw = {arrow: _weight(n, (arrow,)) for arrow, _ in
+                    self._arrows_into(0) + self._arrows_into(n - 1)}
+        # w -> (canonical w, pi_w, pi_w inverse); canonical w -> orbit size
+        self._canon: dict = {}
+        self._orbits: dict = {}
+        # (l, a, b, w, tau) -> rho_w(tau), and (l, a, b, w) -> _Transported
+        self._rho_cache: dict = {}
+        self._transported: dict = {}
         self._certify(0)
-        # target vertex -> [(source, weight, [(coeff, first, top)])]
-        self._gens_by_target: dict[int, list] = {}
-        for gen in relation_generators(n):
+        # target vertex -> {(source, weight): [terms, ...]}; a term is
+        # (coeff, first, top)
+        self._gens_by_target: dict[int, dict] = {}
+        gens = relation_generators(n)
+        for gen in gens:
             weights = {_weight(n, steps) for _, steps in gen.terms}
             if len(weights) != 1:
                 raise ValueError(
@@ -299,8 +354,25 @@ class QuiverDimEngine:
                     f"has two terms ending in one arrow: {gen.terms}"
                 )
             terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
-            self._gens_by_target.setdefault(gen.target, []).append(
-                (gen.source, weights.pop(), terms))
+            self._gens_by_target.setdefault(gen.target, {}).setdefault(
+                (gen.source, weights.pop()), []).append(terms)
+        self._check_symmetry(gens)
+
+    def _check_symmetry(self, gens) -> None:
+        """Raise ValueError unless every adjacent label swap maps every
+        generator to plus or minus a generator."""
+        known = {(g.source, g.target, frozenset(g.terms)) for g in gens}
+        for gen in gens:
+            for k, sk in enumerate(self._swaps):
+                moved = [(c, tuple((kind, sk[i - 1] + 1) for kind, i in steps))
+                         for c, steps in gen.terms]
+                if not any((gen.source, gen.target, frozenset((sign * c, steps)
+                            for c, steps in moved)) in known for sign in (1, -1)):
+                    raise ValueError(
+                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                        f"is not S_n-stable: swapping labels {k + 1} and {k + 2} "
+                        f"gives {moved}, which is no generator up to sign"
+                    )
 
     @property
     def uncertified(self) -> list[tuple[int, int, int, int, int]]:
@@ -314,48 +386,173 @@ class QuiverDimEngine:
         while len(self.levels) <= length:
             self._build_level(len(self.levels))
 
+    def _canonical(self, w):
+        """(canon(w), pi_w, pi_w^-1): w sorted descending, and the stable
+        sort pi_w taking canon(w) to w (canon(w)[k] = w[pi_w[k]]), as
+        one-line tuples of 0-based labels."""
+        hit = self._canon.get(w)
+        if hit is None:
+            pi = tuple(sorted(self._id, key=lambda i: -w[i]))
+            inv = [0] * self.n
+            for k, i in enumerate(pi):
+                inv[i] = k
+            hit = self._canon[w] = (tuple(w[i] for i in pi), pi, tuple(inv))
+        return hit
+
+    def _orbit_size(self, w) -> int:
+        """n! / prod(run length!) for a canonical w."""
+        size = self._orbits.get(w)
+        if size is None:
+            size, run = 1, 0
+            for k in range(self.n):
+                run = run + 1 if k and w[k] == w[k - 1] else 1
+                size = size * (k + 1) // run
+            self._orbits[w] = size
+        return size
+
     def _prev_dim(self, a: int, s: int, lev: int) -> int:
         blocks = self.levels[lev].get((a, s))
-        return sum(dim for dim, _ in blocks.values()) if blocks else 0
+        if not blocks:
+            return 0
+        return sum(self._orbit_size(w) * dim for w, (dim, _) in blocks.items())
+
+    def block(self, l: int, a: int, b: int, w):
+        """(dim, {arrow: map}) of the weight-w block of cell (a, b, l), for
+        any w, or None if it is zero: the basis of block w is pi_w applied
+        to the basis of block canon(w), and its maps are transported on
+        lookup."""
+        cell = self.levels[l].get((a, b))
+        c = self._canonical(w)[0]
+        blk = cell.get(c) if cell else None
+        if not blk or c == w:
+            return blk
+        key = (l, a, b, w)
+        maps = self._transported.get(key)
+        if maps is None:
+            maps = self._transported[key] = _Transported(self, l, a, b, w)
+        return blk[0], maps
+
+    def _transport(self, l: int, a: int, b: int, u, y):
+        """The map of block u of cell (a, b, l) on arrow y.  pi = pi_u is
+        the identity from block u to block canon(u) and relabels paths, so
+        the map is M(canon(u), pi^-1 y) @ (the action of pi^-1 from block
+        u - wt(y) to block pi^-1 (u - wt(y)))."""
+        c, _, piinv = self._canonical(u)
+        kind, i = y
+        M = self.levels[l][(a, b)][c][1][(kind, piinv[i - 1] + 1)]
+        A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, piinv,
+                         tuple(map(sub, u, self._aw[y])))
+        return M if A is None else M @ A % MODP
+
+    def _action(self, l: int, a: int, b: int, sigma, v):
+        """The matrix of the label permutation sigma (one-line tuple) from
+        block v of cell (a, b, l) to block sigma(v), in the bases of
+        `block`, or None if it is the identity.  sigma pi_v =
+        pi_(sigma v) tau with tau in Stab(canon(v)), so it is
+        rho_canon(v)(tau); tau is often the identity."""
+        c, pv, _ = self._canonical(v)
+        moved = [0] * self.n
+        for i, x in zip(sigma, v):
+            moved[i] = x
+        inv = self._canonical(tuple(moved))[2]
+        tau = tuple([inv[sigma[j]] for j in pv])
+        return None if tau == self._id else self._rho(l, a, b, c, tau)
+
+    def _rho(self, l: int, a: int, b: int, w, tau):
+        """The action rho_w(tau) (dim, dim) of tau in Stab(w) on canonical
+        block w of cell (a, b, l): column j holds the coordinates of
+        tau(basis vector j).  tau = (tau s_k) s_k for its first descent k,
+        and s_k lies in the Young subgroup Stab(w), so rho_w(tau) is a
+        product of the rho_w(s_k) of `_swap_action`."""
+        key = (l, a, b, w, tau)
+        R = self._rho_cache.get(key)
+        if R is None:
+            k = next(k for k in range(self.n - 1) if tau[k] > tau[k + 1])
+            rest = tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2 :]
+            if rest == self._id:
+                R = self._swap_action(l, a, b, w, k)
+            else:
+                R = self._rho(l, a, b, w, rest) @ self._rho(l, a, b, w, self._swaps[k]) % MODP
+            self._rho_cache[key] = R
+        return R
+
+    def _swap_action(self, l: int, a: int, b: int, w, k: int):
+        """rho_w(s_k) for an adjacent swap s_k fixing w.  Basis vector m,
+        nonpivot column m at piece x, is the class of (source basis
+        vector j) x; s_k sends it to s_k(source vector) s_k(x), whose
+        coordinates are M(w, s_k x) @ (the action of s_k from block
+        w - wt(x) to block w - wt(s_k x))[:, j]."""
+        if l == 0:
+            return np.ones((1, 1))
+        dim, maps = self.levels[l][(a, b)][w]
+        free = self._free[l][(a, b)][w]
+        sk = self._swaps[k]
+        out = np.empty((dim, dim))
+        off = 0
+        for (kind, i), T in maps.items():
+            width = T.shape[1]
+            lo, hi = np.searchsorted(free, (off, off + width)).tolist()
+            if hi > lo:
+                M = maps[(kind, sk[i - 1] + 1)]
+                A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, sk,
+                                 tuple(map(sub, w, self._aw[(kind, i)])))
+                cols = free[lo:hi] - off
+                out[:, lo:hi] = M[:, cols] if A is None else M @ A[:, cols] % MODP
+            off += width
+        return out
 
     def _build_level(self, l: int) -> None:
         n = self.n
+        canon = self._canonical
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
-        newlevel: dict = {}
-        # W -> [(height, the cell's blocks, w, layout, stop, relation terms)]
+        newlevel, newfree = {}, {}
+        # W -> [(height, the cell's blocks, their nonpivots, w, layout, stop,
+        # relation terms)]
         groups: dict = {}
         for a in range(n):
             for b in range(n):
-                # weight w -> its layout, and w -> its width so far
-                layouts, widths = {}, {}
-                for arrow, src in self._arrows_into(b):
-                    aw = _weight(n, (arrow,))
-                    for sw, block in prev.get((a, src), {}).items():
-                        w = tuple(map(add, sw, aw))
-                        off = widths.get(w, 0)
-                        widths[w] = off + block[0]
-                        layouts.setdefault(w, {})[arrow] = (off, block)
-                if not layouts:
+                into = [(arrow, src, self._aw[arrow]) for arrow, src in self._arrows_into(b)
+                        if prev.get((a, src))]
+                # canon(s0 + wt(x)) over the canonical source blocks s0 and
+                # the arrows x: every block of the cell is in one of their
+                # orbits
+                targets = {canon(tuple(map(add, sw, aw)))[0]
+                           for _, src, aw in into for sw in prev[(a, src)]}
+                if not targets:
                     continue
                 blocks = newlevel[(a, b)] = {}
-                # weight w -> [dq, terms, dq, terms, ...]: per generator, the
-                # dim of the block of weight w - wt(gen) two levels down and
-                # the generator's terms, flat to save a tuple per pair
-                rels: dict = {}
-                for src, gw, terms in self._gens_by_target.get(b, ()):
-                    for sw, (sdim, _) in below.get((a, src), {}).items():
-                        rels.setdefault(tuple(map(add, sw, gw)), []).extend((sdim, terms))
-                for w, layout in layouts.items():
-                    W = widths[w]
+                free = newfree[(a, b)] = {}
+                gens = [(below[(a, src)], gw, terms)
+                        for (src, gw), terms in self._gens_by_target.get(b, {}).items()
+                        if below.get((a, src))]
+                for w in targets:
+                    layout, W = {}, 0
+                    for arrow, src, aw in into:
+                        source = self.block(l - 1, a, src, tuple(map(sub, w, aw)))
+                        if source:
+                            layout[arrow] = (W, source)
+                            W += source[0]
                     stop = W - _weight_target(n, a, b, l, w)
-                    rel = rels.get(w, ()) if stop > 0 else ()
+                    # [dq, terms, dq, terms, ...]: per generator, the dim of
+                    # the block of weight w - wt(gen) two levels down and
+                    # the generator's terms, flat to save a tuple per pair
+                    rel: list = []
+                    if stop > 0:
+                        for cell, gw, term_lists in gens:
+                            low = cell.get(canon(tuple(map(sub, w, gw)))[0])
+                            if low:
+                                for terms in term_lists:
+                                    rel += (low[0], terms)
                     groups.setdefault(W, []).append(
-                        (sum(rel[::2]), blocks, w, layout, stop, rel))
+                        (sum(rel[::2]), blocks, free, w, layout, stop, rel))
         # widest first, while the level holds the fewest maps
         for W in sorted(groups, reverse=True):
             self._eliminate(W, groups.pop(W))
         self.levels.append(newlevel)
+        self._free.append(newfree)
+        # level l + 1 transports maps of level l only: drop level l - 1's
+        self._transported.clear()
         self._certify(l)
 
     @staticmethod
@@ -363,25 +560,27 @@ class QuiverDimEngine:
         """Eliminate a group of width-W blocks, tallest first, one
         `rref_stack` call per part of at most `_STACK_CAP` stacked entries
         (or of one block that alone is larger), and store each block's
-        (dim, maps) in its cell.  Each record is dropped as its maps are
-        stored, so the transient memory of a level stays small."""
+        (dim, maps) and nonpivot columns in its cell.  Each record is
+        dropped as its maps are stored, so the transient memory of a level
+        stays small."""
         group.sort(key=itemgetter(0))
         while group:
             H = group[-1][0]
             part = group[-max(1, _STACK_CAP // max(H * W, 1)) :]
             del group[-len(part) :]
             stack = np.zeros((len(part), H, W))
-            for rows, (_, _, _, layout, _, rel) in zip(stack, part):
+            for rows, (_, _, _, _, layout, _, rel) in zip(stack, part):
                 _relation_rows(rows, layout, rel)
-            rref = rref_stack(stack, [block[4] for block in part])
+            rref = rref_stack(stack, [block[5] for block in part])
             del stack
-            projections = quotient_maps(*rref)
+            projections, nonpivots = quotient_maps(*rref)
             while part:
-                _, blocks, w, layout, _, _ = part.pop()
-                T = projections.pop()
+                _, blocks, free, w, layout, _, _ = part.pop()
+                T, cols = projections.pop(), nonpivots.pop()
                 if len(T):
                     blocks[w] = (len(T), {arrow: T[:, off : off + sdim]
                                           for arrow, (off, (sdim, _)) in layout.items()})
+                    free[w] = cols
 
     def _certify(self, l: int) -> None:
         """Record the verdict on every (a, b, l) cell, with or without

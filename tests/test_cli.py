@@ -236,6 +236,46 @@ def test_csv_needs_a_table(capsys):
         assert_usage_error(capsys, argv + ["--output", "csv"])
 
 
+def test_csv_without_a_table_is_rejected_before_computing(tmp_path, capsys, monkeypatch):
+    # the check runs when the arguments are parsed, also for output=csv
+    # from a config file; none of these computations may start
+    from minorbit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed a report that --output csv cannot print")
+
+    for mod, name in ((cli.cohengine, "tilting_check"), (cli.quiveralg, "compare_with_nccr"),
+                      (cli.repmoduli, "rep_from_triple"), (cli.kfunctor, "kn_matrix"),
+                      (cli.mutation, "orbit_check")):
+        monkeypatch.setattr(mod, name, never)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("output=csv\n")
+    for argv in (
+        ["tilting", "--family", "Tk", "--n", "3"],
+        ["quiver", "--compare", "--n", "6", "--max-len", "5"],
+        ["rep", "--alpha", "0,0,1", "--beta", "1/2,0,0"],
+        ["kflop", "--matrix", "--n", "3"],
+        ["mutate", "--orbit", "--n", "3"],
+    ):
+        assert_usage_error(capsys, argv + ["--output", "csv"])
+        assert_usage_error(capsys, ["--config", str(cfg)] + argv)
+
+
+def test_missing_config_or_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from minorbit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed a report that cannot be written")
+
+    monkeypatch.setenv("MINORBIT_OUTPUT_DIR", str(tmp_path))
+    assert_usage_error(capsys, ["--config", str(tmp_path / "nofile"),
+                                "coh", "--n", "2", "--bundle", "O(1)"])
+    monkeypatch.setattr(cli.bwb, "cohomology", never)
+    assert_usage_error(capsys, ["coh", "--n", "2", "--bundle", "O(1)",
+                                "--out", "nodir/x.json"])
+    assert not any(tmp_path.iterdir())
+
+
 def test_determinism(capsys):
     rc1, out1, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])
     rc2, out2, _ = run(capsys, ["coh", "--n", "4", "--bundle", "hom(2,3,1)"])

@@ -171,7 +171,7 @@ def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
     for layer, mat in zip(stack, mats):
         layer[: len(mat)] = mat + p * rng.integers(-2 ** 20, 2 ** 20, size=mat.shape)
     rows, pivots, ranks = rref_stack(stack, stops)
-    maps = quotient_maps(rows, pivots, ranks)
+    maps, free = quotient_maps(rows, pivots, ranks)
     assert any(r < len(_naive_rref(m, p)[1]) for m, r in zip(mats, ranks))
     for i, (mat, stop) in enumerate(zip(mats, stops)):
         ref_rows, ref_pivots = _naive_rref(mat, p, stop_at_rank=stop)
@@ -188,6 +188,6 @@ def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
         acc.add(mat.astype(float), stop_at_rank=stop)
         assert acc.rank == r and acc.pivots == ref_pivots
         v = rng.integers(0, p, size=w).astype(float)
-        assert maps[i].shape == (w - r, w)
+        assert maps[i].shape == (w - r, w) and free[i].tolist() == nonpiv
         assert np.array_equal(maps[i] @ v % p, (v[nonpiv] - v[ref_pivots] @ E) % p)
         assert np.array_equal(acc.projection(), maps[i])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minorbit import quiveralg
-from minorbit.linalg import ModPRref, rank_exact
+from minorbit.linalg import MODP, ModPRref, rank_exact
 from minorbit.quiveralg import (
     CertificationError,
     QuiverDimEngine,
@@ -292,25 +292,45 @@ def test_weight_targets_sum_to_the_cell_target():
                     assert total == quiveralg._cell_target(n, a, b, l), (n, a, b, l)
 
 
-def test_block_dims_are_label_symmetric():
-    # permuting the labels 1..n maps the quiver and its relations to
-    # themselves, so a block's dim depends on its weight only up to
-    # permutation; the engine eliminates every weight on its own
-    for n in (3, 4):
-        eng = quiveralg._engine(n)
-        eng.ensure(5)
-        for l in range(6):
-            for cell in eng.levels[l].values():
-                dims = {w: d for w, (d, _) in cell.items()}
-                for w, d in dims.items():
-                    for sigma in permutations(range(n)):
-                        assert dims.get(tuple(w[i] for i in sigma), 0) == d, (n, l, w)
+def _direct_block_dims(n, a, b, length):
+    """{weight: dim} of a cell from the direct oracle's free span and
+    relation instances, each split by torus weight; no label symmetry is
+    assumed."""
+    q = Quiver(n)
+    index: dict = {}
+    for path in enumerate_paths(q, a, b, length):
+        block = index.setdefault(quiveralg._weight(n, path.steps), {})
+        block[path] = len(block)
+    rows: dict = {}
+    for vec in relation_instances(q, a, b, length):
+        weight = quiveralg._weight(n, next(iter(vec)).steps)
+        rows.setdefault(weight, []).append({index[weight][path]: c for path, c in vec.items()})
+    return {weight: len(block) - rank_exact(rows.get(weight, []), len(block))
+            for weight, block in index.items()}
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
+def test_block_dims_match_the_direct_oracle_per_weight(n, max_len):
+    # every weight of every cell, read through its orbit's canonical block
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    checked = 0
+    for l in range(max_len + 1):
+        for a in range(n):
+            for b in range(n):
+                for w, d in _direct_block_dims(n, a, b, l).items():
+                    block = eng.block(l, a, b, w)
+                    assert (block[0] if block else 0) == d, (l, a, b, w)
+                    checked += w != tuple(sorted(w, reverse=True))
+    assert checked > 200
 
 
 def test_overstated_weight_target_is_uncertified(monkeypatch):
-    # a block stopped one row early keeps one dimension too many; its
-    # cell misses the cell target, is listed by the engine, and is the
-    # one mismatch of the comparison that reaches it
+    # a block stopped one row early keeps one dimension too many, and so
+    # does every block of its orbit: (1, 0, 0) carries it to (0, 1, 0)
+    # and (0, 0, 1), so its cell misses the cell target by 3, is listed
+    # by the engine, and is the one mismatch of the comparison that
+    # reaches it
     q = Quiver(3)
     true_dim = graded_dim_direct(q, 0, 1, 3)
     real_target = quiveralg._weight_target
@@ -323,7 +343,7 @@ def test_overstated_weight_target_is_uncertified(monkeypatch):
     monkeypatch.setattr(quiveralg, "_weight_target", target)
     monkeypatch.setattr(quiveralg, "_engines", {})
     calls = _no_direct_calls(monkeypatch)
-    entry = (0, 1, 3, true_dim + 1, true_dim)
+    entry = (0, 1, 3, true_dim + 3, true_dim)
     rep = compare_with_nccr(3, 3)
     assert quiveralg._engines[3].uncertified == [entry]
     assert rep.mismatches == (entry,)
@@ -335,28 +355,27 @@ def test_overstated_weight_target_is_uncertified(monkeypatch):
 
 
 def _rebuilt_block(eng, l, a, b, w):
-    """(dim, maps) of the weight-w block of cell (a, b, l), eliminated on
-    its own through ModPRref from the engine's blocks one and two levels
-    down: its pieces in the order of the arrows into b, its relation rows
-    generator by generator, stopped at W - `_weight_target`."""
+    """(dim, maps) of the canonical weight-w block of cell (a, b, l),
+    eliminated on its own through ModPRref from the engine's blocks one
+    and two levels down, of any weight, read through `block`: its pieces
+    in the order of the arrows into b, its relation rows generator by
+    generator, stopped at W - `_weight_target`."""
     n = eng.n
-    below = eng.levels[l - 2] if l >= 2 else {}
     offs, W = {}, 0
     for arrow, src in eng._arrows_into(b):
-        cell = eng.levels[l - 1].get((a, src))
         sw = tuple(x - y for x, y in zip(w, quiveralg._weight(n, (arrow,))))
-        if cell and sw in cell:
-            sdim, mats = cell[sw]
-            offs[arrow] = (W, sdim, mats)
-            W += sdim
+        block = eng.block(l - 1, a, src, sw)
+        if block:
+            offs[arrow] = (W, block[0], block[1])
+            W += block[0]
     rows = []
     for gen in relation_generators(n):
-        cell = below.get((a, gen.source))
         gw = quiveralg._weight(n, gen.terms[0][1])
-        sw = tuple(x - y for x, y in zip(w, gw))
-        if gen.target != b or not cell or sw not in cell:
+        low = eng.block(l - 2, a, gen.source, tuple(x - y for x, y in zip(w, gw))) \
+            if gen.target == b and l >= 2 else None
+        if not low:
             continue
-        r = np.zeros((cell[sw][0], W))
+        r = np.zeros((low[0], W))
         for coeff, (first, top) in gen.terms:
             if top in offs:
                 off, width, mats = offs[top]
@@ -370,23 +389,28 @@ def _rebuilt_block(eng, l, a, b, w):
     return len(T), {arrow: T[:, off : off + width] for arrow, (off, width, _) in offs.items()}
 
 
+def _weights(eng, l, a, b):
+    """Every weight of cell (a, b, l): the orbits of its canonical blocks."""
+    return {w for c in eng.levels[l].get((a, b), {}) for w in set(permutations(c))}
+
+
 @pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
 def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
-    # the engine eliminates a level's same-width blocks in shared stacks;
-    # each block, rebuilt and eliminated on its own, must give the same
-    # dim and the same map on every arrow, entry for entry
+    # the engine eliminates a level's same-width canonical blocks in
+    # shared stacks, on maps of lower blocks of every weight that it
+    # transports; each canonical block, rebuilt and eliminated on its own
+    # from the lower blocks read through `block`, must give the same dim
+    # and the same map on every arrow, entry for entry
     eng = QuiverDimEngine(n)
     eng.ensure(max_len)
     checked = 0
     for l in range(1, max_len + 1):
         for (a, b), cell in eng.levels[l].items():
-            weights = {
+            canonical = {w for w in (eng._canonical(v)[0] for v in {
                 tuple(x + y for x, y in zip(sw, quiveralg._weight(n, (arrow,))))
                 for arrow, src in eng._arrows_into(b)
-                if (a, src) in eng.levels[l - 1]
-                for sw in eng.levels[l - 1][(a, src)]
-            }
-            rebuilt = {w: _rebuilt_block(eng, l, a, b, w) for w in weights}
+                for sw in _weights(eng, l - 1, a, src)})}
+            rebuilt = {w: _rebuilt_block(eng, l, a, b, w) for w in canonical}
             rebuilt = {w: block for w, block in rebuilt.items() if block[0]}
             assert cell.keys() == rebuilt.keys(), (l, a, b)
             for w, (dim, maps) in cell.items():
@@ -396,7 +420,66 @@ def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
                     assert m.shape == ref_maps[arrow].shape
                     assert np.array_equal(m, ref_maps[arrow]), (l, a, b, w, arrow)
                 checked += 1
-    assert checked > 100
+    assert checked > 50
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
+def test_generators_vanish_on_the_transported_maps(n, max_len):
+    # for every block r of every weight and every generator out of its
+    # vertex, sum coeff * M(top) @ M(first) is the generator's action on
+    # the quotient, so it must be zero mod p; almost every block it
+    # reads is transported
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    checked = 0
+    for l in range(max_len - 1):
+        for a, s in eng.levels[l]:
+            for r in _weights(eng, l, a, s):
+                for gen in relation_generators(n):
+                    if gen.source != s:
+                        continue
+                    acc = 0
+                    for coeff, (first, top) in gen.terms:
+                        mid_w = tuple(x + y for x, y in zip(r, quiveralg._weight(n, (first,))))
+                        mid = eng.block(l + 1, a, quiveralg._step_target(n, s, first), mid_w)
+                        up_w = tuple(x + y for x, y in zip(mid_w, quiveralg._weight(n, (top,))))
+                        up = eng.block(l + 2, a, gen.target, up_w)
+                        if mid and up:
+                            acc = acc + coeff * (up[1][top] @ mid[1][first] % MODP)
+                    assert not np.any(np.asarray(acc) % MODP), (l, a, s, r, gen)
+                    checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 5), (5, 4)])
+def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
+    # rho(s_k) on a canonical block w is defined when s_k fixes w; each is
+    # an involution, and adjacent ones satisfy (rho(s_k) rho(s_k+1))^3 = I
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    braids = 0
+    for l in range(max_len + 1):
+        for (a, b), cell in eng.levels[l].items():
+            for w, (dim, _) in cell.items():
+                eye = np.eye(dim)
+                rho = {k: eng._rho(l, a, b, w, eng._swaps[k])
+                       for k in range(n - 1) if w[k] == w[k + 1]}
+                for k, R in rho.items():
+                    assert np.array_equal(R @ R % MODP, eye), (l, a, b, w, k)
+                    if k + 1 in rho:
+                        P = R @ rho[k + 1] % MODP
+                        assert np.array_equal(P @ P % MODP @ P % MODP, eye), (l, a, b, w, k)
+                        braids += dim > 1
+    assert braids > 30
+
+
+def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(monkeypatch):
+    # the engine eliminates one block per S_n-orbit, which is sound only
+    # if swapping two labels maps each generator to one up to sign
+    real = quiveralg.relation_generators
+    monkeypatch.setattr(quiveralg, "relation_generators", lambda n: real(n)[1:])
+    with pytest.raises(ValueError, match="not S_n-stable"):
+        QuiverDimEngine(3)
 
 
 def test_graded_dim_reads_the_engine_verdict(monkeypatch):
