@@ -73,20 +73,15 @@ def widths(quiveralg, eng, l: int) -> tuple[int, int]:
     """(widest cell W, widest block W) of level l.  A cell's W sums its
     source cells' dims, as perfbench's quiveralg.max_W reads it; a block
     is one the engine eliminates, of canonical weight w, and its W sums
-    the dims of its source blocks w - wt(arrow).  An engine that keeps
-    every weight (one without `block`) eliminates every block."""
-    if hasattr(eng, "block"):
-        canon, block = (lambda w: eng._canonical(w)[0]), eng.block
-    else:
-        canon, block = (lambda w: w), (lambda l, a, b, w: eng.levels[l].get((a, b), {}).get(w))
+    the dims of its source blocks w - wt(arrow)."""
     cell_w = block_w = 0
     for a, b in eng.levels[l]:
         into = [(src, quiveralg._weight(eng.n, (arrow,))) for arrow, src in eng._arrows_into(b)]
         cell_w = max(cell_w, sum(eng._prev_dim(a, src, l - 1) for src, _ in into))
-        targets = {canon(tuple(map(add, sw, aw)))
+        targets = {eng._canonical(tuple(map(add, sw, aw)))[0]
                    for src, aw in into for sw in eng.levels[l - 1].get((a, src), ())}
         for w in targets:
-            sources = (block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
+            sources = (eng.block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
             block_w = max(block_w, sum(source[0] for source in sources if source))
     return cell_w, block_w
 

@@ -172,10 +172,10 @@ def criterion_6() -> CriterionResult:
     return CriterionResult(
         6,
         "flop image table: with the correspondence part seeded with "
-        "[O(-a)], the product, divisor and O_E(kE) correction terms cancel "
-        "to the flop-matrix image of [O(a)]; the flop matrix sends [O(a)] "
-        "to [O(-a)] for every |a| <= 2n, so every window in that range has "
-        "the same matrix (n<=5)",
+        "[O(-a)], the O_E(kE) correction cancels the twisted product term, "
+        "nonzero only at a=-n+1, giving the flop-matrix image of [O(a)]; "
+        "the flop matrix sends [O(a)] to [O(-a)] for every |a| <= 2n, so "
+        "every window in that range has the same matrix (n<=5)",
         not bad,
         f"failures: {bad[:3]}" if bad else "",
     )

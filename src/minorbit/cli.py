@@ -127,7 +127,11 @@ def _load_config(path: str | None) -> dict:
             if k == "output" and v not in _OUTPUTS:
                 raise SystemExit(f"config line {lineno}: output must be one of "
                                  f"{', '.join(_OUTPUTS)}, not {v!r}")
-            out[k] = v
+            try:
+                out[k] = v if k == "output" else int(v)
+            except ValueError:
+                raise SystemExit(f"config line {lineno}: {k} must be an integer, "
+                                 f"not {v!r}") from None
     return out
 
 
@@ -160,12 +164,16 @@ def _pretty(payload, indent=0) -> str:
     pad = "  " * indent
     if isinstance(payload, dict):
         return "\n".join(
-            f"{pad}{k}:" + ("\n" + _pretty(v, indent + 1) if isinstance(v, (dict, list)) else f" {v}")
+            f"{pad}{k}:" + ("\n" + _pretty(v, indent + 1) if isinstance(v, (dict, list)) and v
+                            else f" {v}")
             for k, v in payload.items()
         )
     if isinstance(payload, list):
+        # each item starts with "- "; a nested item's first line takes the
+        # marker in place of its indent, as YAML writes it
         return "\n".join(
-            _pretty(v, indent) if isinstance(v, (dict, list)) else f"{pad}- {v}"
+            f"{pad}- " + _pretty(v, indent + 1)[len(pad) + 2 :]
+            if isinstance(v, (dict, list)) and v else f"{pad}- {v}"
             for v in payload
         )
     return f"{pad}{payload}"
@@ -411,11 +419,7 @@ def _apply_config(args) -> None:
     cfg = _load_config(args.config)
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
-            if key in cfg:
-                val = cfg[key]
-                setattr(args, key, val if key == "output" else int(val))
-            else:
-                setattr(args, key, default)
+            setattr(args, key, cfg.get(key, default))
     if getattr(args, "n", 2) < 2:
         raise SystemExit("--n must be at least 2")
     if getattr(args, "output", None) == "csv" and not _has_table(args):

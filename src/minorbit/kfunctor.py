@@ -370,28 +370,28 @@ class KNZeroRow:
 
 
 def kn0_image_table(n: int) -> list[KNZeroRow]:
-    """Tabulate [KN_0(O_Y(a))] for a in [-n+1, 0] from the three
-    Fourier-Mukai constituents of the correspondence square
+    """Tabulate [KN_0(O_Y(a))] for a in [-n+1, 0] from the Fourier-Mukai
+    constituents of the correspondence square
 
         KN_0(X) -> Phi_blowup(X) + Phi_product(X) -> Phi_divisor(X),
 
     where the product term is RGamma(P, O(a)) (x) j'_*O_{P^v}, the
     divisor term comes from the (1,1) divisor sequence, and the blowup
     term is the expected class [O(-a)] plus the recorded O_E(kE)
-    pushforward corrections.  A row's `ok` compares the assembled class
-    with the image of [O(a)] under the flop matrix :func:`kn_matrix`;
-    because the blowup term is seeded with [O(-a)], it checks that the
-    product, divisor and O_E(kE) correction terms cancel and that the
-    matrix sends [O(a)] to [O(-a)].
+    pushforward corrections.  The product term cancels against the
+    untwisted part of the divisor term, so the assembled class is the
+    blowup term plus the twisted product term RGamma(P, O(a-1)) (x)
+    j'_*O_{P^v}(-1), which is nonzero only at a = -n+1.  A row's `ok`
+    compares the assembled class with the image of [O(a)] under the flop
+    matrix :func:`kn_matrix`; because the blowup term is seeded with
+    [O(-a)], it checks that the O_E(kE) correction cancels the twisted
+    product term and that the matrix sends [O(a)] to [O(-a)].
     """
     M = kn_matrix(n)
     rows = []
     for a in range(-n + 1, 1):
-        chi_a = bwb.euler_characteristic(bwb.line_bundle(n, a))
-        prod = kclass_jpdual(0, n).scale(chi_a)
         chi_a1 = bwb.euler_characteristic(bwb.line_bundle(n, a - 1))
         prod_twisted = kclass_jpdual(-1, n).scale(chi_a1)
-        divisor = prod - prod_twisted
         blowup = reduce_line(-a, n, "Yplus")
         for k in range(1, -a + 1):
             fact = oe_pushforward_class(k, n)
@@ -399,7 +399,7 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
                 # the recorded class, twisted by O(-a) on the far side
                 col = matmul(twist_matrix(n, -a), [[x] for x in fact.coords])
                 blowup = blowup + KClass(n, "Yplus", tuple(x for x, in col))
-        assembled = (blowup + prod - divisor).coords
+        assembled = (blowup + prod_twisted).coords
         image = matmul(M, [[x] for x in reduce_line(a, n).coords])
         expected = tuple(x for x, in image)
         rows.append(KNZeroRow(a, assembled, expected, assembled == expected))

@@ -25,14 +25,16 @@ cell onto the weight-sigma(u) block.  The engine therefore eliminates
 only the canonical blocks, w sorted descending, one per S_n-orbit, and
 the blocks of a level that share a width go through one batched mod-p
 call.  The basis of any other block u is pi_u applied to the basis of
-canon(u), pi_u the stable sort taking canon(u) to u.  In these bases
-the map of block u on an arrow y is the action of a permutation tau on
-its source block, followed by the canonical block's map on pi_u^-1(y);
-tau fixes the source block's canonical weight, and acts through the
-matrices rho(s_k) of the adjacent swaps fixing that weight, which the
-engine reads off each canonical block's nonpivot columns.  The top level's
-other blocks are never built, and a lower one's maps are transported
-only when a relation row of the next level asks for them.
+canon(u), pi_u the stable sort taking canon(u) to u.  One formula
+moves a map by a label permutation sigma: the map that block c's map on
+sigma(y) induces on arrow y is that map after the action of sigma on
+the arrow's source block one level down (`_moved`).  With sigma =
+pi_u^-1 it is the map of block u on y; with an adjacent swap s_k fixing
+a canonical weight, its nonpivot columns give the matrix rho(s_k) of
+the swap on that block.  The action of a permutation on a block is that
+of some tau fixing the block's canonical weight, a product of such
+swaps.  The top level's other blocks are never built, and a lower one's
+maps are moved only when a relation row of the next level asks for them.
 
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
@@ -275,16 +277,18 @@ _STACK_CAP = 2 ** 15
 
 
 class _Transported(dict):
-    """{arrow: map} of a block whose weight is not canonical: each map is
-    transported from the canonical block on its first lookup."""
+    """{arrow: map} of a block u whose weight is not canonical: the map on
+    arrow y is moved by pi_u^-1 from the canonical block on its first
+    lookup."""
 
-    def __init__(self, eng, l, a, b, w):
+    def __init__(self, eng, l, a, b, u):
         super().__init__()
-        self._at = (eng, l, a, b, w)
+        c, _, piinv = eng._canonical(u)
+        self._at = (eng, l, a, b, c, piinv, u)
 
-    def __missing__(self, arrow):
-        eng, l, a, b, w = self._at
-        m = self[arrow] = eng._transport(l, a, b, w, arrow)
+    def __missing__(self, y):
+        eng, l, a, b, c, piinv, u = self._at
+        m = self[y] = eng._moved(l, a, b, c, piinv, y, tuple(map(sub, u, eng._aw[y])))
         return m
 
 
@@ -303,7 +307,9 @@ class QuiverDimEngine:
     the source block of weight w - wt(arrow), in that block's basis.
     Blocks of dim 0 are not kept; a cell's dim is the sum over its
     blocks of dim times orbit size.  `block` reads any weight, the maps
-    of a non-canonical one transported on demand (`_transport`).
+    of a non-canonical one moved on demand from its canonical block by
+    `_moved`, the one place a map is moved by a label permutation (the
+    swap actions rho(s_k) of `_rho` read it too).
 
     A level is built in two passes: the first collects each canonical
     block once, with its layout {arrow: (column offset, source block)}
@@ -432,16 +438,15 @@ class QuiverDimEngine:
             maps = self._transported[key] = _Transported(self, l, a, b, w)
         return blk[0], maps
 
-    def _transport(self, l: int, a: int, b: int, u, y):
-        """The map of block u of cell (a, b, l) on arrow y.  pi = pi_u is
-        the identity from block u to block canon(u) and relabels paths, so
-        the map is M(canon(u), pi^-1 y) @ (the action of pi^-1 from block
-        u - wt(y) to block pi^-1 (u - wt(y)))."""
-        c, _, piinv = self._canonical(u)
+    def _moved(self, l: int, a: int, b: int, c, sigma, y, v):
+        """The map on arrow y of the block that the label permutation sigma
+        carries onto canonical block c of cell (a, b, l): M(c, sigma(y)) @
+        (the action of sigma from block v, y's source block one level
+        down, to block sigma(v)).  `block` transports with sigma =
+        pi_u^-1 and `_rho` swaps with sigma = s_k."""
         kind, i = y
-        M = self.levels[l][(a, b)][c][1][(kind, piinv[i - 1] + 1)]
-        A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, piinv,
-                         tuple(map(sub, u, self._aw[y])))
+        M = self.levels[l][(a, b)][c][1][(kind, sigma[i - 1] + 1)]
+        A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, sigma, v)
         return M if A is None else M @ A % MODP
 
     def _action(self, l: int, a: int, b: int, sigma, v):
@@ -461,45 +466,36 @@ class QuiverDimEngine:
     def _rho(self, l: int, a: int, b: int, w, tau):
         """The action rho_w(tau) (dim, dim) of tau in Stab(w) on canonical
         block w of cell (a, b, l): column j holds the coordinates of
-        tau(basis vector j).  tau = (tau s_k) s_k for its first descent k,
-        and s_k lies in the Young subgroup Stab(w), so rho_w(tau) is a
-        product of the rho_w(s_k) of `_swap_action`."""
+        tau(basis vector j).  For an adjacent swap tau = s_k, basis vector
+        m, nonpivot column m at piece x, is the class of (source basis
+        vector j) x, which s_k sends to s_k(source vector) s_k(x), whose
+        coordinates are column j of `_moved` with sigma = s_k.  Any other
+        tau is (tau s_k) s_k for its first descent k, and s_k lies in the
+        Young subgroup Stab(w), so rho_w(tau) is a product of the
+        rho_w(s_k)."""
         key = (l, a, b, w, tau)
         R = self._rho_cache.get(key)
         if R is None:
             k = next(k for k in range(self.n - 1) if tau[k] > tau[k + 1])
             rest = tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2 :]
-            if rest == self._id:
-                R = self._swap_action(l, a, b, w, k)
+            if l == 0:
+                R = np.ones((1, 1))
+            elif rest == self._id:
+                dim, maps = self.levels[l][(a, b)][w]
+                free = self._free[l][(a, b)][w]
+                R = np.empty((dim, dim))
+                off = 0
+                for x, T in maps.items():
+                    width = T.shape[1]
+                    lo, hi = np.searchsorted(free, (off, off + width)).tolist()
+                    if hi > lo:
+                        v = tuple(map(sub, w, self._aw[x]))
+                        R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v)[:, free[lo:hi] - off]
+                    off += width
             else:
                 R = self._rho(l, a, b, w, rest) @ self._rho(l, a, b, w, self._swaps[k]) % MODP
             self._rho_cache[key] = R
         return R
-
-    def _swap_action(self, l: int, a: int, b: int, w, k: int):
-        """rho_w(s_k) for an adjacent swap s_k fixing w.  Basis vector m,
-        nonpivot column m at piece x, is the class of (source basis
-        vector j) x; s_k sends it to s_k(source vector) s_k(x), whose
-        coordinates are M(w, s_k x) @ (the action of s_k from block
-        w - wt(x) to block w - wt(s_k x))[:, j]."""
-        if l == 0:
-            return np.ones((1, 1))
-        dim, maps = self.levels[l][(a, b)][w]
-        free = self._free[l][(a, b)][w]
-        sk = self._swaps[k]
-        out = np.empty((dim, dim))
-        off = 0
-        for (kind, i), T in maps.items():
-            width = T.shape[1]
-            lo, hi = np.searchsorted(free, (off, off + width)).tolist()
-            if hi > lo:
-                M = maps[(kind, sk[i - 1] + 1)]
-                A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, sk,
-                                 tuple(map(sub, w, self._aw[(kind, i)])))
-                cols = free[lo:hi] - off
-                out[:, lo:hi] = M[:, cols] if A is None else M @ A[:, cols] % MODP
-            off += width
-        return out
 
     def _build_level(self, l: int) -> None:
         n = self.n

@@ -47,23 +47,6 @@ def test_level_widths(measure):
                    for _, maps in blocks.values())
 
 
-def test_widths_of_an_engine_that_keeps_every_weight(measure):
-    # a parent tree's engine may keep every weight instead of one block
-    # per orbit; read with every weight spelled out, the widths agree
-    from itertools import permutations
-    from types import SimpleNamespace
-
-    eng = quiveralg.QuiverDimEngine(3)
-    eng.ensure(4)
-    levels = [{cell: {w: eng.block(l, *cell, w) for c in blocks for w in set(permutations(c))}
-               for cell, blocks in level.items()} for l, level in enumerate(eng.levels)]
-    every = SimpleNamespace(
-        n=3, levels=levels, _arrows_into=eng._arrows_into,
-        _prev_dim=lambda a, s, l: sum(d for d, _ in levels[l].get((a, s), {}).values()))
-    for l in range(1, 5):
-        assert measure.widths(quiveralg, every, l) == measure.widths(quiveralg, eng, l)
-
-
 def test_level_seconds_and_memory(measure):
     seconds = measure.level_seconds(quiveralg, 3, 3)
     assert list(seconds) == ["l1", "l2", "l3"]

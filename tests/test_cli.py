@@ -225,6 +225,36 @@ def test_config_rejects_unknown_keys_and_outputs(tmp_path, capsys):
             capsys, ["--config", str(cfg), "quiver", "--dims", "--n", "2", "--max-len", "1"])
 
 
+def test_config_rejects_a_non_integer_size_with_its_key_and_line(tmp_path, capsys):
+    # checked as the file is read, like output, whether or not the
+    # subcommand or the command line uses the key
+    cfg = tmp_path / "cfg"
+    for key in ("n", "cap", "max_len"):
+        cfg.write_text(f"# sizes\noutput=json\n{key}=abc\n")
+        for argv in (["hilbert", "--module", "M(0)"],
+                     ["quiver", "--dims", "--n", "2", "--max-len", "1"]):
+            rc, out, err = run(capsys, ["--config", str(cfg)] + argv)
+            assert (rc, out) == (2, ""), (key, argv)
+            assert err == f"error: config line 3: {key} must be an integer, not 'abc'\n"
+
+
+def test_pretty_marks_each_list_item(capsys):
+    rc, out, _ = run(capsys, ["quiver", "--dims", "--n", "2", "--max-len", "1",
+                              "--output", "pretty"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[2:9] == ["cells:", "  - a: 0", "    b: 0", "    l: 0", "    paths: 1",
+                          "    relations_rank: 0", "    dim: 1"]
+    assert [line for line in lines if line.startswith("  - ")] == [
+        "  - a: 0", "  - a: 1", "  - a: 0", "  - a: 1"]
+    from minorbit.cli import _pretty
+
+    # an empty list or dict prints inline, not as an empty line
+    assert _pretty({"x": [{"a": 1, "b": [2, 3]}, [4], 5, {}], "y": []}).splitlines() == [
+        "x:", "  - a: 1", "    b:", "      - 2", "      - 3", "  - - 4", "  - 5", "  - {}",
+        "y: []"]
+
+
 def test_csv_needs_a_table(capsys):
     for argv in (
         ["tilting", "--family", "Tk", "--n", "3"],
