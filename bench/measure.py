@@ -1,4 +1,5 @@
-"""Time and memory of the quiver engine, criterion 1 and criterion 9's battery.
+"""Time and memory of the quiver engine, criterion 1, the symbolic criteria
+and criterion 9's battery.
 
     python3 bench/measure.py --out FILE [--src LABEL=DIR ...] \\
         [--repeats K] [--case CASE ...]
@@ -16,17 +17,22 @@ the runs alternate and their order flips on every repeat.  A case is
   block the engine eliminates), peak_mb (peak traced memory during
   `ensure(l)` above the level's start) and kept_mb (what it keeps);
 - criterion1: `acceptance.criterion_1()` from fresh engines;
+- symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
+  each timed, as perfbench's symbolic workload runs them.  Every
+  lru_cache of the tree's modules and its engines are cleared before
+  each run, so every run starts cold, as a perfbench child does;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
   grid `minorbit accept` runs).
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
-criterion1 and battery.  Each tree's entry holds every timing's median
-over the repeats and the median total; with two trees, each case also
-records the per-pair ratio of totals (second tree / first tree), its
-median and quartiles, and the number of pairs the second tree won.
-The run stops on an uncertified cell, a failed criterion 1 or a failed
+criterion1, symbolic and battery.  Each tree's entry holds every
+timing's median over the repeats and the median total; with two trees,
+each case also records the per-pair ratio of totals (second tree /
+first tree), its median and quartiles, and the number of pairs the
+second tree won.
+The run stops on an uncertified cell, a failed criterion or a failed
 battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
 other entries in that file are kept.  Timings are wall clock on a
 possibly shared machine, which is why the two trees alternate.
@@ -50,7 +56,9 @@ from statistics import median, quantiles
 import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
-DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "criterion1", "battery")
+DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "criterion1", "symbolic", "battery")
+SYMBOLIC = (2, 3, 4, 5, 6, 7, 8, 10)
+ORBIT_N = 6
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
 BATTERY_NS = range(2, 7)
 
@@ -135,6 +143,33 @@ def criterion1_seconds(tree) -> dict[str, float]:
     return {"criterion1": seconds}
 
 
+def cold(tree) -> None:
+    """Clear every lru_cache of the tree's modules, and its engines."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{tree.__name__}."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    tree.quiveralg._engines.clear()
+
+
+def symbolic_seconds(tree) -> dict[str, float]:
+    cold(tree)
+    out = {}
+    for c in SYMBOLIC:
+        t0 = time.perf_counter()
+        res = getattr(tree.acceptance, f"criterion_{c}")()
+        out[f"c{c}"] = time.perf_counter() - t0
+        if not res.passed:
+            raise SystemExit(f"criterion {c} failed: {res.detail}")
+    t0 = time.perf_counter()
+    rep = tree.mutation.orbit_check(ORBIT_N, 6)
+    out[f"orbit{ORBIT_N}"] = time.perf_counter() - t0
+    if not (rep.passed and rep.closed_after == 2 * ORBIT_N - 2):
+        raise SystemExit(f"orbit_check({ORBIT_N}, 6) failed")
+    return out
+
+
 def battery_seconds(tree) -> dict[str, float]:
     out = {}
     for grid, (samples, seed0) in GRIDS.items():
@@ -151,6 +186,8 @@ def timer(case: str):
     """The function timing one run of `case` on a tree."""
     if case == "criterion1":
         return criterion1_seconds
+    if case == "symbolic":
+        return symbolic_seconds
     if case == "battery":
         return battery_seconds
     n, max_len = map(int, case.split(":"))
@@ -204,7 +241,7 @@ def source(text: str) -> tuple[str, str]:
 
 
 def case_name(text: str) -> str:
-    timer(text)  # raises ValueError unless text is N:L, criterion1 or battery
+    timer(text)  # raises ValueError unless text is N:L or a named case
     return text
 
 
@@ -215,7 +252,8 @@ def main(argv=None) -> None:
     ap.add_argument("--out", required=True, help="the JSON file to record in")
     ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
     ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
-                    help=f"N:L, criterion1 or battery (default {' '.join(DEFAULT_CASES)})")
+                    help=f"N:L, criterion1, symbolic or battery "
+                         f"(default {' '.join(DEFAULT_CASES)})")
     args = ap.parse_args(argv)
     pairs = args.src or [("change", DEFAULT_SRC)]
     sources = dict(pairs)

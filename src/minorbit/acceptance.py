@@ -36,7 +36,7 @@ def criterion_1() -> CriterionResult:
     weight blocks rely on.  Every cell the engine cannot certify is a
     mismatch and fails the criterion."""
     fails = []
-    for n, max_len in ((2, 6), (3, 6), (4, 8), (5, 6), (6, 6), (7, 5)):
+    for n, max_len in ((2, 6), (3, 6), (4, 8), (5, 6), (6, 7), (7, 6)):
         if not quiveralg.evaluation_kills_generators(n):
             fails.append((n, "evaluation does not kill the generators"))
             continue
@@ -46,9 +46,9 @@ def criterion_1() -> CriterionResult:
     return CriterionResult(
         1,
         "quiver graded dimensions equal graded Hom dimensions (n=2,3 l<=6, "
-        "n=4 l<=8, n=5,6 l<=6, n=7 l<=5), every cell certified by the "
-        "engine; the monomial evaluation kills every relation generator, "
-        "so every generator is torus-weight homogeneous",
+        "n=4 l<=8, n=5 l<=6, n=6 l<=7, n=7 l<=6), every cell certified by "
+        "the engine; the monomial evaluation kills every relation "
+        "generator, so every generator is torus-weight homogeneous",
         not fails,
         f"failures: {fails}" if fails else "",
     )

@@ -72,7 +72,12 @@ class LeviWeight:
         return LeviWeight(self.n, -self.first, rest).normalized()
 
     def twist(self, t: int) -> "LeviWeight":
-        return LeviWeight(self.n, self.first + t, self.rest)
+        # a twist of a valid weight is valid, so it skips __post_init__
+        w = object.__new__(LeviWeight)
+        object.__setattr__(w, "n", self.n)
+        object.__setattr__(w, "first", self.first + t)
+        object.__setattr__(w, "rest", self.rest)
+        return w
 
 
 class BundleExpr:
@@ -111,7 +116,13 @@ class BundleExpr:
         return BundleExpr(self.n, {w: c * v for w, v in self.terms.items()})
 
     def twist(self, t: int) -> "BundleExpr":
-        return BundleExpr(self.n, {w.twist(t): c for w, c in self.terms.items()})
+        # O(t) moves `first` alone, so it sends the normalized, distinct
+        # weights of `terms` one-to-one onto normalized weights: nothing
+        # to normalize or merge
+        out = BundleExpr.__new__(BundleExpr)
+        out.n = self.n
+        out.terms = {w.twist(t): c for w, c in self.terms.items()}
+        return out
 
     def dual(self) -> "BundleExpr":
         return BundleExpr(self.n, {w.dual(): c for w, c in self.terms.items()})
@@ -269,7 +280,14 @@ def hom_bundle(a: int, b: int, c: int, n: int) -> BundleExpr:
     """
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"a={a}, b={b} out of range [1, {n}]")
-    return omega(n, n - b, n - b).tensor(omega(n, a - 1, a)).twist(-c)
+    return _hom_product(a, b, n).twist(-c)
+
+
+@lru_cache(maxsize=None)
+def _hom_product(a: int, b: int, n: int) -> BundleExpr:
+    # the c-independent part of `hom_bundle`, formed once per (a, b, n);
+    # callers only twist it, which builds a new expression
+    return omega(n, n - b, n - b).tensor(omega(n, a - 1, a))
 
 
 VANISHES = "vanishes"

@@ -89,3 +89,30 @@ def test_uncertified_cell_stops_the_run(measure, trees, monkeypatch):
         measure.alternate(trees, measure.timer("3:3"), 2)
     # the other tree's engine keeps its own target
     measure.level_seconds(trees["a"].quiveralg, 3, 3)
+
+
+def _cache_sizes(tree):
+    return {f"{name}.{attr}": value.cache_info().currsize
+            for name, module in sys.modules.items() if name.startswith(f"{tree.__name__}.")
+            for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+
+
+def test_symbolic_case_starts_cold(measure, trees, monkeypatch):
+    monkeypatch.setattr(measure, "SYMBOLIC", (2, 3, 10))
+    monkeypatch.setattr(measure, "ORBIT_N", 3)
+    runs = measure.alternate(trees, measure.timer("symbolic"), 2)
+    assert list(runs["a"][0]) == ["c2", "c3", "c10", "orbit3"]
+    a = trees["a"]
+    sizes = _cache_sizes(a)
+    assert sizes["minorbit_a.bwb._bwb_single"] > 0 and a.quiveralg._engines
+    measure.cold(a)
+    assert not any(_cache_sizes(a).values()) and not a.quiveralg._engines
+    # the other tree keeps its own caches
+    assert _cache_sizes(trees["b"])["minorbit_b.bwb._bwb_single"] > 0
+
+
+def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):
+    monkeypatch.setattr(measure, "SYMBOLIC", (2,))
+    monkeypatch.setattr(trees["b"].bwb, "bott_closed_form", lambda n, p, t: {})
+    with pytest.raises(SystemExit, match="criterion 2 failed"):
+        measure.alternate(trees, measure.timer("symbolic"), 2)

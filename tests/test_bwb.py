@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from minorbit.bwb import (
@@ -175,3 +177,46 @@ def test_cohomology_degrees_stay_in_range():
             for t in range(-2 * n, 2 * n + 1):
                 for d in cohomology(omega(n, p, t)):
                     assert 0 <= d <= n - 1
+
+
+def _random_weight(rng, n):
+    # any weakly decreasing rest, negative entries and a nonzero last
+    # entry included, so the constructor has to normalize
+    rest = tuple(sorted((rng.randint(-3, 3) for _ in range(n - 1)), reverse=True))
+    return LeviWeight(n, rng.randint(-4, 4), rest)
+
+
+def test_twist_equals_the_rebuilt_expression():
+    # e.twist(m) builds its terms directly; the constructor, which
+    # normalizes and merges, must give the same expression and table
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        e = BundleExpr(n, {_random_weight(rng, n): rng.randint(-3, 3) for _ in range(4)})
+        if rng.random() < 0.3:
+            e = e.tensor(omega(n, rng.randint(0, n - 1), rng.randint(-2, 2))).dual()
+        for m in (-2 * n, -1, 0, 1, rng.randint(2, 2 * n)):
+            twisted = e.twist(m)
+            rebuilt = BundleExpr(n, {w.twist(m): c for w, c in e.terms.items()})
+            assert twisted == rebuilt and twisted.terms == rebuilt.terms
+            assert cohomology(twisted) == cohomology(rebuilt)
+            for w in twisted.terms:
+                # a valid, normalized weight, equal to and hashed as the
+                # weight the validating constructor makes
+                v = LeviWeight(n, w.first, w.rest)
+                assert v == w and hash(v) == hash(w) and v.normalized() == w
+    assert omega(3, 1, 0).twist(2) == omega(3, 1, 2)
+    assert BundleExpr(3).twist(1) == BundleExpr(3)
+
+
+def test_hom_bundle_equals_the_rebuilt_product():
+    # criterion 3's range; the twist by O(-c) goes into the first factor,
+    # so each c's product is rebuilt without `twist`
+    for n in range(2, 6):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                for c in range(-2 * n, 2 * n + 1):
+                    rebuilt = omega(n, n - b, n - b - c).tensor(omega(n, a - 1, a))
+                    e = hom_bundle(a, b, c, n)
+                    assert e == rebuilt, (a, b, c, n)
+                    assert cohomology(e) == cohomology(rebuilt)

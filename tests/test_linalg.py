@@ -191,3 +191,67 @@ def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
         assert maps[i].shape == (w - r, w) and free[i].tolist() == nonpiv
         assert np.array_equal(maps[i] @ v % p, (v[nonpiv] - v[ref_pivots] @ E) % p)
         assert np.array_equal(acc.projection(), maps[i])
+
+
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
+def test_centered_is_exact_below_2_53(p):
+    # near +-2**52 and the top of the range |x| < 2**53 - p, exact
+    # multiples of p, and the residues next to p/2, where rint of x/p may
+    # round either way
+    xs = [0, 1, p, (p - 1) // 2, (p + 1) // 2]
+    for base in (2 ** 52, 2 ** 53 - 2 * p):
+        q = base // p
+        for k in (q - 1, q):
+            xs += [k * p, k * p + 1, k * p + (p - 1) // 2, k * p + (p + 1) // 2, k * p + p - 1]
+    xs += [-x for x in xs]
+    assert max(xs) == (2 ** 53 - 2 * p) // p * p + p - 1 < 2 ** 53 - p
+    r = linalg._centered(np.array(xs, dtype=np.float64), p)
+    for x, y in zip(xs, r.tolist()):
+        assert y == int(y) and (x - int(y)) % p == 0, (x, y)
+        assert abs(y) <= (p + 1) // 2, (x, y)
+
+
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
+def test_rref_stack_rows_are_canonical_at_huge_entries(monkeypatch, p):
+    # every entry is its residue shifted by a multiple of p to within 2p
+    # of +-2**52; multiples of p and residues at p/2 included
+    monkeypatch.setattr(linalg, "MODP", p)
+    rng = np.random.default_rng(23)
+    mats = [_rank_deficient(rng, 24, 18, 12) % p for _ in range(6)]
+    mats[1][:, 0] = 0
+    mats[2][:, 1] = (p - 1) // 2
+    mats[3][:, 2] = (p + 1) // 2
+    stack = np.zeros((len(mats), 24, 18))
+    for layer, mat in zip(stack, mats):
+        sign = rng.choice([-1, 1], size=mat.shape)
+        layer[:] = mat + p * (sign * (2 ** 52 // p) - rng.integers(0, 2, size=mat.shape))
+    assert np.abs(stack).max() < 2 ** 53 - p and np.abs(stack).min() > 2 ** 51
+    rows, pivots, ranks = rref_stack(stack, [18] * len(mats))
+    assert rows.min() >= 0 and rows.max() < p
+    for i, mat in enumerate(mats):
+        ref_rows, ref_pivots = _naive_rref(mat, p)
+        r = int(ranks[i])
+        assert pivots[i, :r].tolist() == ref_pivots
+        assert np.array_equal(rows[i, :r], np.array(ref_rows))
+
+
+@pytest.mark.parametrize("p", [MODP, OTHER_P])
+def test_rref_stack_matches_naive_at_the_widest_block(monkeypatch, p):
+    # 294 columns, the widest canonical block the engine eliminates (n=7,
+    # l=6), with full-range entries mod p
+    monkeypatch.setattr(linalg, "MODP", p)
+    rng = np.random.default_rng(29)
+    w = 294
+    mats = [rng.integers(0, p, size=(h, r)) @ rng.integers(0, 3, size=(r, w)) % p
+            for h, r in ((120, 100), (100, 100), (40, 30))]
+    stack = np.zeros((3, 120, w))
+    for layer, mat in zip(stack, mats):
+        layer[: len(mat)] = mat
+    stops = [w, 90, w]
+    rows, pivots, ranks = rref_stack(stack, stops)
+    assert rows.min() >= 0 and rows.max() < p
+    for i, (mat, stop) in enumerate(zip(mats, stops)):
+        ref_rows, ref_pivots = _naive_rref(mat, p, stop_at_rank=stop)
+        r = int(ranks[i])
+        assert r == len(ref_pivots) and pivots[i, :r].tolist() == ref_pivots
+        assert np.array_equal(rows[i, :r], np.array(ref_rows))
