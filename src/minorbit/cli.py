@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: coh, tilting, hilbert, quiver, rep, kflop, mutate, accept.
-Exit codes: 0 success, 1 check failure, 2 usage error.  Output formats:
-json (default), csv, pretty.  A key=value config file can preseed the
-common flags; explicit flags win.  The only environment override is
-MINORBIT_OUTPUT_DIR, the directory for --out files.
+Exit codes: 0 success, 1 check failure or a reader that closed stdout
+early, 2 usage error.  Output formats: json (default), csv, pretty.  A
+key=value config file can preseed the common flags; explicit flags win.
+The only environment override is MINORBIT_OUTPUT_DIR, the directory for
+--out files.
 """
 
 from __future__ import annotations
@@ -449,7 +450,14 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         _apply_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest of stdout, and the
+        # interpreter's flush at exit, to devnull, which cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILURE
     except quiveralg.CertificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_FAILURE

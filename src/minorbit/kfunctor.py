@@ -91,12 +91,12 @@ def reduce_line(a: int, n: int, side: str = "Y") -> KClass:
     return KClass(n, side, _reduce_coeffs(a, n))
 
 
-def zero_class(n: int, side: str = "Y") -> KClass:
-    return KClass(n, side, (0,) * n)
+def zero_class(n: int) -> KClass:
+    return KClass(n, "Y", (0,) * n)
 
 
 @lru_cache(maxsize=None)
-def kclass_jp(b: int, n: int, side: str = "Y") -> KClass:
+def kclass_jp(b: int, n: int) -> KClass:
     """[j_* O_P(b)], reduced to the window.
 
     The Koszul resolution of the zero section gives
@@ -105,9 +105,9 @@ def kclass_jp(b: int, n: int, side: str = "Y") -> KClass:
     The class [O(b+i)] then appears for every p in i..n-1 with sign
     (-1)^i, so [j_* O_P(b)] = sum_{i<n} (-1)^i (n-i) C(n,i) [O(b+i)].
     """
-    total = zero_class(n, side)
+    total = zero_class(n)
     for i in range(n):
-        total = total + reduce_line(b + i, n, side).scale(
+        total = total + reduce_line(b + i, n).scale(
             (-1) ** i * (n - i) * comb(n, i))
     return total
 

@@ -5,19 +5,20 @@ Two rank routines are provided:
 - `rank_exact`: exact fraction-free elimination over the integers, for
   the small matrices of the direct path-algebra oracle (the tests'
   reference for the quiver engine);
-- one mod-p reduced-row-echelon loop on numpy float64 buffers, the
-  elimination kernel of the quiver engine.  It runs over a stack of
-  same-width matrices at once (`rref_stack`, with `quotient_maps` for
-  the projections onto the quotients), and `ModPRref` is its view of a
-  single matrix that grows by `add` calls.  It works modulo one fixed
-  prime, `MODP`, read at call time.  Inside the loop every reduction
-  mod p is x - p * rint(x / p), exact on float64 integers below
-  2**53 - p and about 15x cheaper than float `np.mod`; it leaves a
-  representative in [-(p + 1) / 2, (p + 1) / 2], and the rows a call
-  returns are mapped once to [0, p).  Float64 arithmetic is exact while
-  width * (MODP - 1)**2 < 2**53, that is for widths up to 8192, with
-  either range of representatives; the engine's torus-weight blocks are
-  at most 294 wide (n=7, l=6).
+- one mod-p reduced-row-echelon loop on numpy float64 arrays, the
+  elimination kernel of the quiver engine, in `rref_stack` alone.  It
+  runs over a stack of same-width matrices at once (with
+  `quotient_maps` for the projections onto the quotients), and
+  `ModPRref` is its view of a single matrix that grows by `add` calls,
+  each of which re-runs it on the rows so far and the new ones.  It
+  works modulo one fixed prime, `MODP`, read at call time.  Inside the
+  loop every reduction mod p is x - p * rint(x / p), exact on float64
+  integers below 2**53 - p and about 15x cheaper than float `np.mod`; it
+  leaves a representative in [-(p + 1) / 2, (p + 1) / 2], and the rows a
+  call returns are mapped once to [0, p).  Float64 arithmetic is exact
+  while width * (MODP - 1)**2 < 2**53, that is for widths up to 8192,
+  with either range of representatives; the engine's torus-weight blocks
+  are at most 294 wide (n=7, l=6).
 
 A mod-p rank is always a lower bound for the rational rank, so "full
 column rank mod p" certifies full rational column rank, and a mod-p
@@ -64,12 +65,6 @@ def rank_exact(rows, ncols: int) -> int:
     return len(echelon)
 
 
-def _check_width(width: int) -> None:
-    # accumulated dot products must stay exactly representable
-    if width * (MODP - 1) ** 2 >= 2 ** 53:
-        raise ValueError(f"width {width} too large for prime {MODP}")
-
-
 def _centered(x, p):
     """x mod p, for float64 integers |x| < 2**53 - p, as the
     representative x - p * rint(x / p), in [-(p + 1) / 2, (p + 1) / 2].
@@ -82,25 +77,38 @@ def _centered(x, p):
     return np.subtract(x, q, out=q)
 
 
-def _eliminate(stack, stops, buf, pivots, ranks) -> None:
-    """The elimination loop: insert the rows of every matrix of `stack`
-    (B, H, W), in order, into that matrix's reduced row-echelon buffer.
+def rref_stack(stack, stops):
+    """Reduced row echelon forms mod `MODP` of a stack (B, H, W) of
+    same-width matrices of float64 integers below 2**53 - MODP in
+    magnitude, matrix i stopped once its rank reaches `stops[i]` (see
+    `ModPRref` for why a caller may stop early).  This is the one
+    elimination loop of the package.
 
-    Matrix i holds `ranks[i]` rows, `buf[i, :ranks[i]]`, with pivot
-    columns `pivots[i, :ranks[i]]` in insertion order; its rows past the
-    rank are zero.  Row step t runs over every matrix still short of its
-    stop: row t is reduced mod `MODP` and against the buffer, and if
-    anything is left it is scaled to a leading 1, cleared from the
-    buffer's other rows at its lead, and appended.  A matrix drops out
-    once its rank reaches `stops[i]`.  `buf`, `pivots` and `ranks` are
-    updated in place; `buf` needs room for every rank a matrix can reach.
-    Zero rows change nothing, so matrices of different heights can share
-    a stack, zero-padded.  Inside the loop entries are `_centered`
-    representatives; `buf` is returned with every entry in [0, MODP).
+    Row step t runs over every matrix still short of its stop: row t is
+    reduced mod `MODP` and against the matrix's rows so far, and if
+    anything is left it is scaled to a leading 1, cleared from the other
+    rows at its lead, and appended.  Zero rows change nothing, so
+    matrices of different heights can share a stack, zero-padded.
+    Inside the loop entries are `_centered` representatives.
+
+    Returns (rows, pivots, ranks): matrix i has rank `ranks[i]`, rows
+    `rows[i, :ranks[i]]`, every entry in [0, MODP), and pivot columns
+    `pivots[i, :ranks[i]]` in insertion order; its rows past the rank are
+    zero.
     """
+    B, H, W = stack.shape
     p = MODP
+    # accumulated dot products must stay exactly representable
+    if W * (p - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"width {W} too large for prime {p}")
+    stops = np.asarray(stops, dtype=np.intp)
+    # no rank exceeds the height, the width or the stop
+    R = max(0, min(H, W, int(stops.max(initial=0))))
+    buf = np.zeros((B, R, W))
+    pivots = np.zeros((B, R), dtype=np.intp)
+    ranks = np.zeros(B, dtype=np.intp)
     todo = np.flatnonzero(ranks < stops)
-    for t in range(stack.shape[1]):
+    for t in range(H):
         if not todo.size:
             break
         v = _centered(stack[todo, t], p)
@@ -129,28 +137,7 @@ def _eliminate(stack, stops, buf, pivots, ranks) -> None:
         ranks[got] += 1
         todo = todo[ranks[todo] < stops[todo]]
     np.add(buf, p, out=buf, where=buf < 0)
-
-
-def rref_stack(stack, stops):
-    """Reduced row echelon forms mod `MODP` of a stack (B, H, W) of
-    same-width matrices of float64 integers below 2**53 - MODP in
-    magnitude, matrix i stopped once its rank reaches `stops[i]` (see
-    `ModPRref` for why a caller may stop early).
-
-    Returns (rows, pivots, ranks): matrix i has rank `ranks[i]`, rows
-    `rows[i, :ranks[i]]` and pivot columns `pivots[i, :ranks[i]]` in
-    insertion order.  Rows of a matrix shorter than H are zero-padded.
-    """
-    B, H, W = stack.shape
-    _check_width(W)
-    stops = np.asarray(stops, dtype=np.intp)
-    # no rank exceeds the height, the width or the stop
-    R = max(0, min(H, W, int(stops.max(initial=0))))
-    rows = np.zeros((B, R, W))
-    pivots = np.zeros((B, R), dtype=np.intp)
-    ranks = np.zeros(B, dtype=np.intp)
-    _eliminate(stack, stops, rows, pivots, ranks)
-    return rows, pivots, ranks
+    return buf, pivots, ranks
 
 
 def quotient_maps(rows, pivots, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -184,8 +171,7 @@ def quotient_maps(rows, pivots, ranks) -> tuple[list[np.ndarray], list[np.ndarra
 
 class ModPRref:
     """Accumulates vectors mod `MODP`, kept in reduced row-echelon form:
-    the single-matrix view of the loop that `rref_stack` runs over a
-    stack.
+    the single-matrix view of `rref_stack`.
 
     Rows are stored unsorted; `pivots[i]` is the pivot column of row i,
     in insertion order, and every row is fully reduced against every
@@ -195,59 +181,47 @@ class ModPRref:
     nonpivot column and whose column at pivot i is minus row i at the
     nonpivots, so the class of v is T @ v mod `MODP`.
 
-    `add` inserts one row at a time: the row is reduced against the
-    buffer, scaled to a leading 1, and cleared from the other rows at
-    its pivot.  Two facts keep this loop all the kernel needs.  The
-    buffer is the unique RREF of its row space (old rows never change
-    their leading column), so the result does not depend on how rows are
-    split into `add` calls, nor on which other matrices share a stack.
-    And the rank of a block is at most its width, so the buffer, which
-    grows as rows arrive, never holds more than `width` rows; the quiver
-    engine eliminates torus-weight blocks at most 294 wide.
+    `add` runs `rref_stack` on the current rows followed by the new
+    ones.  The rows are the unique RREF of their row space, and old rows
+    never change their leading column, so each current row goes back in
+    unchanged, at its own pivot and place; the result does not depend on
+    how rows are split into `add` calls, nor on which other matrices
+    share a stack.
 
     `stop_at_rank` is checked before every row.  Callers pass W - target,
     where the target is an exact lower bound for the quotient dimension:
     the mod-p rank of every row they will ever offer is at most the
     rational rank, W - dim <= W - target, so once the threshold is
-    reached the buffer already spans all of them and stopping only skips
-    rows that cannot change it.
+    reached the rows already span all of them and stopping only skips
+    rows that cannot change them.  A stop below the current rank keeps
+    every row.
     """
 
     def __init__(self, width: int):
-        _check_width(width)
         self.width = width
-        self._buf = np.zeros((0, width))
-        self._pivots = np.zeros((1, width), dtype=np.intp)
-        self._rank = np.zeros(1, dtype=np.intp)
+        self._rref = rref_stack(np.zeros((1, 0, width)), [0])
 
     @property
     def rank(self) -> int:
-        return int(self._rank[0])
+        return int(self._rref[2][0])
 
     @property
     def pivots(self) -> list[int]:
-        return self._pivots[0, : self.rank].tolist()
+        return self._rref[1][0, : self.rank].tolist()
 
     def rows(self) -> np.ndarray:
-        return self._buf[: self.rank]
+        return self._rref[0][0, : self.rank]
 
     def add(self, block, stop_at_rank: int | None = None) -> None:
         """Insert rows of `block`; stop early once `stop_at_rank` is reached
         (callers use this only when the remaining rows provably cannot
         lower the quotient dimension further)."""
-        block = np.asarray(block, dtype=np.float64)
-        r = self.rank
-        height = min(r + block.shape[0], self.width)
-        if height > self._buf.shape[0]:
-            buf = np.zeros((height, self.width))
-            buf[:r] = self._buf[:r]
-            self._buf = buf
         stop = self.width if stop_at_rank is None else stop_at_rank
-        _eliminate(block[None], np.array([stop]), self._buf[None],
-                   self._pivots, self._rank)
+        rows = np.concatenate([self.rows(), np.asarray(block, dtype=np.float64)])
+        self._rref = rref_stack(rows[None], [max(stop, self.rank)])
 
     def projection(self) -> np.ndarray:
         """The projection T (width - rank, width) onto the quotient by the
         row space, as `quotient_maps` builds it: the class of v is
         T @ v mod `MODP`."""
-        return quotient_maps(self._buf[None], self._pivots, self._rank)[0][0]
+        return quotient_maps(*self._rref)[0][0]

@@ -87,10 +87,10 @@ def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
     return pushforward_graded(expr, n, cap)
 
 
-def _generation_offset(label: Label, n: int, side: str) -> int:
+def _generation_offset(label: Label) -> int:
+    """The generation degree of a splice label: v for L(v), and 1 for
+    WedgeT(0) alone among the WedgeT labels."""
     kind, v = label
-    if kind == "M":
-        return max(v, 0) if side == "minus" else max(-v, 0)
     if kind == "L":
         return v
     return 1 if v == 0 else 0
@@ -108,7 +108,7 @@ def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
     if kind == "M":
         return hilbert_M(v, n, cap)
     side = "minus" if kind == "L" else "plus"
-    off = _generation_offset(label, n, side)
+    off = _generation_offset(label)
     return _fiber_dims(label, n, cap + off, side).shifted(-off, cap)
 
 

@@ -29,12 +29,12 @@ canon(u), pi_u the stable sort taking canon(u) to u.  One formula
 moves a map by a label permutation sigma: the map that block c's map on
 sigma(y) induces on arrow y is that map after the action of sigma on
 the arrow's source block one level down (`_moved`).  With sigma =
-pi_u^-1 it is the map of block u on y; with an adjacent swap s_k fixing
-a canonical weight, its nonpivot columns give the matrix rho(s_k) of
-the swap on that block.  The action of a permutation on a block is that
-of some tau fixing the block's canonical weight, a product of such
-swaps.  The top level's other blocks are never built, and a lower one's
-maps are moved only when a relation row of the next level asks for them.
+pi_u^-1 it is the map of block u on y; with any tau fixing a canonical
+weight w, its nonpivot columns give the matrix rho_w(tau) of tau on
+block w.  The action of a permutation from one block to another is that
+of some tau fixing the source block's canonical weight.  The top level's
+other blocks are never built, and a lower one's maps are moved only when
+a relation row of the next level asks for them.
 
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
@@ -309,7 +309,7 @@ class QuiverDimEngine:
     blocks of dim times orbit size.  `block` reads any weight, the maps
     of a non-canonical one moved on demand from its canonical block by
     `_moved`, the one place a map is moved by a label permutation (the
-    swap actions rho(s_k) of `_rho` read it too).
+    stabilizer actions rho_w(tau) of `_rho` read it too).
 
     A level is built in two passes: the first collects each canonical
     block once, with its layout {arrow: (column offset, source block)}
@@ -329,7 +329,7 @@ class QuiverDimEngine:
         origin = (0,) * n
         self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(n)}]
         # parallel to levels: (a, b) -> {w: the block's nonpivot columns}
-        self._free: list[dict] = [{}]
+        self._free: list[dict] = [{(a, a): {origin: np.arange(1)} for a in range(n)}]
         # (a, b, length) -> None if certified, else (a, b, length, dim, target)
         self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
         self._id = tuple(range(n))
@@ -443,7 +443,7 @@ class QuiverDimEngine:
         carries onto canonical block c of cell (a, b, l): M(c, sigma(y)) @
         (the action of sigma from block v, y's source block one level
         down, to block sigma(v)).  `block` transports with sigma =
-        pi_u^-1 and `_rho` swaps with sigma = s_k."""
+        pi_u^-1 and `_rho` acts with sigma = tau in Stab(c)."""
         kind, i = y
         M = self.levels[l][(a, b)][c][1][(kind, sigma[i - 1] + 1)]
         A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, sigma, v)
@@ -466,34 +466,26 @@ class QuiverDimEngine:
     def _rho(self, l: int, a: int, b: int, w, tau):
         """The action rho_w(tau) (dim, dim) of tau in Stab(w) on canonical
         block w of cell (a, b, l): column j holds the coordinates of
-        tau(basis vector j).  For an adjacent swap tau = s_k, basis vector
-        m, nonpivot column m at piece x, is the class of (source basis
-        vector j) x, which s_k sends to s_k(source vector) s_k(x), whose
-        coordinates are column j of `_moved` with sigma = s_k.  Any other
-        tau is (tau s_k) s_k for its first descent k, and s_k lies in the
-        Young subgroup Stab(w), so rho_w(tau) is a product of the
-        rho_w(s_k)."""
+        tau(basis vector j).  Basis vector m, nonpivot column m at piece
+        x, is the class of (source basis vector j) x, which tau sends to
+        tau(source vector) tau(x) in block tau(w) = w, whose coordinates
+        are column j of `_moved` with sigma = tau.  Level 0's block, the
+        empty path, has no pieces, and rho is the 1x1 identity that R
+        starts as."""
         key = (l, a, b, w, tau)
         R = self._rho_cache.get(key)
         if R is None:
-            k = next(k for k in range(self.n - 1) if tau[k] > tau[k + 1])
-            rest = tau[:k] + (tau[k + 1], tau[k]) + tau[k + 2 :]
-            if l == 0:
-                R = np.ones((1, 1))
-            elif rest == self._id:
-                dim, maps = self.levels[l][(a, b)][w]
-                free = self._free[l][(a, b)][w]
-                R = np.empty((dim, dim))
-                off = 0
-                for x, T in maps.items():
-                    width = T.shape[1]
-                    lo, hi = np.searchsorted(free, (off, off + width)).tolist()
-                    if hi > lo:
-                        v = tuple(map(sub, w, self._aw[x]))
-                        R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v)[:, free[lo:hi] - off]
-                    off += width
-            else:
-                R = self._rho(l, a, b, w, rest) @ self._rho(l, a, b, w, self._swaps[k]) % MODP
+            dim, maps = self.levels[l][(a, b)][w]
+            free = self._free[l][(a, b)][w]
+            R = np.eye(dim)
+            off = 0
+            for x, T in maps.items():
+                width = T.shape[1]
+                lo, hi = np.searchsorted(free, (off, off + width)).tolist()
+                if hi > lo:
+                    v = tuple(map(sub, w, self._aw[x]))
+                    R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v)[:, free[lo:hi] - off]
+                off += width
             self._rho_cache[key] = R
         return R
 

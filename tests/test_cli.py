@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,6 +306,26 @@ def test_missing_config_or_out_directory_is_a_usage_error(tmp_path, capsys, monk
     assert_usage_error(capsys, ["coh", "--n", "2", "--bundle", "O(1)",
                                 "--out", "nodir/x.json"])
     assert not any(tmp_path.iterdir())
+
+
+def test_reader_closing_the_pipe_early_exits_1_quietly():
+    # the report (about 115 KiB) outgrows a 64 KiB pipe buffer, so the
+    # write is still pending when the reader closes the pipe after 200
+    # bytes; a report that fit would exit 0
+    src = str(Path(bwb.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minorbit.cli", "hilbert", "--n", "4",
+         "--module", "M(2)", "--cap", "4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src},
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert len(head) == 200
+    # no traceback, and no "Exception ignored" from the exit flush
+    assert err == ""
 
 
 def test_determinism(capsys):

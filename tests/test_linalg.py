@@ -140,6 +140,27 @@ def test_blocked_rref_early_stop_matches_naive(chunk):
     assert np.array_equal(acc.rows(), np.array(ref_rows))
 
 
+def test_add_re_eliminates_its_rows_unchanged():
+    # each add re-runs rref_stack on the rows so far and the new ones: a
+    # stop below the rank reached keeps every row and pivot, and several
+    # add calls give what one rref_stack of all the rows gives
+    rng = np.random.default_rng(13)
+    mat = _rank_deficient(rng, 30, 16, 12)
+    acc = ModPRref(16)
+    for block in _batches(mat, 7):
+        acc.add(block.astype(float))
+    assert acc.rank == 12
+    rows, pivots = acc.rows().copy(), acc.pivots
+    for stop in (0, 5, 11):
+        acc.add(_rank_deficient(rng, 4, 16, 4).astype(float), stop_at_rank=stop)
+        assert acc.rank == 12 and acc.pivots == pivots
+        assert np.array_equal(acc.rows(), rows)
+    ref = rref_stack(mat[None].astype(float), [16])
+    assert int(ref[2][0]) == acc.rank and ref[1][0, :12].tolist() == acc.pivots
+    assert np.array_equal(ref[0][0, :12], acc.rows())
+    assert np.array_equal(quotient_maps(*ref)[0][0], acc.projection())
+
+
 def test_add_reduces_its_rows_mod_p():
     # entries far above MODP must not reach the float64 dot products
     rng = np.random.default_rng(7)

@@ -473,6 +473,34 @@ def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
     assert braids > 30
 
 
+@pytest.mark.parametrize("n, max_len", [(4, 5), (5, 4)])
+def test_stabilizer_actions_respect_products(n, max_len):
+    # `_rho` builds each rho_w(tau) on its own from `_moved`, so nothing
+    # in its construction makes rho a homomorphism: check
+    # rho(tau s_k) = rho(tau) rho(s_k), with (tau s_k)[i] = tau[s_k[i]],
+    # for every tau in Stab(w), the identity included, and every swap
+    # s_k in Stab(w)
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    checked = 0
+    for l in range(max_len + 1):
+        for (a, b), cell in eng.levels[l].items():
+            for w, (dim, _) in cell.items():
+                stab = [tau for tau in permutations(range(n))
+                        if all(w[t] == x for t, x in zip(tau, w))]
+                swaps = [sk for sk in eng._swaps if sk in stab]
+                assert np.array_equal(eng._rho(l, a, b, w, eng._id), np.eye(dim))
+                for tau in stab:
+                    R = eng._rho(l, a, b, w, tau)
+                    for sk in swaps:
+                        tau_sk = tuple(tau[i] for i in sk)
+                        assert np.array_equal(eng._rho(l, a, b, w, tau_sk),
+                                              R @ eng._rho(l, a, b, w, sk) % MODP), (
+                            l, a, b, w, tau, sk)
+                        checked += 1
+    assert checked > 1000
+
+
 def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(monkeypatch):
     # the engine eliminates one block per S_n-orbit, which is sound only
     # if swapping two labels maps each generator to one up to sign
