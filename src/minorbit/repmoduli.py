@@ -14,6 +14,31 @@ precisely for the simple representations (beta != 0).
 Scalars are rationals (Fraction, the default, or int) or elements of
 one prime field GF(p), through the small wrapper below that the tests
 fuzz with; `check_relations` accepts exactly these two kinds.
+
+Every exact step works on one integer lift of the scalars
+(`_lift_scalars`): rationals become numerators N over their common
+denominator d, GF(p) elements their values in 0..p-1 (d = 1), and an
+equation between scalars becomes one between integers, taken modulo p
+over GF(p).  `check_relations` sums each relation generator in the lift,
+`RepTriple` tests the pairing there, `rescale` and `to_point` build
+each entry as one Fraction(num, den) or GF element from lifted numbers,
+and `reps_isomorphic` cross-multiplies.  Results are the ones the
+scalars' own arithmetic gives, down to type (int / int stays a float).
+
+The isomorphism test.  r1 = rescale(r2, c) with c_0 = 1 says, in layer
+k, f1_i = rho f2_i for every label i and v1_j rho = v2_j for every j,
+where rho = c_{k+1} / c_k != 0.  If the zero patterns of f1 and f2
+agree and i0 is the first label with f1_i0 != 0, such a rho exists
+exactly when f1_i f2_i0 = f2_i f1_i0 for every i and v1_j f1_i0 =
+v2_j f2_i0 for every j: then rho = f1_i0 / f2_i0 is the only choice.
+The layers' rhos are independent, and any choice of them gives c, so r1
+and r2 are isomorphic exactly when every layer passes.  Over the lifts
+f = N / d, v = V / d of each rep the f equations read N1_i N2_i0 =
+N2_i N1_i0 (both sides carry 1 / (d1 d2)) and the v equations
+V1_j N1_i0 d2^2 = V2_j N2_i0 d1^2 (both sides times d1^2 d2^2).  A layer
+whose f scalars all vanish fixes no rho, and the test answers False
+there: it is meant for reps generated by W_0, whose f layers are all
+nonzero.
 """
 
 from __future__ import annotations
@@ -91,8 +116,11 @@ class RepTriple:
             raise ValueError("alpha and beta must have length n")
         if not any(self.alpha):
             raise ValueError("alpha must be nonzero")
-        pairing = sum(a * b for a, b in zip(self.alpha, self.beta))
-        if pairing != 0:
+        vals, _, p = _lift_scalars((*self.alpha, *self.beta))
+        n = self.n
+        total = sum(a * b for a, b in zip(vals[:n], vals[n:]))
+        if (total % p) if p else total:
+            pairing = sum(a * b for a, b in zip(self.alpha, self.beta))
             raise ValueError(f"pairing <beta, alpha> = {pairing} must vanish")
 
 
@@ -167,16 +195,24 @@ def _relation_table(n: int, gens: tuple) -> tuple:
     return rows
 
 
-def _lift(r: Rep) -> tuple[list, int]:
-    """The rep's scalars as integers, f layers first, with the modulus to
-    test them in: p for GF(p) scalars, lifted to their values; 0 for
-    rationals, each written as N / D over the common denominator D and
-    lifted to N."""
-    s = [x for layer in r.f_scalars + r.v_scalars for x in layer]
-    if isinstance(s[0], GF):
-        return [x.v for x in s], s[0].p
+def _lift_scalars(s) -> tuple[list, int, int]:
+    """A scalar sequence as integers (vals, d, p).  When some scalar is a
+    GF(p) element: values in 0..p-1, with d = 1, a plain int x among them
+    standing for GF(p, x) as in GF's own arithmetic.  Otherwise the
+    scalars are rationals (Fraction or int), lifted to the numerators N_i
+    of s_i = N_i / d over their common denominator d, with p = 0.
+    Equalities of homogeneous scalar polynomials become equalities of
+    integers, taken modulo p when p is nonzero."""
+    if GF in map(type, s):
+        p = next(x.p for x in s if isinstance(x, GF))
+        return [x.v if isinstance(x, GF) else x % p for x in s], 1, p
     d = lcm(*(x.denominator for x in s))
-    return [x.numerator * (d // x.denominator) for x in s], 0
+    return [x.numerator * (d // x.denominator) for x in s], d, 0
+
+
+def _lift(r: Rep) -> tuple[list, int, int]:
+    """`_lift_scalars` of the rep's scalars, f layers first."""
+    return _lift_scalars([x for layer in r.f_scalars + r.v_scalars for x in layer])
 
 
 def check_relations(r: Rep) -> RelationCheck:
@@ -192,8 +228,8 @@ def check_relations(r: Rep) -> RelationCheck:
     sum coeff * N_a * N_b, and it is zero exactly when that integer is.
     GF(p) scalars are lifted to their values in 0..p-1, and the integer
     sum is tested modulo p.  The scalars of one rep must therefore be all
-    Fraction or int, or all GF elements of one prime."""
-    vals, p = _lift(r)
+    Fraction or int, or GF elements of one prime and ints."""
+    vals, _, p = _lift(r)
     for name, source, terms in _relation_table(r.n, relation_generators(r.n)):
         total = 0
         for coeff, a, b in terms:
@@ -240,13 +276,41 @@ def _normalize_projective(vec):
     return tuple(x / pivot for x in vec)
 
 
+def _quotient(num: int, den: int, exact: bool, p: int):
+    """num / den in the scalars' field: GF(p) when p is nonzero, else a
+    Fraction.  `exact` is False when every rational operand the quotient
+    stands for was a plain int, and then the result is the float that
+    int / int gives, as the same arithmetic on the scalars themselves
+    would."""
+    if p:
+        return GF(p, num * pow(den, p - 2, p))
+    return Fraction(num, den) if exact else num / den
+
+
 def to_point(r: Rep) -> YPoint:
     """The point ([alpha], X = alpha beta^T) read off W_0's arrows.  X is
     square-zero because `RepTriple` rejects a nonzero pairing, and both
-    the line and X are unchanged by a rescaling of the bases."""
+    the line and X are unchanged by a rescaling of the bases.  Built from
+    the lift alpha_i = N_i / d, beta_j = M_j / d: X_ij = N_i M_j / d^2,
+    and the line's entries are N_i / N_pivot."""
     t = triple_from_rep(r)
-    X = tuple(tuple(a * b for b in t.beta) for a in t.alpha)
-    return YPoint(line=_normalize_projective(t.alpha), X=X)
+    n = t.n
+    vals, d, p = _lift_scalars((*t.alpha, *t.beta))
+    a, b = vals[:n], vals[n:]
+    pivot, k = next((x, k) for k, x in enumerate(a) if x)
+    line_int = isinstance(t.alpha[k], int)
+    line = tuple(
+        _quotient(x, pivot, not (line_int and isinstance(s, int)), p)
+        for x, s in zip(a, t.alpha))
+    if p:
+        X = tuple(tuple(GF(p, x * y) for y in b) for x in a)
+    else:
+        dd = d * d
+        X = tuple(
+            tuple(x * y // dd if isinstance(s, int) and isinstance(u, int)
+                  else Fraction(x * y, dd) for y, u in zip(b, t.beta))
+            for x, s in zip(a, t.alpha))
+    return YPoint(line=line, X=X)
 
 
 def triple_from_rep(r: Rep) -> RepTriple:
@@ -264,51 +328,69 @@ def rescale(r: Rep, c) -> Rep:
     """r written in the basis that scales the coordinate of W_k by c[k]:
     f scalars out of W_k gain c[k+1] / c[k], v scalars into W_k gain
     c[k] / c[k+1].  This is the basis change that
-    `reps_isomorphic(rescale(r, c), r)` searches for, scaled to c[0] = 1."""
+    `reps_isomorphic(rescale(r, c), r)` searches for, scaled to c[0] = 1.
+
+    With r lifted to N / d and c to C / e (e cancels), an f entry is
+    N C_{k+1} / (d C_k), built as one element of GF(p) when r or c holds
+    GF(p) elements, else as one Fraction."""
     n = r.n
+    vals, d, p = _lift(r)
+    cs, _, q = _lift_scalars(c)
+    p = p or q
+    whole = [isinstance(x, int) for x in c]
+
+    def layer(scalars, start, up, down):
+        exact = not (whole[up] and whole[down])
+        num, den = cs[up], d * cs[down]
+        return tuple(
+            _quotient(x * num, den, exact or not isinstance(s, int), p)
+            for x, s in zip(vals[start:start + n], scalars))
+
+    v0 = (n - 1) * n
     return Rep(
         n,
-        tuple(tuple(x * c[k + 1] / c[k] for x in r.f_scalars[k]) for k in range(n - 1)),
-        tuple(tuple(x * c[k] / c[k + 1] for x in r.v_scalars[k]) for k in range(n - 1)),
+        tuple(layer(r.f_scalars[k], k * n, k + 1, k) for k in range(n - 1)),
+        tuple(layer(r.v_scalars[k], v0 + k * n, k, k + 1) for k in range(n - 1)),
     )
 
 
 def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
     """Isomorphism = a rescaling c_k of each basis vector (c_0 = 1) that
-    matches all arrow scalars: r1 == rescale(r2, c)."""
+    matches all arrow scalars: r1 == rescale(r2, c).  Reps of different n
+    are not isomorphic; reps over different fields (rationals, or GF(p)
+    for two primes p) raise ValueError.  The gauge is read off the f
+    layers, so a rep with an f layer that is all zero, one not generated
+    by W_0, is isomorphic to nothing, itself included.  The layer
+    equations are cross-multiplied in the lift, as the module docstring
+    proves."""
     if r1.n != r2.n:
         return False
     n = r1.n
-    c = [None] * n
-    c[0] = _one_like(r1.f_scalars[0][0])
-    for k in range(n - 1):
-        if c[k] is None:
-            return False
-        ratio = None
-        for i in range(n):
-            s1, s2 = r1.f_scalars[k][i], r2.f_scalars[k][i]
-            if bool(s1) != bool(s2):
+    s1, d1, p = _lift(r1)
+    s2, d2, q = _lift(r2)
+    if p != q:
+        raise ValueError("reps over different fields are not compared")
+    v0 = (n - 1) * n
+    for lo in range(0, v0, n):
+        a0 = None
+        for i in range(lo, lo + n):
+            a, b = s1[i], s2[i]
+            if (a == 0) != (b == 0):
                 return False
-            if s1:
-                rr = s1 * c[k] / s2
-                if ratio is None:
-                    ratio = rr
-                elif ratio != rr:
+            if a:
+                if a0 is None:
+                    a0, b0 = a, b
+                diff = a * b0 - b * a0
+                if (diff % p) if p else diff:
                     return False
-        if ratio is None:
+        if a0 is None:
             return False
-        c[k + 1] = ratio
-    for k in range(n - 1):
-        for j in range(n):
-            if r1.v_scalars[k][j] * c[k + 1] != r2.v_scalars[k][j] * c[k]:
+        u1, u2 = a0 * d2 * d2, b0 * d1 * d1
+        for j in range(v0 + lo, v0 + lo + n):
+            diff = s1[j] * u1 - s2[j] * u2
+            if (diff % p) if p else diff:
                 return False
     return True
-
-
-def _one_like(x):
-    if isinstance(x, GF):
-        return GF(x.p, 1)
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,15 @@ def test_rep_subcommand(capsys):
     assert rc == 2
 
 
+def test_rep_reports_the_rational_pairing(capsys):
+    # the pairing is tested on the integer lift, numerators (2, 0) and
+    # (1, 0) over the common denominator 2, whose sum is 2; the message
+    # prints the rational pairing
+    rc, out, err = run(capsys, ["rep", "--alpha", "1,0", "--beta", "1/2,0"])
+    assert (rc, out) == (2, "")
+    assert "pairing <beta, alpha> = 1/2 must vanish" in err
+
+
 def test_hilbert_subcommand(capsys):
     rc, out, _ = run(
         capsys, ["hilbert", "--module", "M(0)", "--n", "2", "--cap", "4", "--output", "csv"]

@@ -12,6 +12,7 @@ from minorbit.repmoduli import (
     GF,
     Rep,
     RepTriple,
+    YPoint,
     check_relations,
     generated_by,
     is_simple,
@@ -308,6 +309,216 @@ def test_gf_fuzz():
             assert is_simple(r) == any(t.beta)
 
 
+def _reference_rescale(r, c):
+    """rescale in the scalars' own arithmetic: the oracle for the lift."""
+    n = r.n
+    return Rep(
+        n,
+        tuple(tuple(x * c[k + 1] / c[k] for x in r.f_scalars[k]) for k in range(n - 1)),
+        tuple(tuple(x * c[k] / c[k + 1] for x in r.v_scalars[k]) for k in range(n - 1)),
+    )
+
+
+def _reference_point(r):
+    alpha, beta = r.f_scalars[0], r.v_scalars[0]
+    pivot = next(x for x in alpha if x)
+    return (tuple(x / pivot for x in alpha),
+            tuple(tuple(a * b for b in beta) for a in alpha))
+
+
+def _reference_isomorphic(r1, r2):
+    """reps_isomorphic as a chain of gauge scalars c_k in the scalars' own
+    arithmetic."""
+    if r1.n != r2.n:
+        return False
+    n = r1.n
+    x = r1.f_scalars[0][0]
+    c = [GF(x.p, 1) if isinstance(x, GF) else Q(1)]
+    for k in range(n - 1):
+        ratio = None
+        for s1, s2 in zip(r1.f_scalars[k], r2.f_scalars[k]):
+            if bool(s1) != bool(s2):
+                return False
+            if s1:
+                rr = s1 * c[k] / s2
+                if ratio is None:
+                    ratio = rr
+                elif ratio != rr:
+                    return False
+        if ratio is None:
+            return False
+        c.append(ratio)
+    return all(
+        r1.v_scalars[k][j] * c[k + 1] == r2.v_scalars[k][j] * c[k]
+        for k in range(n - 1) for j in range(n))
+
+
+def _entries(x):
+    """Each entry of a nested tuple with its type and str: equal lists mean
+    equal values, types and printed forms."""
+    if isinstance(x, tuple):
+        return [e for y in x for e in _entries(y)]
+    return [(x, type(x), str(x))]
+
+
+def _cases(kind, rng):
+    """(rep, c) pairs of one input set: Fraction reps with c entries like
+    Q(5, 3); plain int reps with int or Fraction c entries; GF(10007) reps
+    with GF c (c_0 the int 1, as in the battery)."""
+    gf = lambda x: GF(10007, x)
+    for n in range(2, 7):
+        for _ in range(12):
+            if kind == "fraction":
+                t = random_triple(n, rng)
+                c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1))
+            elif kind == "int":
+                t = random_triple(n, rng, field=int)
+                c = (1,) + tuple(rng.choice([int, Q])(rng.randint(1, 5)) for _ in range(n - 1))
+            else:
+                t = random_triple(n, rng, field=gf)
+                c = (1,) + tuple(gf(rng.randint(1, 10006)) for _ in range(n - 1))
+            yield rep_from_triple(t), c
+
+
+_KINDS = ["fraction", "int", "gf10007"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_lifted_rescale_and_point_agree_with_the_field_arithmetic(kind):
+    for r, c in _cases(kind, Random(23)):
+        scaled = rescale(r, c)
+        expected = _reference_rescale(r, c)
+        assert _entries(scaled.f_scalars) == _entries(expected.f_scalars)
+        assert _entries(scaled.v_scalars) == _entries(expected.v_scalars)
+        # an int rep rescaled by int c has float entries, which have no lift
+        for rep in (r, scaled) if kind != "int" else (r,):
+            pt = to_point(rep)
+            line, X = _reference_point(rep)
+            assert _entries(pt.line) == _entries(line)
+            assert _entries(pt.X) == _entries(X)
+
+
+def _with(r, layer, k, i, value):
+    tables = {"f": [list(x) for x in r.f_scalars], "v": [list(x) for x in r.v_scalars]}
+    tables[layer][k][i] = value
+    return Rep(r.n, tuple(map(tuple, tables["f"])), tuple(map(tuple, tables["v"])))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_lifted_isomorphism_test_agrees_with_the_gauge_chain(kind):
+    rng = Random(29)
+    for r, c in _cases(kind, rng):
+        if kind == "int":
+            # int / int is a float, which has no lift: keep the basis exact
+            c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(r.n - 1))
+        scaled = rescale(r, c)
+        pairs = [(scaled, r), (r, scaled)]
+        for layer in "fv":
+            k, i = rng.randrange(r.n - 1), rng.randrange(r.n)
+            x = getattr(scaled, f"{layer}_scalars")[k][i]
+            pairs.append((_with(scaled, layer, k, i, x + 1), r))
+            pairs.append((_with(scaled, layer, k, i, 0 * x), r))
+        for r1, r2 in pairs:
+            assert reps_isomorphic(r1, r2) == _reference_isomorphic(r1, r2)
+        assert reps_isomorphic(scaled, r)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_lifted_pairing_check_agrees_with_the_field_arithmetic(kind):
+    rng = Random(31)
+    for r, _ in _cases(kind, rng):
+        n, alpha = r.n, r.f_scalars[0]
+        for beta in (r.v_scalars[0], _with(r, "v", 0, rng.randrange(n), alpha[0] + 1).v_scalars[0]):
+            pairing = sum(a * b for a, b in zip(alpha, beta))
+            if pairing == 0:
+                assert RepTriple(n, alpha, beta).beta == beta
+            else:
+                with pytest.raises(ValueError) as e:
+                    RepTriple(n, alpha, beta)
+                assert str(e.value) == f"pairing <beta, alpha> = {pairing} must vanish"
+
+
+def _isomorphic_pair(field):
+    # alpha has a zero at label 3, beta at label 2; c = (1, 2, 5, 3)
+    t = RepTriple(4, tuple(map(field, (1, 2, 0, 1))), tuple(map(field, (2, 0, 1, -2))))
+    r = rep_from_triple(t)
+    return rescale(r, tuple(map(field, (1, 2, 5, 3)))), r
+
+
+def _bumped(r, layer, k, i):
+    x = getattr(r, f"{layer}_scalars")[k][i]
+    return _with(r, layer, k, i, x + 1)
+
+
+def _zero_moved(r, layer, k):
+    # swap the layer's zero with its neighbour
+    row = list(getattr(r, f"{layer}_scalars")[k])
+    z = row.index(0)
+    row[z], row[z - 1] = row[z - 1], row[z]
+    tables = {"f": list(r.f_scalars), "v": list(r.v_scalars)}
+    tables[layer][k] = tuple(row)
+    return Rep(r.n, tuple(tables["f"]), tuple(tables["v"]))
+
+
+def _f_layer_zeroed(r, k):
+    f = list(r.f_scalars)
+    f[k] = tuple(0 * x for x in f[k])
+    return Rep(r.n, tuple(f), r.v_scalars)
+
+
+def _longer(r):
+    return rep_from_triple(RepTriple(r.n + 1, r.f_scalars[0] + (0 * r.f_scalars[0][0],),
+                                     r.v_scalars[0] + (0 * r.v_scalars[0][0],)))
+
+
+@pytest.mark.parametrize("field", [Q, lambda x: GF(10007, x)], ids=["fraction", "gf10007"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r: _bumped(r, "v", 1, 0),
+        lambda r: _bumped(r, "v", 2, 3),
+        lambda r: _bumped(r, "f", 1, 1),
+        lambda r: _bumped(r, "f", 0, 2),
+        lambda r: _zero_moved(r, "f", 2),
+        lambda r: _zero_moved(r, "v", 0),
+        lambda r: _f_layer_zeroed(r, 1),
+        _longer,
+    ],
+    ids=["v-scalar", "last-v-scalar", "f-scalar", "f-zero-made-nonzero",
+         "f-zero-moved", "v-zero-moved", "zero-f-layer", "larger-n"],
+)
+def test_isomorphism_test_rejects_one_change(field, change):
+    scaled, r = _isomorphic_pair(field)
+    assert reps_isomorphic(scaled, r) and reps_isomorphic(r, scaled)
+    other = change(scaled)
+    assert other != scaled
+    assert not reps_isomorphic(other, r)
+    assert not reps_isomorphic(r, other)
+
+
+@pytest.mark.parametrize("field", [Q, lambda x: GF(10007, x)], ids=["fraction", "gf10007"])
+def test_isomorphism_test_needs_every_f_layer_nonzero(field):
+    # the gauge is read off the f layers, so a rep with a zero f layer (one
+    # not generated by W_0) is not even isomorphic to itself
+    r = _f_layer_zeroed(_isomorphic_pair(field)[1], 2)
+    assert not reps_isomorphic(r, r)
+
+
+def test_isomorphism_test_refuses_reps_over_different_fields():
+    # reps over Q and over GF(p) (or over two primes) have no common field
+    # to compare in: the test raises instead of answering
+    scaled, r = _isomorphic_pair(Q)
+    for field in (lambda x: GF(10007, x), lambda x: GF(7, x)):
+        other = _isomorphic_pair(field)[0]
+        with pytest.raises(ValueError, match="different fields"):
+            reps_isomorphic(other, r)
+        with pytest.raises(ValueError, match="different fields"):
+            reps_isomorphic(scaled, other)
+    with pytest.raises(ValueError, match="different fields"):
+        reps_isomorphic(_isomorphic_pair(lambda x: GF(7, x))[0],
+                        _isomorphic_pair(lambda x: GF(10007, x))[1])
+
+
 def test_battery_smoke():
     for n in (2, 5):
         rep = run_battery(n, 100, seed=42)
@@ -328,13 +539,20 @@ def _inverted_ratio_isomorphic(r1, r2):
     return r1 == rescale(r2, c)
 
 
+def _transposed_point(r):
+    # the point with X = beta alpha^T in place of alpha beta^T
+    pt = to_point(r)
+    return YPoint(pt.line, tuple(zip(*pt.X)))
+
+
 @pytest.mark.parametrize(
     "name, broken, step",
     [
         ("check_relations", _wrong_layer_check, "relations"),
         ("reps_isomorphic", _inverted_ratio_isomorphic, "round-trip"),
+        ("to_point", _transposed_point, "point"),
     ],
-    ids=["wrong-layer-relations", "inverted-ratio-isomorphism"],
+    ids=["wrong-layer-relations", "inverted-ratio-isomorphism", "transposed-point"],
 )
 def test_battery_fails_on_a_broken_step(monkeypatch, name, broken, step):
     # reps in one basis repeat alpha and beta in every layer, so both
