@@ -11,19 +11,19 @@ and correspond to the point ([alpha], X = alpha beta^T) of the
 resolution: X is square-zero of rank at most one, with rank exactly one
 precisely for the simple representations (beta != 0).
 
-Scalars are rationals (Fraction, the default, or int) or elements of
-one prime field GF(p), through the small wrapper below that the tests
-fuzz with; `check_relations` accepts exactly these two kinds.
-
-Every exact step works on one integer lift of the scalars
-(`_lift_scalars`): rationals become numerators N over their common
-denominator d, GF(p) elements their values in 0..p-1 (d = 1), and an
-equation between scalars becomes one between integers, taken modulo p
-over GF(p).  `check_relations` sums each relation generator in the lift,
-`RepTriple` tests the pairing there, `rescale` and `to_point` build
-each entry as one Fraction(num, den) or GF element from lifted numbers,
-and `reps_isomorphic` cross-multiplies.  Results are the ones the
-scalars' own arithmetic gives, down to type (int / int stays a float).
+Scalars lie in one field, which `_lift_scalars` alone decides: Q for
+Fraction and int scalars, or GF(p) for elements of the small wrapper GF
+below (which the tests fuzz with) and ints standing for GF(p, x).  Any
+other scalar, and scalars from two fields, raise.  Every exact step
+works on one integer lift of the scalars: rationals become numerators N
+over their common denominator d, GF(p) elements their values in 0..p-1
+(d = 1), and an equation between scalars becomes one between integers,
+taken modulo p over GF(p).  `check_relations` sums each relation
+generator in the lift, `RepTriple` tests the pairing there, `rescale`
+and `to_point` build each entry as one quotient of lifted numbers, and
+`reps_isomorphic` cross-multiplies.  Every result is therefore a
+Fraction over Q and a GF(p) element over GF(p), whatever mix of int and
+Fraction the input was.
 
 The isomorphism test.  r1 = rescale(r2, c) with c_0 = 1 says, in layer
 k, f1_i = rho f2_i for every label i and v1_j rho = v2_j for every j,
@@ -57,6 +57,8 @@ class GF:
     __slots__ = ("p", "v")
 
     def __init__(self, p: int, v: int):
+        if not isinstance(v, int):
+            raise TypeError(f"GF({p}) value {v!r} is not an int")
         self.p = p
         self.v = v % p
 
@@ -83,8 +85,7 @@ class GF:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = self._lift(o)
-        return GF(self.p, self.v * pow(o.v, self.p - 2, self.p))
+        return _quotient(self.v, self._lift(o).v, self.p)
 
     def __eq__(self, o):
         if isinstance(o, int):
@@ -116,12 +117,11 @@ class RepTriple:
             raise ValueError("alpha and beta must have length n")
         if not any(self.alpha):
             raise ValueError("alpha must be nonzero")
-        vals, _, p = _lift_scalars((*self.alpha, *self.beta))
+        vals, d, p = _lift_scalars((*self.alpha, *self.beta))
         n = self.n
         total = sum(a * b for a, b in zip(vals[:n], vals[n:]))
         if (total % p) if p else total:
-            pairing = sum(a * b for a, b in zip(self.alpha, self.beta))
-            raise ValueError(f"pairing <beta, alpha> = {pairing} must vanish")
+            raise ValueError(f"pairing <beta, alpha> = {_quotient(total, d * d, p)} must vanish")
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ _TABLES: dict = {}
 def _relation_table(n: int, gens: tuple) -> tuple:
     """The generators as rows (name, source, ((coeff, a, b), ...)): term
     coeff * (word) acts by coeff * s[a] * s[b] on the flat scalar list s
-    of `_lift` (f layers first, then v layers).  Compiled once per
+    of `_scalars` (f layers first, then v layers).  Compiled once per
     generator tuple, so a replaced `relation_generators` is honoured."""
     entry = _TABLES.get((n, id(gens)))
     if entry is not None:
@@ -195,24 +195,37 @@ def _relation_table(n: int, gens: tuple) -> tuple:
     return rows
 
 
+# the scalar types of Q, matched exactly
+_RATIONAL = {Fraction, int}
+
+
 def _lift_scalars(s) -> tuple[list, int, int]:
-    """A scalar sequence as integers (vals, d, p).  When some scalar is a
-    GF(p) element: values in 0..p-1, with d = 1, a plain int x among them
-    standing for GF(p, x) as in GF's own arithmetic.  Otherwise the
-    scalars are rationals (Fraction or int), lifted to the numerators N_i
-    of s_i = N_i / d over their common denominator d, with p = 0.
-    Equalities of homogeneous scalar polynomials become equalities of
-    integers, taken modulo p when p is nonzero."""
-    if GF in map(type, s):
-        p = next(x.p for x in s if isinstance(x, GF))
-        return [x.v if isinstance(x, GF) else x % p for x in s], 1, p
-    d = lcm(*(x.denominator for x in s))
-    return [x.numerator * (d // x.denominator) for x in s], d, 0
+    """The field of the scalars s, and s as integers (vals, d, p).  Over Q
+    (Fraction and int scalars, p = 0) vals are the numerators N_i of
+    s_i = N_i / d over the common denominator d; over GF(p) (GF elements,
+    and ints x standing for GF(p, x)) they are the values in 0..p-1, with
+    d = 1.  Equalities of homogeneous scalar polynomials become equalities
+    of integers, taken modulo p when p is nonzero.  Raises TypeError for
+    any other scalar, a float say, and ValueError naming the fields for a
+    Fraction among GF elements or GF elements of two primes."""
+    kinds = set(map(type, s))
+    if kinds <= _RATIONAL:
+        d = lcm(*(x.denominator for x in s))
+        return [x.numerator * (d // x.denominator) for x in s], d, 0
+    odd = kinds - _RATIONAL - {GF}
+    if odd:
+        raise TypeError(f"a {odd.pop().__name__} scalar is not a Fraction, int or GF element")
+    primes = sorted({x.p for x in s if type(x) is GF})
+    fields = [f"GF({q})" for q in primes] + ["Q"] * (Fraction in kinds)
+    if len(fields) > 1:
+        raise ValueError(f"scalars over different fields: {' and '.join(fields)}")
+    p = primes[0]
+    return [x.v if type(x) is GF else x % p for x in s], 1, p
 
 
-def _lift(r: Rep) -> tuple[list, int, int]:
-    """`_lift_scalars` of the rep's scalars, f layers first."""
-    return _lift_scalars([x for layer in r.f_scalars + r.v_scalars for x in layer])
+def _scalars(r: Rep) -> list:
+    """The rep's scalars as one flat list, f layers first."""
+    return [x for layer in r.f_scalars + r.v_scalars for x in layer]
 
 
 def check_relations(r: Rep) -> RelationCheck:
@@ -226,10 +239,8 @@ def check_relations(r: Rep) -> RelationCheck:
     generator is an integer times a two-arrow word, which acts by
     (N_a / D)(N_b / D), so a generator's sum is D^-2 times the integer
     sum coeff * N_a * N_b, and it is zero exactly when that integer is.
-    GF(p) scalars are lifted to their values in 0..p-1, and the integer
-    sum is tested modulo p.  The scalars of one rep must therefore be all
-    Fraction or int, or GF elements of one prime and ints."""
-    vals, _, p = _lift(r)
+    Over GF(p) the integer sum is tested modulo p."""
+    vals, _, p = _lift_scalars(_scalars(r))
     for name, source, terms in _relation_table(r.n, relation_generators(r.n)):
         total = 0
         for coeff, a, b in terms:
@@ -276,15 +287,13 @@ def _normalize_projective(vec):
     return tuple(x / pivot for x in vec)
 
 
-def _quotient(num: int, den: int, exact: bool, p: int):
-    """num / den in the scalars' field: GF(p) when p is nonzero, else a
-    Fraction.  `exact` is False when every rational operand the quotient
-    stands for was a plain int, and then the result is the float that
-    int / int gives, as the same arithmetic on the scalars themselves
-    would."""
-    if p:
-        return GF(p, num * pow(den, p - 2, p))
-    return Fraction(num, den) if exact else num / den
+def _quotient(num: int, den: int, p: int):
+    """num / den in the field of `_lift_scalars`: a GF(p) element when p
+    is nonzero, else a Fraction.  A den of zero (mod p) raises
+    ZeroDivisionError in both."""
+    if p and not den % p:
+        raise ZeroDivisionError(f"division by zero in GF({p})")
+    return GF(p, num * pow(den, p - 2, p)) if p else Fraction(num, den)
 
 
 def to_point(r: Rep) -> YPoint:
@@ -297,20 +306,10 @@ def to_point(r: Rep) -> YPoint:
     n = t.n
     vals, d, p = _lift_scalars((*t.alpha, *t.beta))
     a, b = vals[:n], vals[n:]
-    pivot, k = next((x, k) for k, x in enumerate(a) if x)
-    line_int = isinstance(t.alpha[k], int)
-    line = tuple(
-        _quotient(x, pivot, not (line_int and isinstance(s, int)), p)
-        for x, s in zip(a, t.alpha))
-    if p:
-        X = tuple(tuple(GF(p, x * y) for y in b) for x in a)
-    else:
-        dd = d * d
-        X = tuple(
-            tuple(x * y // dd if isinstance(s, int) and isinstance(u, int)
-                  else Fraction(x * y, dd) for y, u in zip(b, t.beta))
-            for x, s in zip(a, t.alpha))
-    return YPoint(line=line, X=X)
+    pivot = next(x for x in a if x)
+    dd = d * d
+    return YPoint(line=tuple(_quotient(x, pivot, p) for x in a),
+                  X=tuple(tuple(_quotient(x * y, dd, p) for y in b) for x in a))
 
 
 def triple_from_rep(r: Rep) -> RepTriple:
@@ -330,27 +329,22 @@ def rescale(r: Rep, c) -> Rep:
     c[k] / c[k+1].  This is the basis change that
     `reps_isomorphic(rescale(r, c), r)` searches for, scaled to c[0] = 1.
 
-    With r lifted to N / d and c to C / e (e cancels), an f entry is
-    N C_{k+1} / (d C_k), built as one element of GF(p) when r or c holds
-    GF(p) elements, else as one Fraction."""
+    r and c are lifted together, so they lie in one field: to N / d and
+    C / d, and an f entry is the one `_quotient` N C_{k+1} / (d C_k).  A
+    c entry of zero raises ZeroDivisionError."""
     n = r.n
-    vals, d, p = _lift(r)
-    cs, _, q = _lift_scalars(c)
-    p = p or q
-    whole = [isinstance(x, int) for x in c]
-
-    def layer(scalars, start, up, down):
-        exact = not (whole[up] and whole[down])
-        num, den = cs[up], d * cs[down]
-        return tuple(
-            _quotient(x * num, den, exact or not isinstance(s, int), p)
-            for x, s in zip(vals[start:start + n], scalars))
-
     v0 = (n - 1) * n
+    vals, d, p = _lift_scalars([*_scalars(r), *c])
+    cs = vals[2 * v0:]
+
+    def layer(start, up, down):
+        num, den = cs[up], d * cs[down]
+        return tuple(_quotient(x * num, den, p) for x in vals[start:start + n])
+
     return Rep(
         n,
-        tuple(layer(r.f_scalars[k], k * n, k + 1, k) for k in range(n - 1)),
-        tuple(layer(r.v_scalars[k], v0 + k * n, k, k + 1) for k in range(n - 1)),
+        tuple(layer(k * n, k + 1, k) for k in range(n - 1)),
+        tuple(layer(v0 + k * n, k, k + 1) for k in range(n - 1)),
     )
 
 
@@ -366,8 +360,8 @@ def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
     if r1.n != r2.n:
         return False
     n = r1.n
-    s1, d1, p = _lift(r1)
-    s2, d2, q = _lift(r2)
+    s1, d1, p = _lift_scalars(_scalars(r1))
+    s2, d2, q = _lift_scalars(_scalars(r2))
     if p != q:
         raise ValueError("reps over different fields are not compared")
     v0 = (n - 1) * n

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -383,19 +384,36 @@ def _cases(kind, rng):
 _KINDS = ["fraction", "int", "gf10007"]
 
 
+def _over_q(r):
+    """An int rep as the rep of Fractions it stands for."""
+    return Rep(r.n, *(tuple(tuple(map(Q, layer)) for layer in layers)
+                      for layers in (r.f_scalars, r.v_scalars)))
+
+
 @pytest.mark.parametrize("kind", _KINDS)
 def test_lifted_rescale_and_point_agree_with_the_field_arithmetic(kind):
     for r, c in _cases(kind, Random(23)):
+        # int scalars lie in Q: the oracle computes on their Fractions, so
+        # every entry must come out a Fraction, never int / int's float
+        r_ref, c_ref = (_over_q(r), tuple(map(Q, c))) if kind == "int" else (r, c)
         scaled = rescale(r, c)
-        expected = _reference_rescale(r, c)
+        expected = _reference_rescale(r_ref, c_ref)
         assert _entries(scaled.f_scalars) == _entries(expected.f_scalars)
         assert _entries(scaled.v_scalars) == _entries(expected.v_scalars)
-        # an int rep rescaled by int c has float entries, which have no lift
-        for rep in (r, scaled) if kind != "int" else (r,):
+        for rep, ref in ((r, r_ref), (scaled, expected)):
             pt = to_point(rep)
-            line, X = _reference_point(rep)
+            line, X = _reference_point(ref)
             assert _entries(pt.line) == _entries(line)
             assert _entries(pt.X) == _entries(X)
+
+
+def test_an_int_rep_rescales_and_points_to_fractions():
+    r = rep_from_triple(RepTriple(3, (1, 2, 1), (2, -1, 0)))
+    scaled = rescale(r, (1, 2, 3))
+    assert check_relations(scaled).passed
+    assert _entries(scaled.f_scalars[1]) == _entries((Q(3, 2), Q(3), Q(3, 2)))
+    assert _entries(to_point(r).line) == _entries(q(1, 2, 1))
+    assert _entries(to_point(r).X[1]) == _entries(q(4, -2, 0))
 
 
 def _with(r, layer, k, i, value):
@@ -408,9 +426,6 @@ def _with(r, layer, k, i, value):
 def test_lifted_isomorphism_test_agrees_with_the_gauge_chain(kind):
     rng = Random(29)
     for r, c in _cases(kind, rng):
-        if kind == "int":
-            # int / int is a float, which has no lift: keep the basis exact
-            c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(r.n - 1))
         scaled = rescale(r, c)
         pairs = [(scaled, r), (r, scaled)]
         for layer in "fv":
@@ -517,6 +532,55 @@ def test_isomorphism_test_refuses_reps_over_different_fields():
     with pytest.raises(ValueError, match="different fields"):
         reps_isomorphic(_isomorphic_pair(lambda x: GF(7, x))[0],
                         _isomorphic_pair(lambda x: GF(10007, x))[1])
+
+
+def test_division_by_zero_raises_in_every_field():
+    with pytest.raises(ZeroDivisionError):
+        GF(7, 3) / GF(7, 0)
+    with pytest.raises(ZeroDivisionError):
+        GF(7, 3) / 14
+    gf = lambda x: GF(7, x)
+    r = rep_from_triple(RepTriple(3, tuple(map(gf, (1, 2, 1))), tuple(map(gf, (2, -1, 0)))))
+    # a c entry that is zero mod 7, as a GF element or as an int
+    for c in ((1, gf(2), gf(14)), (1, 7, gf(3)), (gf(0), gf(1), gf(1))):
+        with pytest.raises(ZeroDivisionError):
+            rescale(r, c)
+    with pytest.raises(ZeroDivisionError):
+        rescale(_TRIPLE_REP, (1, Q(5, 3), 0, 2))
+
+
+_GF7_REP = rep_from_triple(RepTriple(2, (GF(7, 1), GF(7, 1)), (GF(7, 1), GF(7, 6))))
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: RepTriple(2, (GF(7, 1), GF(5, 1)), (GF(7, 0), GF(7, 0))), "GF(5) and GF(7)"),
+        (lambda: RepTriple(2, (GF(7, 1), Q(1, 2)), (GF(7, 0), GF(7, 0))), "GF(7) and Q"),
+        (lambda: rescale(_GF7_REP, (1, GF(5, 2))), "GF(5) and GF(7)"),
+        (lambda: rescale(_GF7_REP, (1, Q(1, 2))), "GF(7) and Q"),
+        (lambda: rescale(_TRIPLE_REP, (1, GF(7, 2), 1, 1)), "GF(7) and Q"),
+        (lambda: check_relations(_with(_GF7_REP, "v", 0, 1, GF(5, 1))), "GF(5) and GF(7)"),
+    ],
+    ids=["triple-two-primes", "triple-fraction-in-gf", "rescale-two-primes",
+         "rescale-fraction-c", "rescale-gf-c", "relations-two-primes"],
+)
+def test_scalars_from_two_fields_raise(make, fields):
+    with pytest.raises(ValueError, match=re.escape(f"scalars over different fields: {fields}")):
+        make()
+
+
+def test_scalars_outside_both_fields_raise():
+    with pytest.raises(TypeError, match="not an int"):
+        GF(7, Q(1, 2))
+    with pytest.raises(TypeError, match="not an int"):
+        GF(7, 1) + Q(1, 2)
+    with pytest.raises(TypeError, match="float scalar"):
+        RepTriple(2, (1.0, 1.0), (1.0, -1.0))
+    with pytest.raises(TypeError, match="float scalar"):
+        check_relations(_with(_TRIPLE_REP, "f", 0, 0, 1.5))
+    with pytest.raises(TypeError, match="float scalar"):
+        rescale(_TRIPLE_REP, (1, 0.5, 2, 3))
 
 
 def test_battery_smoke():
