@@ -32,13 +32,13 @@ agree and i0 is the first label with f1_i0 != 0, such a rho exists
 exactly when f1_i f2_i0 = f2_i f1_i0 for every i and v1_j f1_i0 =
 v2_j f2_i0 for every j: then rho = f1_i0 / f2_i0 is the only choice.
 The layers' rhos are independent, and any choice of them gives c, so r1
-and r2 are isomorphic exactly when every layer passes.  Over the lifts
-f = N / d, v = V / d of each rep the f equations read N1_i N2_i0 =
-N2_i N1_i0 (both sides carry 1 / (d1 d2)) and the v equations
-V1_j N1_i0 d2^2 = V2_j N2_i0 d1^2 (both sides times d1^2 d2^2).  A layer
-whose f scalars all vanish fixes no rho, and the test answers False
-there: it is meant for reps generated by W_0, whose f layers are all
-nonzero.
+and r2 are isomorphic exactly when every layer passes.  Both reps are
+lifted together, over one common denominator d: with f = N / d and
+v = V / d, the f equations read N1_i N2_i0 = N2_i N1_i0 and the v
+equations V1_j N1_i0 = V2_j N2_i0 (each side carries 1 / d^2).  A
+layer whose f scalars all vanish fixes no rho, and the test answers
+False there: it is meant for reps generated by W_0, whose f layers are
+all nonzero.
 """
 
 from __future__ import annotations
@@ -63,7 +63,12 @@ class GF:
         self.v = v % p
 
     def _lift(self, other):
-        return other if isinstance(other, GF) else GF(self.p, other)
+        if not isinstance(other, GF):
+            return GF(self.p, other)
+        if other.p != self.p:
+            fields = " and ".join(f"GF({q})" for q in sorted((self.p, other.p)))
+            raise ValueError(f"scalars over different fields: {fields}")
+        return other
 
     def __add__(self, o):
         o = self._lift(o)
@@ -351,20 +356,19 @@ def rescale(r: Rep, c) -> Rep:
 def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
     """Isomorphism = a rescaling c_k of each basis vector (c_0 = 1) that
     matches all arrow scalars: r1 == rescale(r2, c).  Reps of different n
-    are not isomorphic; reps over different fields (rationals, or GF(p)
-    for two primes p) raise ValueError.  The gauge is read off the f
-    layers, so a rep with an f layer that is all zero, one not generated
-    by W_0, is isomorphic to nothing, itself included.  The layer
-    equations are cross-multiplied in the lift, as the module docstring
-    proves."""
+    are not isomorphic.  Both reps are lifted together, so they lie in one
+    field: an int rep compares with a GF(p) rep in GF(p), and reps over
+    different fields (Q and GF(p), or GF(p) for two primes p) raise
+    ValueError.  The gauge is read off the f layers, so a rep with an f
+    layer that is all zero, one not generated by W_0, is isomorphic to
+    nothing, itself included.  The layer equations are cross-multiplied
+    in the lift, as the module docstring proves."""
     if r1.n != r2.n:
         return False
     n = r1.n
-    s1, d1, p = _lift_scalars(_scalars(r1))
-    s2, d2, q = _lift_scalars(_scalars(r2))
-    if p != q:
-        raise ValueError("reps over different fields are not compared")
     v0 = (n - 1) * n
+    vals, _, p = _lift_scalars([*_scalars(r1), *_scalars(r2)])
+    s1, s2 = vals[:2 * v0], vals[2 * v0:]
     for lo in range(0, v0, n):
         a0 = None
         for i in range(lo, lo + n):
@@ -379,9 +383,8 @@ def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
                     return False
         if a0 is None:
             return False
-        u1, u2 = a0 * d2 * d2, b0 * d1 * d1
         for j in range(v0 + lo, v0 + lo + n):
-            diff = s1[j] * u1 - s2[j] * u2
+            diff = s1[j] * a0 - s2[j] * b0
             if (diff % p) if p else diff:
                 return False
     return True
@@ -397,16 +400,31 @@ BOX = 3
 
 def random_triple(n: int, rng: Random, field=Fraction) -> RepTriple:
     """Draw alpha != 0 uniformly from the integer box [-BOX, BOX]^n, then
-    beta by rejection from the integer solutions of the pairing equation
-    in the same box."""
+    beta uniformly from S(alpha), the integer solutions of <beta, alpha>
+    = 0 in the same box.
+
+    beta is drawn by solving for one coordinate.  With i the first index
+    where alpha_i != 0, every beta_j (j != i) is drawn uniformly from the
+    box, in index order, and beta_i = -sum_{j != i} alpha_j beta_j /
+    alpha_i; the draw is kept when beta_i is an integer in the box, and
+    drawn again otherwise.  Dropping coordinate i maps S(alpha) into
+    [-BOX, BOX]^(n-1) injectively, since the pairing fixes beta_i from
+    the rest, and its image is exactly the set of kept draws.  Each kept
+    draw is equally likely, so beta is uniform over S(alpha), as
+    rejecting whole draws from [-BOX, BOX]^n would give, but a draw is
+    kept 2 BOX + 1 times as often."""
     while True:
         alpha = tuple(rng.randint(-BOX, BOX) for _ in range(n))
         if any(alpha):
             break
+    i = next(j for j, a in enumerate(alpha) if a)
+    rest = alpha[:i] + alpha[i + 1:]
     while True:
-        beta = tuple(rng.randint(-BOX, BOX) for _ in range(n))
-        if sum(a * b for a, b in zip(alpha, beta)) == 0:
+        beta = [rng.randint(-BOX, BOX) for _ in range(n - 1)]
+        bi, rem = divmod(-sum(a * b for a, b in zip(rest, beta)), alpha[i])
+        if not rem and -BOX <= bi <= BOX:
             break
+    beta.insert(i, bi)
     return RepTriple(n, tuple(field(a) for a in alpha), tuple(field(b) for b in beta))
 
 
@@ -419,10 +437,12 @@ class BatteryReport:
 
 
 def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
-    """Seeded property battery.  Each sampled triple's rep is written in a
-    random basis c = (1, c_1, ..., c_{n-1}), c_k drawn from 1..BOX, so its
-    layers differ; then the relations hold, simplicity <=> beta != 0 <=>
-    rank X = 1, the point ([alpha], alpha beta^T) does not depend on the
+    """Seeded property battery.  Each triple comes from `random_triple`
+    (alpha uniform over the nonzero points of the box, beta uniform over
+    its solutions there), and its rep is written in a random basis
+    c = (1, c_1, ..., c_{n-1}), c_k drawn from 1..BOX, so its layers
+    differ; then the relations hold, simplicity <=> beta != 0 <=> rank
+    X = 1, the point ([alpha], alpha beta^T) does not depend on the
     basis, and the round trip through (alpha, beta) gives the rep back up
     to isomorphism."""
     rng = Random(seed)

@@ -1,8 +1,11 @@
+import operator
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as Q
-from math import lcm
+from itertools import product
+from math import lcm, sqrt
 from pathlib import Path
 from random import Random
 
@@ -310,6 +313,98 @@ def test_gf_fuzz():
             assert is_simple(r) == any(t.beta)
 
 
+_BOX = range(-repmoduli.BOX, repmoduli.BOX + 1)
+
+
+def _box_solutions(alpha):
+    """Brute force: every beta in the box with <beta, alpha> = 0."""
+    return {b for b in product(_BOX, repeat=len(alpha))
+            if sum(a * x for a, x in zip(alpha, b)) == 0}
+
+
+def _as_ints(t):
+    return tuple(map(int, t.alpha)), tuple(map(int, t.beta))
+
+
+class _FixedAlpha:
+    """An rng whose first randint calls return alpha's entries, and then
+    those of a shared Random: random_triple draws alpha first, so it draws
+    beta for this alpha."""
+
+    def __init__(self, alpha, rng):
+        self.script, self.rng = list(alpha), rng
+
+    def randint(self, a, b):
+        return self.script.pop(0) if self.script else self.rng.randint(a, b)
+
+
+def _assert_flat(counts, solutions):
+    """The beta counts of each alpha are flat: their chi-square statistic
+    against the uniform law on the alpha's solutions, summed over the
+    alphas, stays below its mean plus six standard deviations."""
+    chi2, df = 0.0, 0
+    for alpha, seen in counts.items():
+        S = solutions[alpha]
+        mean = sum(seen.values()) / len(S)
+        chi2 += sum((seen[b] - mean) ** 2 / mean for b in S)
+        df += len(S) - 1
+    assert chi2 < df + 6 * sqrt(2 * df), (chi2, df)
+
+
+def test_sampler_sees_every_box_solution_at_n2():
+    # 240 pairs (alpha, beta), the rarest drawn with probability 1/336
+    rng = Random(41)
+    counts = {}
+    for _ in range(4000):
+        alpha, beta = _as_ints(random_triple(2, rng))
+        counts.setdefault(alpha, Counter())[beta] += 1
+    solutions = {a: _box_solutions(a) for a in product(_BOX, repeat=2) if any(a)}
+    assert {(a, b) for a, seen in counts.items() for b in seen} == {
+        (a, b) for a, S in solutions.items() for b in S}
+    _assert_flat(counts, solutions)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(1, 0, 0), (0, -1, 0), (0, 0, 3), (2, -3, 1), (-3, 3, 0), (0, 2, -2), (1, 2, 3), (3, 1, -2)],
+)
+def test_sampler_beta_is_uniform_over_the_box_solutions_at_n3(alpha):
+    # n = 3 has 8550 pairs, too many to see them all from free draws, so
+    # alpha is fixed: the first nonzero entry sits at each index, and is
+    # +-1, 2 or 3, so the solved coordinate divides in some draws only
+    S = _box_solutions(alpha)
+    rng = Random(sum(alpha) + 100)
+    seen = Counter()
+    for _ in range(40 * len(S)):
+        a, beta = _as_ints(random_triple(3, _FixedAlpha(alpha, rng)))
+        assert a == alpha
+        seen[beta] += 1
+    assert set(seen) == S
+    _assert_flat({alpha: seen}, {alpha: S})
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [(Q, Q), (int, int), (lambda x: GF(10007, x), GF)],
+    ids=["fraction", "int", "gf10007"],
+)
+def test_sampler_draws_lie_in_the_box_with_zero_pairing(field, kind):
+    rng = Random(43)
+    for n in range(2, 7):
+        for _ in range(200):
+            t = random_triple(n, rng, field=field)
+            entries = t.alpha + t.beta
+            assert {type(x) for x in entries} == {kind}
+            if kind is GF:
+                ints = [x.v if x.v <= x.p // 2 else x.v - x.p for x in entries]
+            else:
+                assert all(Q(x).denominator == 1 for x in entries)
+                ints = list(map(int, entries))
+            assert all(x in _BOX for x in ints)
+            assert any(t.alpha)
+            assert sum(a * b for a, b in zip(t.alpha, t.beta)) == 0
+
+
 def _reference_rescale(r, c):
     """rescale in the scalars' own arithmetic: the oracle for the lift."""
     n = r.n
@@ -534,6 +629,21 @@ def test_isomorphism_test_refuses_reps_over_different_fields():
                         _isomorphic_pair(lambda x: GF(10007, x))[1])
 
 
+def test_isomorphism_test_compares_an_int_rep_in_gf_p():
+    # ints stand for GF(p) elements beside GF(p) scalars, as in rescale:
+    # beta = (8, -8) is (1, -1) modulo 7, but not over Q
+    gf = lambda x: GF(7, x)
+    r = rep_from_triple(RepTriple(2, (1, 1), (1, -1)))
+    r8 = rep_from_triple(RepTriple(2, (1, 1), (8, -8)))
+    r7 = rep_from_triple(RepTriple(2, (gf(1), gf(1)), (gf(1), gf(-1))))
+    scaled = rescale(r, (1, gf(2)))
+    assert {type(x) for x in repmoduli._scalars(scaled)} == {GF}
+    for r1, r2 in ((r, r7), (r, scaled), (r8, r7), (r8, scaled)):
+        assert reps_isomorphic(r1, r2) and reps_isomorphic(r2, r1)
+    assert not reps_isomorphic(r, r8)
+    assert not reps_isomorphic(r, _with(r7, "v", 0, 0, gf(2)))
+
+
 def test_division_by_zero_raises_in_every_field():
     with pytest.raises(ZeroDivisionError):
         GF(7, 3) / GF(7, 0)
@@ -568,6 +678,15 @@ _GF7_REP = rep_from_triple(RepTriple(2, (GF(7, 1), GF(7, 1)), (GF(7, 1), GF(7, 6
 def test_scalars_from_two_fields_raise(make, fields):
     with pytest.raises(ValueError, match=re.escape(f"scalars over different fields: {fields}")):
         make()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+def test_gf_arithmetic_refuses_elements_of_two_primes(op):
+    for x, y in ((GF(7, 3), GF(5, 2)), (GF(5, 2), GF(7, 3))):
+        with pytest.raises(ValueError, match=re.escape("scalars over different fields: GF(5) and GF(7)")):
+            op(x, y)
+    assert op(GF(7, 3), GF(7, 2)) == op(GF(7, 3), 2)
 
 
 def test_scalars_outside_both_fields_raise():
