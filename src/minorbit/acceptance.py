@@ -108,7 +108,11 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Tk and TkPlus at every k have the same pair bundles, the O(b - a)
     with |b - a| <= n - 1, so one window check covers the whole grid; the
-    sharpness step shows that no window of width n + 1 is tilting."""
+    sharpness step shows that no window of width n + 1 is tilting.  The
+    families share most of their pair bundles (SkDual's pair (i, j) is
+    Sk's pair (j, i), and the line-bundle pairs recur across families
+    and k), and `tilting_check` scans each distinct one once per
+    process."""
     bad = []
     for n in range(2, 6):
         rep = cohengine.tilting_check(cohengine.TiltingFamily("Tk", n, 0))

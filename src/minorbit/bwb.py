@@ -27,7 +27,7 @@ T(-1) match complementary twisted cotangent powers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -36,25 +36,24 @@ from .combinat import lr_product, normalize_partition, weyl_dim
 CohTable = dict
 
 
-@dataclass(frozen=True)
-class LeviWeight:
+class LeviWeight(namedtuple("LeviWeight", "n first rest")):
     """Irreducible homogeneous bundle on P^{n-1}: GL_1 weight `first`,
-    weakly decreasing GL_{n-1} weight `rest` (length n-1)."""
+    weakly decreasing GL_{n-1} weight `rest` (length n-1).
 
-    n: int
-    first: int
-    rest: tuple[int, ...]
+    A tuple type, so building, hashing and comparing weights run in C;
+    the hash is that of the plain tuple (n, first, rest)."""
 
-    def __post_init__(self):
-        if self.n < 2:
+    __slots__ = ()
+
+    def __new__(cls, n: int, first: int, rest: tuple[int, ...]):
+        if n < 2:
             raise ValueError("n must be at least 2")
-        if len(self.rest) != self.n - 1:
-            raise ValueError(
-                f"rest must have length {self.n - 1}, got {self.rest}"
-            )
-        for i in range(len(self.rest) - 1):
-            if self.rest[i] < self.rest[i + 1]:
-                raise ValueError(f"rest not weakly decreasing: {self.rest}")
+        if len(rest) != n - 1:
+            raise ValueError(f"rest must have length {n - 1}, got {rest}")
+        for i in range(len(rest) - 1):
+            if rest[i] < rest[i + 1]:
+                raise ValueError(f"rest not weakly decreasing: {rest}")
+        return tuple.__new__(cls, (n, first, rest))
 
     def normalized(self) -> "LeviWeight":
         c = self.rest[-1]
@@ -72,12 +71,9 @@ class LeviWeight:
         return LeviWeight(self.n, -self.first, rest).normalized()
 
     def twist(self, t: int) -> "LeviWeight":
-        # a twist of a valid weight is valid, so it skips __post_init__
-        w = object.__new__(LeviWeight)
-        object.__setattr__(w, "n", self.n)
-        object.__setattr__(w, "first", self.first + t)
-        object.__setattr__(w, "rest", self.rest)
-        return w
+        # a twist of a valid weight is valid, so it skips the validation
+        n, first, rest = self
+        return tuple.__new__(LeviWeight, (n, first + t, rest))
 
 
 class BundleExpr:
@@ -128,6 +124,8 @@ class BundleExpr:
         return BundleExpr(self.n, {w.dual(): c for w, c in self.terms.items()})
 
     def tensor(self, other: "BundleExpr") -> "BundleExpr":
+        if other.n != self.n:
+            raise ValueError("mixed projective spaces in one expression")
         out: dict[LeviWeight, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

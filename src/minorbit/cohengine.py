@@ -283,6 +283,25 @@ class TiltingReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _pair_bundle(n: int, si: frozenset, sj: frozenset) -> frozenset:
+    """The terms of S_i^v (x) S_j, for summands given by their terms."""
+    e = bwb.BundleExpr(n, dict(si)).dual().tensor(bwb.BundleExpr(n, dict(sj)))
+    return frozenset(e.terms.items())
+
+
+@lru_cache(maxsize=None)
+def _first_higher(n: int, terms: frozenset, bound: int) -> tuple | None:
+    """The first (deg, m), m = 0..bound, with H^deg(E(m)) != 0 and deg > 0
+    for the bundle E with these terms, or None."""
+    e = bwb.BundleExpr(n, dict(terms))
+    for m in range(bound + 1):
+        for deg, v in bwb.cohomology(e.twist(m)).items():
+            if deg > 0 and v != 0:
+                return deg, m
+    return None
+
+
 def tilting_check(fam: TiltingFamily) -> TiltingReport:
     """Verify Ext^{>0}-vanishing for the family on the total space.
 
@@ -293,37 +312,35 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
     of every irreducible constituent, every weight is dominant and has
     cohomology in degree 0 only.  The deficit is doubled and recorded as
     the stabilization bound.
+
+    The pairs are walked in order, but each distinct pair bundle is
+    scanned once per process: the scan is memoized on (n, the bundle's
+    terms, bound), and its result depends on nothing else, so families
+    sharing a pair bundle share the scan (SkDual's pair (i, j) is Sk's
+    pair (j, i), and line-bundle pairs recur across families and k).
+    The pair bundles are memoized on the summands' terms in the same way.
+    A test that sabotages `bwb` must call `cache_clear` on
+    `_pair_bundle` and `_first_higher` first, or the memo answers for it.
     """
-    summands = family_summands(fam)
-    pair_exprs = []
-    k_min = 0
-    for si in summands:
-        for sj in summands:
-            e = si.dual().tensor(sj)
-            pair_exprs.append(e)
-            for w in e.terms:
-                k_min = max(k_min, w.rest[0] - w.first)
-    bound = 2 * max(k_min, 0)
+    n = fam.n
+    summands = [frozenset(s.terms.items()) for s in family_summands(fam)]
+    pairs = [_pair_bundle(n, si, sj) for si in summands for sj in summands]
+    k_min = max([0] + [w.rest[0] - w.first for e in pairs for w, _ in e])
+    bound = 2 * k_min
     witness = None
-    for idx, e in enumerate(pair_exprs):
-        for m in range(bound + 1):
-            table = bwb.cohomology(e.twist(m))
-            for deg, v in table.items():
-                if deg > 0 and v != 0:
-                    witness = (idx // len(summands), idx % len(summands), deg, m)
-                    break
-            if witness:
-                break
-        if witness:
+    for idx, e in enumerate(pairs):
+        hit = _first_higher(n, e, bound)
+        if hit:
+            witness = divmod(idx, len(summands)) + hit
             break
     return TiltingReport(
         family=fam.name,
-        n=fam.n,
+        n=n,
         k=fam.k,
         passed=witness is None,
         witness=witness,
         stabilization_bound=bound,
-        pairs_checked=len(pair_exprs),
+        pairs_checked=len(pairs),
     )
 
 

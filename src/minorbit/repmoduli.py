@@ -100,8 +100,8 @@ class GF:
     def __bool__(self):
         return self.v != 0
 
-    def __hash__(self):
-        return hash((self.p, self.v))
+    # GF(7, 3) equals both 3 and 10, so no hash agrees with equality
+    __hash__ = None
 
     def __repr__(self):
         return f"GF({self.p},{self.v})"

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from minorbit import acceptance, bwb, kfunctor, quiveralg
+from minorbit import acceptance, bwb, cohengine, kfunctor, quiveralg
 from minorbit.relations import RelationGen
 
 
@@ -156,8 +156,34 @@ def test_criterion_4_checks_the_width_bound(monkeypatch):
         return real(e)
 
     monkeypatch.setattr(bwb, "cohomology", acyclic_minus_n)
-    res = acceptance.criterion_4()
+    # the scan memo must neither answer for the patched cohomology nor
+    # keep its scans
+    cohengine._first_higher.cache_clear()
+    try:
+        res = acceptance.criterion_4()
+    finally:
+        cohengine._first_higher.cache_clear()
     assert not res.passed
     assert res.detail == (
         "failures: [(2, 'width n+1'), (3, 'width n+1'), "
         "(4, 'width n+1'), (5, 'width n+1')]")
+
+
+def test_criterion_4_checks_the_tilting_families(monkeypatch):
+    # widened by O(-n), the window Tk gains the pair (O(0), O(-n)), whose
+    # bundle O(-n) has H^{n-1} = 1; the memo, warm from the true
+    # families, must not hide it
+    assert acceptance.criterion_4().passed
+    real = cohengine.family_summands
+
+    def widened(fam):
+        if fam.name != "Tk":
+            return real(fam)
+        return real(fam) + [bwb.BundleExpr.of(bwb.line_bundle(fam.n, -fam.n + fam.k))]
+
+    monkeypatch.setattr(cohengine, "family_summands", widened)
+    res = acceptance.criterion_4()
+    assert not res.passed
+    assert res.detail == (
+        "failures: [('Tk', 2, (1, 2, 1, 0)), ('Tk', 3, (2, 3, 2, 0)), "
+        "('Tk', 4, (3, 4, 3, 0)), ('Tk', 5, (4, 5, 4, 0))]")

@@ -111,6 +111,17 @@ def test_symbolic_case_starts_cold(measure, trees, monkeypatch):
     assert _cache_sizes(trees["b"])["minorbit_b.bwb._bwb_single"] > 0
 
 
+def test_cold_clears_the_tilting_memo(measure, trees):
+    a = trees["a"]
+    assert a.acceptance.criterion_4().passed
+    memos = {attr: value for attr, value in vars(a.cohengine).items()
+             if hasattr(value, "cache_info")}
+    assert memos["_pair_bundle"].cache_info().currsize
+    assert memos["_first_higher"].cache_info().currsize
+    measure.cold(a)
+    assert not any(m.cache_info().currsize for m in memos.values())
+
+
 def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):
     monkeypatch.setattr(measure, "SYMBOLIC", (2,))
     monkeypatch.setattr(trees["b"].bwb, "bott_closed_form", lambda n, p, t: {})

@@ -220,3 +220,30 @@ def test_hom_bundle_equals_the_rebuilt_product():
                     e = hom_bundle(a, b, c, n)
                     assert e == rebuilt, (a, b, c, n)
                     assert cohomology(e) == cohomology(rebuilt)
+
+
+def test_tensor_refuses_two_projective_spaces():
+    with pytest.raises(ValueError, match="mixed projective spaces"):
+        omega(3, 1, 1) + omega(4, 2, 1)
+    with pytest.raises(ValueError, match="mixed projective spaces"):
+        omega(3, 1, 1).tensor(omega(4, 2, 1))
+
+
+def test_levi_weight_contract():
+    for bad in ((1, 0, ()), (3, 0, (0,)), (3, 0, (0, 0, 0)), (3, 0, (0, 1))):
+        with pytest.raises(ValueError):
+            LeviWeight(*bad)
+    w = LeviWeight(3, 0, (0, 0))
+    with pytest.raises(AttributeError):
+        w.first = 1
+    assert repr(w) == "LeviWeight(n=3, first=0, rest=(0, 0))"
+    w = LeviWeight(4, 2, (3, 1, -1))
+    assert hash(w) == hash((w.n, w.first, w.rest))
+    # the unvalidated and the derived weights are valid LeviWeights
+    for got, expected in (
+        (w.twist(-5), LeviWeight(4, -3, (3, 1, -1))),
+        (w.normalized(), LeviWeight(4, 3, (4, 2, 0))),
+        (w.dual(), LeviWeight(4, -3, (0, -2, -4)).normalized()),
+    ):
+        assert type(got) is LeviWeight and got == expected
+        assert LeviWeight(*got) == got

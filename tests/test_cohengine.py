@@ -1,6 +1,6 @@
 import pytest
 
-from minorbit import bwb
+from minorbit import bwb, cohengine
 from minorbit.cohengine import (
     GradedDims,
     TiltingFamily,
@@ -172,6 +172,72 @@ def test_tilting_k_independence():
     # the pair twist-differences of the window family do not depend on k
     for k in (-2, 0, 3):
         assert tilting_check(TiltingFamily("Tk", 3, k)).passed
+
+
+def _reference_tilting(fam):
+    """tilting_check without the memo: every pair bundle is built and
+    scanned afresh, in the same order."""
+    summands = cohengine.family_summands(fam)
+    pair_exprs = []
+    k_min = 0
+    for si in summands:
+        for sj in summands:
+            e = si.dual().tensor(sj)
+            pair_exprs.append(e)
+            for w in e.terms:
+                k_min = max(k_min, w.rest[0] - w.first)
+    bound = 2 * max(k_min, 0)
+    witness = None
+    for idx, e in enumerate(pair_exprs):
+        for m in range(bound + 1):
+            table = bwb.cohomology(e.twist(m))
+            for deg, v in table.items():
+                if deg > 0 and v != 0:
+                    witness = (idx // len(summands), idx % len(summands), deg, m)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return witness is None, witness, bound, len(pair_exprs)
+
+
+def _verdict(rep):
+    return rep.passed, rep.witness, rep.stabilization_bound, rep.pairs_checked
+
+
+def _tilting_grid():
+    for n in range(2, 7):
+        yield from (TiltingFamily("Tk", n, k) for k in (-2, 0, 3))
+        yield TiltingFamily("TkPlus", n, 0)
+        yield TiltingFamily("TPrime", n)
+        for k in range(n):
+            yield TiltingFamily("Sk", n, k)
+            yield TiltingFamily("SkDual", n, k)
+
+
+def test_memoized_tilting_check_matches_the_reference():
+    for fam in _tilting_grid():
+        assert _verdict(tilting_check(fam)) == _reference_tilting(fam), fam
+
+
+def test_memoized_tilting_check_finds_the_reference_witness(monkeypatch):
+    # widened by O(-n + k), Tk and Sk stop being tilting; the memo, warm
+    # from the true families, must report the reference's witness
+    for fam in _tilting_grid():
+        tilting_check(fam)
+    real = cohengine.family_summands
+
+    def widened(fam):
+        extra = bwb.BundleExpr.of(bwb.line_bundle(fam.n, -fam.n + fam.k))
+        return real(fam) + [extra]
+
+    monkeypatch.setattr(cohengine, "family_summands", widened)
+    for fam in _tilting_grid():
+        if fam.name in ("Tk", "Sk", "SkDual"):
+            rep = tilting_check(fam)
+            assert _verdict(rep) == _reference_tilting(fam), fam
+            assert fam.name != "Tk" or not rep.passed
 
 
 def test_nccr_rank_values():

@@ -644,6 +644,13 @@ def test_isomorphism_test_compares_an_int_rep_in_gf_p():
     assert not reps_isomorphic(r, _with(r7, "v", 0, 0, gf(2)))
 
 
+def test_gf_is_unhashable():
+    # GF(7, 3) equals 3 and 10, so no hash could agree with equality
+    assert GF(7, 3) == 3 and GF(7, 3) == 10
+    with pytest.raises(TypeError):
+        hash(GF(7, 3))
+
+
 def test_division_by_zero_raises_in_every_field():
     with pytest.raises(ZeroDivisionError):
         GF(7, 3) / GF(7, 0)
