@@ -24,7 +24,8 @@ the runs alternate and their order flips on every repeat.  A case is
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
-  grid `minorbit accept` runs).
+  grid `minorbit accept` runs).  Each run starts cold, as the symbolic
+  case does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
 criterion1, symbolic and battery.  Each tree's entry holds every
@@ -144,13 +145,15 @@ def criterion1_seconds(tree) -> dict[str, float]:
 
 
 def cold(tree) -> None:
-    """Clear every lru_cache of the tree's modules, and its engines."""
+    """Clear every lru_cache of the tree's modules, its engines and its
+    relation tables (keyed by the generator tuples those caches held)."""
     for name, module in list(sys.modules.items()):
         if name.startswith(f"{tree.__name__}."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
     tree.quiveralg._engines.clear()
+    tree.repmoduli._TABLES.clear()
 
 
 def symbolic_seconds(tree) -> dict[str, float]:
@@ -171,6 +174,7 @@ def symbolic_seconds(tree) -> dict[str, float]:
 
 
 def battery_seconds(tree) -> dict[str, float]:
+    cold(tree)
     out = {}
     for grid, (samples, seed0) in GRIDS.items():
         for n in BATTERY_NS:

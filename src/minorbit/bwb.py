@@ -100,6 +100,8 @@ class BundleExpr:
         return cls(w.n, {w: coeff})
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
+        if other.n != self.n:
+            raise ValueError("mixed projective spaces in one expression")
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c

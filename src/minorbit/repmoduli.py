@@ -19,8 +19,9 @@ works on one integer lift of the scalars: rationals become numerators N
 over their common denominator d, GF(p) elements their values in 0..p-1
 (d = 1), and an equation between scalars becomes one between integers,
 taken modulo p over GF(p).  `check_relations` sums each relation
-generator in the lift, `RepTriple` tests the pairing there, `rescale`
-and `to_point` build each entry as one quotient of lifted numbers, and
+generator in the lift, `RepTriple` tests the pairing there and keeps
+that lift, `rescale` and `to_point` build each entry as one quotient of
+lifted numbers (`to_point` from the kept lift of its triple), and
 `reps_isomorphic` cross-multiplies.  Every result is therefore a
 Fraction over Q and a GF(p) element over GF(p), whatever mix of int and
 Fraction the input was.
@@ -109,7 +110,9 @@ class GF:
 
 @dataclass(frozen=True)
 class RepTriple:
-    """A nonzero vector alpha and a covector beta with zero pairing."""
+    """A nonzero vector alpha and a covector beta with zero pairing.  The
+    lift `_lift_scalars((*alpha, *beta))` that tests the pairing is kept
+    as `_lifted`."""
 
     n: int
     alpha: tuple
@@ -122,11 +125,13 @@ class RepTriple:
             raise ValueError("alpha and beta must have length n")
         if not any(self.alpha):
             raise ValueError("alpha must be nonzero")
-        vals, d, p = _lift_scalars((*self.alpha, *self.beta))
+        vals, d, p = lifted = _lift_scalars((*self.alpha, *self.beta))
         n = self.n
         total = sum(a * b for a, b in zip(vals[:n], vals[n:]))
         if (total % p) if p else total:
             raise ValueError(f"pairing <beta, alpha> = {_quotient(total, d * d, p)} must vanish")
+        # kept for `to_point`; not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_lifted", lifted)
 
 
 @dataclass(frozen=True)
@@ -215,8 +220,10 @@ def _lift_scalars(s) -> tuple[list, int, int]:
     Fraction among GF elements or GF elements of two primes."""
     kinds = set(map(type, s))
     if kinds <= _RATIONAL:
-        d = lcm(*(x.denominator for x in s))
-        return [x.numerator * (d // x.denominator) for x in s], d, 0
+        # Fraction.denominator is a Python property: read it once
+        dens = [x.denominator for x in s]
+        d = lcm(*dens)
+        return [x.numerator * (d // q) for x, q in zip(s, dens)], d, 0
     odd = kinds - _RATIONAL - {GF}
     if odd:
         raise TypeError(f"a {odd.pop().__name__} scalar is not a Fraction, int or GF element")
@@ -287,11 +294,6 @@ class YPoint:
     X: tuple
 
 
-def _normalize_projective(vec):
-    pivot = next(x for x in vec if x)
-    return tuple(x / pivot for x in vec)
-
-
 def _quotient(num: int, den: int, p: int):
     """num / den in the field of `_lift_scalars`: a GF(p) element when p
     is nonzero, else a Fraction.  A den of zero (mod p) raises
@@ -305,11 +307,12 @@ def to_point(r: Rep) -> YPoint:
     """The point ([alpha], X = alpha beta^T) read off W_0's arrows.  X is
     square-zero because `RepTriple` rejects a nonzero pairing, and both
     the line and X are unchanged by a rescaling of the bases.  Built from
-    the lift alpha_i = N_i / d, beta_j = M_j / d: X_ij = N_i M_j / d^2,
-    and the line's entries are N_i / N_pivot."""
+    the lift alpha_i = N_i / d, beta_j = M_j / d that `triple_from_rep`'s
+    RepTriple keeps from its pairing test: X_ij = N_i M_j / d^2, and the
+    line's entries are N_i / N_pivot."""
     t = triple_from_rep(r)
     n = t.n
-    vals, d, p = _lift_scalars((*t.alpha, *t.beta))
+    vals, d, p = t._lifted
     a, b = vals[:n], vals[n:]
     pivot = next(x for x in a if x)
     dd = d * d
@@ -444,11 +447,18 @@ def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
     differ; then the relations hold, simplicity <=> beta != 0 <=> rank
     X = 1, the point ([alpha], alpha beta^T) does not depend on the
     basis, and the round trip through (alpha, beta) gives the rep back up
-    to isomorphism."""
+    to isomorphism.
+
+    The triple is drawn over Z (`field` acts after the draw, so the
+    samples are those of a draw over Q), and `rescale` writes the rep
+    under test in Fractions.  The expected point is built from the
+    triple's integers alone, never from that rep: X_ij = alpha_i beta_j
+    as ints, and the line alpha_i / alpha_pivot, so that the point step
+    checks `to_point` against data it does not read."""
     rng = Random(seed)
     failures = []
     for s in range(samples):
-        t = random_triple(n, rng)
+        t = random_triple(n, rng, field=int)
         c = (1,) + tuple(rng.randint(1, BOX) for _ in range(n - 1))
         r = rescale(rep_from_triple(t), c)
         chk = check_relations(r)
@@ -463,7 +473,8 @@ def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
             failures.append((s, "simplicity", simple, beta_nonzero, rank_one))
             continue
         X = tuple(tuple(a * b for b in t.beta) for a in t.alpha)
-        if pt.X != X or pt.line != _normalize_projective(t.alpha):
+        pivot = next(a for a in t.alpha if a)
+        if pt.X != X or pt.line != tuple(Fraction(a, pivot) for a in t.alpha):
             failures.append((s, "point"))
             continue
         if not reps_isomorphic(rep_from_triple(triple_from_rep(r)), r):

@@ -122,6 +122,23 @@ def test_cold_clears_the_tilting_memo(measure, trees):
     assert not any(m.cache_info().currsize for m in memos.values())
 
 
+def test_battery_case_starts_cold(measure, trees, monkeypatch):
+    # relation_generators returns a new tuple after cache_clear, so a
+    # relation table kept past `cold` would never be read again
+    monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0)})
+    a = trees["a"]
+    tables = a.repmoduli._TABLES
+    measure.battery_seconds(a)
+    assert len(tables) == len(measure.BATTERY_NS)
+    measure.cold(a)
+    assert not tables
+    for _ in range(3):
+        measure.battery_seconds(a)
+    assert len(tables) == len(measure.BATTERY_NS)
+    # the other tree keeps its own tables
+    assert trees["b"].repmoduli._TABLES is not tables
+
+
 def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):
     monkeypatch.setattr(measure, "SYMBOLIC", (2,))
     monkeypatch.setattr(trees["b"].bwb, "bott_closed_form", lambda n, p, t: {})

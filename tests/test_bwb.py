@@ -229,6 +229,23 @@ def test_tensor_refuses_two_projective_spaces():
         omega(3, 1, 1).tensor(omega(4, 2, 1))
 
 
+@pytest.mark.parametrize("op", ["add", "sub"])
+@pytest.mark.parametrize("left, right", [
+    (lambda: omega(4, 2, 1), lambda: BundleExpr(3)),
+    (lambda: BundleExpr(3), lambda: omega(4, 2, 1)),
+    (lambda: BundleExpr(4), lambda: BundleExpr(3)),
+], ids=["empty-right", "empty-left", "both-empty"])
+def test_sums_refuse_two_projective_spaces(op, left, right):
+    # an empty expression carries its space too, on either side
+    a, b = left(), right()
+    with pytest.raises(ValueError, match="mixed projective spaces"):
+        getattr(a, f"__{op}__")(b)
+    with pytest.raises(ValueError, match="mixed projective spaces"):
+        getattr(b, f"__{op}__")(a)
+    # on one space the empty expression is the zero of both operations
+    assert a + BundleExpr(a.n) == a == a - BundleExpr(a.n)
+
+
 def test_levi_weight_contract():
     for bad in ((1, 0, ()), (3, 0, (0,)), (3, 0, (0, 0, 0)), (3, 0, (0, 1))):
         with pytest.raises(ValueError):

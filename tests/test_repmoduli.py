@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import re
 import subprocess
@@ -405,6 +406,20 @@ def test_sampler_draws_lie_in_the_box_with_zero_pairing(field, kind):
             assert sum(a * b for a, b in zip(t.alpha, t.beta)) == 0
 
 
+def test_an_integer_draw_keeps_the_samples_of_a_rational_one():
+    # criterion 9 draws over Z: `field` acts only after the draw, so the
+    # rng stream and every (alpha, beta) are those of a draw over Q
+    for seed in range(4):
+        ints, fractions = Random(seed), Random(seed)
+        for n in range(2, 7):
+            for _ in range(50):
+                t, u = random_triple(n, ints, field=int), random_triple(n, fractions)
+                assert {type(x) for x in t.alpha + t.beta} == {int}
+                assert {type(x) for x in u.alpha + u.beta} == {Q}
+                assert all(map(operator.eq, t.alpha + t.beta, u.alpha + u.beta))
+        assert ints.getstate() == fractions.getstate()
+
+
 def _reference_rescale(r, c):
     """rescale in the scalars' own arithmetic: the oracle for the lift."""
     n = r.n
@@ -500,6 +515,36 @@ def test_lifted_rescale_and_point_agree_with_the_field_arithmetic(kind):
             line, X = _reference_point(ref)
             assert _entries(pt.line) == _entries(line)
             assert _entries(pt.X) == _entries(X)
+
+
+# alpha with denominators 2, 3 and 1, beta with ints among Fractions
+_MIXED_TRIPLE = RepTriple(3, (Q(1, 2), Q(2, 3), 1), (2, Q(0), Q(-1)))
+
+
+@pytest.mark.parametrize("kind", _KINDS + ["mixed"])
+def test_a_triple_keeps_its_lift_and_to_point_lifts_once(kind, monkeypatch):
+    if kind == "mixed":
+        reps = [rep_from_triple(_MIXED_TRIPLE),
+                rescale(rep_from_triple(_MIXED_TRIPLE), (1, Q(5, 3), 7))]
+    else:
+        reps = [rep for r, c in _cases(kind, Random(37)) for rep in (r, rescale(r, c))]
+    lift = repmoduli._lift_scalars
+    for r in reps:
+        t = triple_from_rep(r)
+        assert t._lifted == lift((*t.alpha, *t.beta))
+        # the kept lift is no field: eq and repr see n, alpha and beta only
+        assert [f.name for f in dataclasses.fields(t)] == ["n", "alpha", "beta"]
+        assert repr(t) == f"RepTriple(n={t.n!r}, alpha={t.alpha!r}, beta={t.beta!r})"
+        calls = []
+        monkeypatch.setattr(repmoduli, "_lift_scalars", lambda s: calls.append(s) or lift(s))
+        pt = to_point(r)
+        monkeypatch.setattr(repmoduli, "_lift_scalars", lift)
+        # one lift, the pairing test's, serves the point
+        assert len(calls) == 1
+        # int scalars stand for Fractions, as in the rescale test above
+        line, X = _reference_point(r if kind == "gf10007" else _over_q(r))
+        assert _entries(pt.line) == _entries(line)
+        assert _entries(pt.X) == _entries(X)
 
 
 def test_an_int_rep_rescales_and_points_to_fractions():
@@ -735,14 +780,21 @@ def _transposed_point(r):
     return YPoint(pt.line, tuple(zip(*pt.X)))
 
 
+def _unnormalized_point(r):
+    # the line as alpha read from r, not scaled to a leading 1
+    return YPoint(r.f_scalars[0], to_point(r).X)
+
+
 @pytest.mark.parametrize(
     "name, broken, step",
     [
         ("check_relations", _wrong_layer_check, "relations"),
         ("reps_isomorphic", _inverted_ratio_isomorphic, "round-trip"),
         ("to_point", _transposed_point, "point"),
+        ("to_point", _unnormalized_point, "point"),
     ],
-    ids=["wrong-layer-relations", "inverted-ratio-isomorphism", "transposed-point"],
+    ids=["wrong-layer-relations", "inverted-ratio-isomorphism", "transposed-point",
+         "unnormalized-line"],
 )
 def test_battery_fails_on_a_broken_step(monkeypatch, name, broken, step):
     # reps in one basis repeat alpha and beta in every layer, so both
