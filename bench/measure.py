@@ -145,15 +145,13 @@ def criterion1_seconds(tree) -> dict[str, float]:
 
 
 def cold(tree) -> None:
-    """Clear every lru_cache of the tree's modules, its engines and its
-    relation tables (keyed by the generator tuples those caches held)."""
+    """Clear every lru_cache of the tree's modules and its engines."""
     for name, module in list(sys.modules.items()):
         if name.startswith(f"{tree.__name__}."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
     tree.quiveralg._engines.clear()
-    tree.repmoduli._TABLES.clear()
 
 
 def symbolic_seconds(tree) -> dict[str, float]:

@@ -166,7 +166,7 @@ def criterion_6() -> CriterionResult:
     for n in range(2, 6):
         for r in kfunctor.kn0_image_table(n):
             if not r.ok:
-                bad.append((n, r.a, r.assembled, r.expected))
+                bad.append((n, r.a, r.correction))
         M = kfunctor.kn_matrix(n)
         for a in range(-2 * n, 2 * n + 1):
             src = [[x] for x in kfunctor.reduce_line(a, n).coords]
@@ -175,11 +175,10 @@ def criterion_6() -> CriterionResult:
                 bad.append((n, a, "window rule"))
     return CriterionResult(
         6,
-        "flop image table: with the correspondence part seeded with "
-        "[O(-a)], the O_E(kE) correction cancels the twisted product term, "
-        "nonzero only at a=-n+1, giving the flop-matrix image of [O(a)]; "
-        "the flop matrix sends [O(a)] to [O(-a)] for every |a| <= 2n, so "
-        "every window in that range has the same matrix (n<=5)",
+        "flop image table: the O_E(kE) correction cancels the twisted "
+        "product term, both nonzero only at a=-n+1; the flop matrix sends "
+        "[O(a)] to [O(-a)] for every |a| <= 2n, so every window in that "
+        "range has the same matrix (n<=5)",
         not bad,
         f"failures: {bad[:3]}" if bad else "",
     )

@@ -603,8 +603,14 @@ def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     """Dimension of the degree-(a, b, length) piece of the quotient path
     algebra: the engine's value, certified exact by the corank sandwich.
     A cell whose value misses its corank target raises
-    `CertificationError` with the engine's entry for it."""
-    eng = _engine(quiver.n)
+    `CertificationError` with the engine's entry for it, and a vertex
+    outside 0..n-1 or a negative length raises ValueError."""
+    n = quiver.n
+    if not (0 <= a <= n - 1 and 0 <= b <= n - 1):
+        raise ValueError(f"vertex ({a}, {b}) out of range 0..{n - 1}")
+    if length < 0:
+        raise ValueError(f"length={length} out of range: must be at least 0")
+    eng = _engine(n)
     eng.ensure(length)
     entry = eng.verdicts[(a, b, length)]
     if entry:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from random import Random
 
@@ -168,22 +169,15 @@ class RelationCheck:
     vertex: int | None = None
 
 
-# (n, id of a relation_generators tuple) -> (that tuple, its table); the
-# tuple is held so that its id cannot be reused by another tuple
-_TABLES: dict = {}
-
-
-def _relation_table(n: int, gens: tuple) -> tuple:
-    """The generators as rows (name, source, ((coeff, a, b), ...)): term
-    coeff * (word) acts by coeff * s[a] * s[b] on the flat scalar list s
-    of `_scalars` (f layers first, then v layers).  Compiled once per
-    generator tuple, so a replaced `relation_generators` is honoured."""
-    entry = _TABLES.get((n, id(gens)))
-    if entry is not None:
-        return entry[1]
+@lru_cache(maxsize=None)
+def _relation_table(n: int) -> tuple:
+    """The generators of `relation_generators(n)` as rows (name, source,
+    ((coeff, a, b), ...)): term coeff * (word) acts by coeff * s[a] * s[b]
+    on the flat scalar list s of `_scalars` (f layers first, then v
+    layers).  Compiled once per n."""
     v0 = (n - 1) * n
     rows = []
-    for gen in gens:
+    for gen in relation_generators(n):
         terms = []
         for coeff, steps in gen.terms:
             if len(steps) != 2 or not isinstance(coeff, int):
@@ -200,9 +194,7 @@ def _relation_table(n: int, gens: tuple) -> tuple:
                 k += 1 if up else -1
             terms.append((coeff, idx[0], idx[1]))
         rows.append((gen.name, gen.source, tuple(terms)))
-    rows = tuple(rows)
-    _TABLES[(n, id(gens))] = (gens, rows)
-    return rows
+    return tuple(rows)
 
 
 # the scalar types of Q, matched exactly
@@ -253,7 +245,7 @@ def check_relations(r: Rep) -> RelationCheck:
     sum coeff * N_a * N_b, and it is zero exactly when that integer is.
     Over GF(p) the integer sum is tested modulo p."""
     vals, _, p = _lift_scalars(_scalars(r))
-    for name, source, terms in _relation_table(r.n, relation_generators(r.n)):
+    for name, source, terms in _relation_table(r.n):
         total = 0
         for coeff, a, b in terms:
             total += coeff * vals[a] * vals[b]
@@ -401,10 +393,10 @@ def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
 BOX = 3
 
 
-def random_triple(n: int, rng: Random, field=Fraction) -> RepTriple:
+def random_triple(n: int, rng: Random) -> RepTriple:
     """Draw alpha != 0 uniformly from the integer box [-BOX, BOX]^n, then
     beta uniformly from S(alpha), the integer solutions of <beta, alpha>
-    = 0 in the same box.
+    = 0 in the same box.  The entries are ints.
 
     beta is drawn by solving for one coordinate.  With i the first index
     where alpha_i != 0, every beta_j (j != i) is drawn uniformly from the
@@ -428,7 +420,7 @@ def random_triple(n: int, rng: Random, field=Fraction) -> RepTriple:
         if not rem and -BOX <= bi <= BOX:
             break
     beta.insert(i, bi)
-    return RepTriple(n, tuple(field(a) for a in alpha), tuple(field(b) for b in beta))
+    return RepTriple(n, alpha, tuple(beta))
 
 
 @dataclass(frozen=True)
@@ -449,16 +441,17 @@ def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
     basis, and the round trip through (alpha, beta) gives the rep back up
     to isomorphism.
 
-    The triple is drawn over Z (`field` acts after the draw, so the
-    samples are those of a draw over Q), and `rescale` writes the rep
-    under test in Fractions.  The expected point is built from the
-    triple's integers alone, never from that rep: X_ij = alpha_i beta_j
-    as ints, and the line alpha_i / alpha_pivot, so that the point step
-    checks `to_point` against data it does not read."""
+    The triple is drawn over Z, and `rescale` writes the rep under test
+    in Fractions.  The expected point is built from the triple's
+    integers alone, never from that rep: X_ij = alpha_i beta_j as ints,
+    and the line alpha_i / alpha_pivot, so that the point step checks
+    `to_point` against data it does not read."""
+    if samples < 0:
+        raise ValueError(f"samples={samples} out of range: must be at least 0")
     rng = Random(seed)
     failures = []
     for s in range(samples):
-        t = random_triple(n, rng, field=int)
+        t = random_triple(n, rng)
         c = (1,) + tuple(rng.randint(1, BOX) for _ in range(n - 1))
         r = rescale(rep_from_triple(t), c)
         chk = check_relations(r)

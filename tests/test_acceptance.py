@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at zero tolerance and prints
 one PASS/FAIL line."""
 
+import ast
 from functools import lru_cache
 
 import pytest
@@ -141,6 +142,16 @@ def test_criterion_6_checks_the_window_rule(monkeypatch):
             kfunctor.kclass_jp.cache_clear()
         assert not res.passed, broken
         assert "'window rule')" in res.detail
+
+
+def test_criterion_6_reads_the_flop_matrix_in_the_window_rule_alone(monkeypatch):
+    # the image table checks only its computed correction, so a flop
+    # matrix that is the identity fails the window rule and nothing else
+    monkeypatch.setattr(kfunctor, "kn_matrix", kfunctor.identity_matrix)
+    res = acceptance.criterion_6()
+    assert not res.passed
+    failures = ast.literal_eval(res.detail.removeprefix("failures: "))
+    assert failures and all(f[-1] == "window rule" for f in failures)
 
 
 def test_criterion_4_checks_the_width_bound(monkeypatch):

@@ -123,20 +123,20 @@ def test_cold_clears_the_tilting_memo(measure, trees):
 
 
 def test_battery_case_starts_cold(measure, trees, monkeypatch):
-    # relation_generators returns a new tuple after cache_clear, so a
-    # relation table kept past `cold` would never be read again
+    # the relation tables are a cache keyed on n, so `cold` empties them
+    # and repeated runs compile one table per n
     monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0)})
     a = trees["a"]
-    tables = a.repmoduli._TABLES
+    tables = a.repmoduli._relation_table
     measure.battery_seconds(a)
-    assert len(tables) == len(measure.BATTERY_NS)
+    assert tables.cache_info().currsize == len(measure.BATTERY_NS)
     measure.cold(a)
-    assert not tables
+    assert not tables.cache_info().currsize
     for _ in range(3):
         measure.battery_seconds(a)
-    assert len(tables) == len(measure.BATTERY_NS)
+    assert tables.cache_info().currsize == len(measure.BATTERY_NS)
     # the other tree keeps its own tables
-    assert trees["b"].repmoduli._TABLES is not tables
+    assert trees["b"].repmoduli._relation_table is not tables
 
 
 def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):

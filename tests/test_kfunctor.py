@@ -177,7 +177,7 @@ def test_unsupported_pairs_raise():
 
 def test_kclass_side_mismatch_raises():
     with pytest.raises(ValueError):
-        reduce_line(0, 3, "Y") + reduce_line(0, 3, "Yplus")
+        reduce_line(0, 3) + kclass_jpdual(0, 3)
     with pytest.raises(ValueError):
         reduce_line(0, 3) + reduce_line(0, 4)
 

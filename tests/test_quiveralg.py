@@ -525,6 +525,20 @@ def test_graded_dim_reads_the_engine_verdict(monkeypatch):
     assert graded_dim(Quiver(3), 1, 1, 4) == eng.dim(1, 1, 4)
 
 
+@pytest.mark.parametrize(
+    "cell, match",
+    [((5, 0, 2), r"vertex \(5, 0\) out of range 0\.\.2"),
+     ((0, -1, 2), r"vertex \(0, -1\) out of range 0\.\.2"),
+     ((0, 0, -1), "length=-1 out of range: must be at least 0")],
+    ids=["source", "target", "length"],
+)
+def test_graded_dim_names_the_range_of_a_bad_cell(cell, match):
+    # a ValueError naming the range, not a KeyError from the engine's
+    # verdicts
+    with pytest.raises(ValueError, match=match):
+        graded_dim(Quiver(3), *cell)
+
+
 def test_a_cell_without_paths_keeps_its_check(understate_target):
     # (0, 3, 1) at n = 4 is a parity cell with no paths: its dim 0 is
     # certified against its target like any other cell's

@@ -35,6 +35,12 @@ def q(*xs):
     return tuple(Q(x) for x in xs)
 
 
+def _draw(n, rng, field=Q):
+    """random_triple's integer draw with its entries mapped into `field`."""
+    t = random_triple(n, rng)
+    return RepTriple(n, tuple(map(field, t.alpha)), tuple(map(field, t.beta)))
+
+
 def test_triple_validation():
     with pytest.raises(ValueError):
         RepTriple(2, q(0, 0), q(1, 0))
@@ -108,7 +114,21 @@ def test_one_changed_scalar_names_the_broken_family(base, layer, k, i, family, v
     assert (chk.passed, chk.relation, chk.vertex) == (False, family, vertex)
 
 
-def test_trace_fv_generators_catch_a_changed_scalar(monkeypatch):
+@pytest.fixture
+def patch_generators(monkeypatch):
+    """Replace the generators repmoduli reads.  The relation table is a
+    cache keyed on n, so it is cleared on patching and after the test:
+    it must neither answer for the patched generators nor keep the table
+    compiled from them."""
+    def patch(gens):
+        monkeypatch.setattr(repmoduli, "relation_generators", gens)
+        repmoduli._relation_table.cache_clear()
+
+    yield patch
+    repmoduli._relation_table.cache_clear()
+
+
+def test_trace_fv_generators_catch_a_changed_scalar(patch_generators):
     # trace-fv sits only at the top vertex n-1; on rank-one reps it is the
     # scalar equation of trace-vf at n-2, which comes first, so it is
     # checked alone against a change in the v layer it reads
@@ -117,9 +137,8 @@ def test_trace_fv_generators_catch_a_changed_scalar(monkeypatch):
         if g.name == "trace-fv" and g.source == 3
     )
     assert len(only) == 1
-    # a table cached by n alone would keep checking every generator here
     assert check_relations(_TRIPLE_REP).passed
-    monkeypatch.setattr(repmoduli, "relation_generators", lambda n: only)
+    patch_generators(lambda n: only)
     assert check_relations(_TRIPLE_REP).passed
     chk = check_relations(_bump(_TRIPLE_REP, "v", 2, 0))
     assert (chk.passed, chk.relation, chk.vertex) == (False, "trace-fv", 3)
@@ -167,11 +186,11 @@ def test_integer_table_agrees_with_the_word_walk(field):
     for n in range(2, 7):
         for _ in range(15):
             if field == "fraction":
-                t = random_triple(n, rng)
+                t = _draw(n, rng)
                 c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1))
                 delta = Q(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 7))
             else:
-                t = random_triple(n, rng, field=gf)
+                t = _draw(n, rng, gf)
                 c = (1,) + tuple(gf(rng.randint(1, 10006)) for _ in range(n - 1))
                 delta = gf(rng.randint(1, 10006))
             r = rescale(rep_from_triple(t), c)
@@ -216,9 +235,9 @@ def test_gf_sums_are_tested_modulo_p():
     ],
     ids=["one-arrow", "three-arrow", "below-vertex-0", "no-label-5"],
 )
-def test_table_rejects_a_term_that_is_not_a_two_arrow_word(monkeypatch, steps, match):
+def test_table_rejects_a_term_that_is_not_a_two_arrow_word(patch_generators, steps, match):
     odd = (relations.RelationGen(1, 1, ((1, steps),), "odd"),)
-    monkeypatch.setattr(repmoduli, "relation_generators", lambda n: odd)
+    patch_generators(lambda n: odd)
     with pytest.raises(ValueError, match=match):
         check_relations(_TRIPLE_REP)
 
@@ -246,7 +265,7 @@ def test_round_trip_exact():
     rng = Random(7)
     for n in range(2, 6):
         for _ in range(50):
-            t = random_triple(n, rng)
+            t = _draw(n, rng)
             r = rep_from_triple(t)
             t2 = triple_from_rep(r)
             assert t2.alpha == t.alpha and t2.beta == t.beta
@@ -278,7 +297,7 @@ def test_isomorphism_detects_gauge():
 def test_x_square_zero_and_rank():
     rng = Random(3)
     for _ in range(100):
-        t = random_triple(4, rng)
+        t = _draw(4, rng)
         pt = to_point(rep_from_triple(t))
         n = 4
         for i in range(n):
@@ -292,7 +311,7 @@ def test_dual_convention_transpose():
     # swapping the roles of alpha and beta (the mirror moduli) transposes X
     rng = Random(9)
     for _ in range(50):
-        t = random_triple(3, rng)
+        t = _draw(3, rng)
         if not any(t.beta):
             continue
         mirrored = RepTriple(3, t.beta, t.alpha)
@@ -308,7 +327,7 @@ def test_gf_fuzz():
     rng = Random(17)
     for n in (2, 3, 4):
         for _ in range(25):
-            t = random_triple(n, rng, field=gf)
+            t = _draw(n, rng, gf)
             r = rep_from_triple(t)
             assert check_relations(r).passed
             assert is_simple(r) == any(t.beta)
@@ -324,7 +343,8 @@ def _box_solutions(alpha):
 
 
 def _as_ints(t):
-    return tuple(map(int, t.alpha)), tuple(map(int, t.beta))
+    assert {type(x) for x in t.alpha + t.beta} == {int}
+    return t.alpha, t.beta
 
 
 class _FixedAlpha:
@@ -393,7 +413,7 @@ def test_sampler_draws_lie_in_the_box_with_zero_pairing(field, kind):
     rng = Random(43)
     for n in range(2, 7):
         for _ in range(200):
-            t = random_triple(n, rng, field=field)
+            t = _draw(n, rng, field)
             entries = t.alpha + t.beta
             assert {type(x) for x in entries} == {kind}
             if kind is GF:
@@ -404,20 +424,6 @@ def test_sampler_draws_lie_in_the_box_with_zero_pairing(field, kind):
             assert all(x in _BOX for x in ints)
             assert any(t.alpha)
             assert sum(a * b for a, b in zip(t.alpha, t.beta)) == 0
-
-
-def test_an_integer_draw_keeps_the_samples_of_a_rational_one():
-    # criterion 9 draws over Z: `field` acts only after the draw, so the
-    # rng stream and every (alpha, beta) are those of a draw over Q
-    for seed in range(4):
-        ints, fractions = Random(seed), Random(seed)
-        for n in range(2, 7):
-            for _ in range(50):
-                t, u = random_triple(n, ints, field=int), random_triple(n, fractions)
-                assert {type(x) for x in t.alpha + t.beta} == {int}
-                assert {type(x) for x in u.alpha + u.beta} == {Q}
-                assert all(map(operator.eq, t.alpha + t.beta, u.alpha + u.beta))
-        assert ints.getstate() == fractions.getstate()
 
 
 def _reference_rescale(r, c):
@@ -480,13 +486,13 @@ def _cases(kind, rng):
     for n in range(2, 7):
         for _ in range(12):
             if kind == "fraction":
-                t = random_triple(n, rng)
+                t = _draw(n, rng)
                 c = (1,) + tuple(Q(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1))
             elif kind == "int":
-                t = random_triple(n, rng, field=int)
+                t = random_triple(n, rng)
                 c = (1,) + tuple(rng.choice([int, Q])(rng.randint(1, 5)) for _ in range(n - 1))
             else:
-                t = random_triple(n, rng, field=gf)
+                t = _draw(n, rng, gf)
                 c = (1,) + tuple(gf(rng.randint(1, 10006)) for _ in range(n - 1))
             yield rep_from_triple(t), c
 
@@ -758,6 +764,12 @@ def test_battery_smoke():
     for n in (2, 5):
         rep = run_battery(n, 100, seed=42)
         assert rep.passed, rep.failures
+
+
+def test_battery_refuses_a_negative_sample_count():
+    with pytest.raises(ValueError, match="samples=-1 out of range: must be at least 0"):
+        run_battery(3, -1, 0)
+    assert run_battery(3, 0, 0) == repmoduli.BatteryReport(3, 0, True, ())
 
 
 def _wrong_layer_check(r):
