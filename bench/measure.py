@@ -16,16 +16,17 @@ the runs alternate and their order flips on every repeat.  A case is
   quiveralg.max_W reads it), block_W (the widest canonical weight
   block the engine eliminates), peak_mb (peak traced memory during
   `ensure(l)` above the level's start) and kept_mb (what it keeps);
-- criterion1: `acceptance.criterion_1()` from fresh engines;
+- criterion1: `acceptance.criterion_1()`;
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
-  each timed, as perfbench's symbolic workload runs them.  Every
-  lru_cache of the tree's modules and its engines are cleared before
-  each run, so every run starts cold, as a perfbench child does;
+  each timed, as perfbench's symbolic workload runs them;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
-  grid `minorbit accept` runs).  Each run starts cold, as the symbolic
-  case does.
+  grid `minorbit accept` runs).
+
+Every lru_cache of the tree's modules and its engines are cleared
+before each run of every case, so every run starts cold, as a perfbench
+child does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
 criterion1, symbolic and battery.  Each tree's entry holds every
@@ -87,7 +88,7 @@ def widths(quiveralg, eng, l: int) -> tuple[int, int]:
     for a, b in eng.levels[l]:
         into = [(src, quiveralg._weight(eng.n, (arrow,))) for arrow, src in eng._arrows_into(b)]
         cell_w = max(cell_w, sum(eng._prev_dim(a, src, l - 1) for src, _ in into))
-        targets = {eng._canonical(tuple(map(add, sw, aw)))[0]
+        targets = {tuple(sorted(map(add, sw, aw), reverse=True))
                    for src, aw in into for sw in eng.levels[l - 1].get((a, src), ())}
         for w in targets:
             sources = (eng.block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
@@ -100,8 +101,9 @@ def certified(eng) -> None:
         raise SystemExit(f"n={eng.n}: uncertified cells {eng.uncertified}")
 
 
-def level_seconds(quiveralg, n: int, max_len: int) -> dict[str, float]:
-    eng = quiveralg.QuiverDimEngine(n)
+def level_seconds(tree, n: int, max_len: int) -> dict[str, float]:
+    cold(tree)
+    eng = tree.quiveralg.QuiverDimEngine(n)
     out = {}
     for l in range(1, max_len + 1):
         t0 = time.perf_counter()
@@ -111,8 +113,10 @@ def level_seconds(quiveralg, n: int, max_len: int) -> dict[str, float]:
     return out
 
 
-def level_memory(quiveralg, n: int, max_len: int) -> dict[str, dict]:
+def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
     """cell_W, block_W, peak_mb and kept_mb per level, under tracemalloc."""
+    cold(tree)
+    quiveralg = tree.quiveralg
     eng = quiveralg.QuiverDimEngine(n)
     memory = []
     tracemalloc.start()
@@ -135,7 +139,7 @@ def level_memory(quiveralg, n: int, max_len: int) -> dict[str, dict]:
 
 
 def criterion1_seconds(tree) -> dict[str, float]:
-    tree.quiveralg._engines.clear()
+    cold(tree)
     t0 = time.perf_counter()
     res = tree.acceptance.criterion_1()
     seconds = time.perf_counter() - t0
@@ -193,7 +197,7 @@ def timer(case: str):
     if case == "battery":
         return battery_seconds
     n, max_len = map(int, case.split(":"))
-    return lambda tree: level_seconds(tree.quiveralg, n, max_len)
+    return lambda tree: level_seconds(tree, n, max_len)
 
 
 def alternate(trees: dict, run, repeats: int) -> dict[str, list]:
@@ -274,7 +278,7 @@ def main(argv=None) -> None:
         for label, tree in trees.items():
             entry = summary(runs[label])
             if ":" in case:
-                entry["levels"] = level_memory(tree.quiveralg, *map(int, case.split(":")))
+                entry["levels"] = level_memory(tree, *map(int, case.split(":")))
             doc.setdefault("runs", {}).setdefault(label, {})[case] = entry
             print(f"{label} {case}: {entry['total_s']:.3f} s", flush=True)
         if len(trees) == 2:

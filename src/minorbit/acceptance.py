@@ -2,7 +2,8 @@
 executable check with zero tolerance (all quantities are integers).
 
 Each criterion returns a :class:`CriterionResult`; the CLI `accept`
-subcommand and the pytest acceptance module both drive `run_all`.
+subcommand drives `run_all`, and the pytest acceptance module runs each
+of `ALL_CRITERIA`.
 
 The functor-level statements behind criteria 6 and 7 (that flop
 equivalences compose to twists, and that the twist is realized by the
@@ -270,4 +271,13 @@ ALL_CRITERIA = [
 
 
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]
+    """Every criterion's result, in order.  A criterion that raises fails,
+    its title naming the exception and its detail the message, and the
+    rest still run."""
+    results = []
+    for number, fn in enumerate(ALL_CRITERIA, 1):
+        try:
+            results.append(fn())
+        except Exception as e:
+            results.append(CriterionResult(number, f"raised {type(e).__name__}", False, str(e)))
+    return results

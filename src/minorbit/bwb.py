@@ -156,18 +156,16 @@ def _as_expr(e) -> BundleExpr:
 
 
 @lru_cache(maxsize=None)
-def _tensor_weights_cached(n, f1, r1, f2, r2):
-    out = []
-    for nu, c in lr_product(r1, r2, max_rows=n - 1).items():
-        rest = tuple(nu) + (0,) * (n - 1 - len(nu))
-        out.append((LeviWeight(n, f1 + f2, rest).normalized(), c))
-    return tuple(out)
-
-
 def _tensor_weights(w1: LeviWeight, w2: LeviWeight):
-    # normalized weights have partition rests, so plain LR applies
-    w1, w2 = w1.normalized(), w2.normalized()
-    return _tensor_weights_cached(w1.n, w1.first, w1.rest, w2.first, w2.rest)
+    """((weight, multiplicity), ...) of w1 (x) w2, for normalized weights
+    (as every BundleExpr keeps them): their rests are partitions, so
+    plain LR applies."""
+    n = w1.n
+    out = []
+    for nu, c in lr_product(w1.rest, w2.rest, max_rows=n - 1).items():
+        rest = tuple(nu) + (0,) * (n - 1 - len(nu))
+        out.append((LeviWeight(n, w1.first + w2.first, rest).normalized(), c))
+    return tuple(out)
 
 
 def line_bundle(n: int, t: int) -> LeviWeight:

@@ -187,7 +187,6 @@ class OrbitReport:
     passed: bool
     steps: tuple[StepRecord, ...]
     closed_after: int | None
-    early_return: bool
     ends_agree: bool
 
     def as_dict(self) -> dict:
@@ -234,8 +233,8 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
     start = sorted(state.summands)
     records = [StepRecord(0, state, None, None)]
     passed = ends_agree
+    # the first step at which the summands return to the start
     closed_after = None
-    early = False
     # each step replaces the moving summand by the quotient of its
     # splice: down the descending chain, then up the ascending one
     for i, sp in enumerate(splices(n, "minus") + splices(n, "plus"), 1):
@@ -243,12 +242,9 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         ok = splice_exact(sp, n, cap)
         passed = passed and ok
         records.append(StepRecord(i, state, (sp.mult, sp.mid), ok))
-        if sorted(state.summands) == start:
-            if closed_after is None:
-                closed_after = i
-            if i < 2 * n - 2:
-                early = True
-    if closed_after != 2 * n - 2 or early:
+        if closed_after is None and sorted(state.summands) == start:
+            closed_after = i
+    if closed_after != 2 * n - 2:
         passed = False
     return OrbitReport(
         n=n,
@@ -256,6 +252,5 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         passed=passed,
         steps=tuple(records),
         closed_after=closed_after,
-        early_return=early,
         ends_agree=ends_agree,
     )

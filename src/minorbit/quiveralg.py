@@ -33,8 +33,8 @@ pi_u^-1 it is the map of block u on y; with any tau fixing a canonical
 weight w, its nonpivot columns give the matrix rho_w(tau) of tau on
 block w.  The action of a permutation from one block to another is that
 of some tau fixing the source block's canonical weight.  The top level's
-other blocks are never built, and a lower one's maps are moved only when
-a relation row of the next level asks for them.
+other blocks are never built, and a lower one's maps are all moved when
+the block is first read.
 
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
@@ -56,6 +56,7 @@ reported, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import add, itemgetter, sub
 
@@ -115,12 +116,21 @@ class QuiverWord:
         return len(self.steps)
 
 
+def _check_cell(n: int, a: int, b: int, length: int) -> None:
+    """Raise ValueError naming the range unless a and b are vertices
+    0..n-1 and length >= 0."""
+    if not (0 <= a <= n - 1 and 0 <= b <= n - 1):
+        raise ValueError(f"vertex ({a}, {b}) out of range 0..{n - 1}")
+    if length < 0:
+        raise ValueError(f"length={length} out of range: must be at least 0")
+
+
 def enumerate_paths(quiver: Quiver, a: int, b: int, length: int) -> list[QuiverWord]:
     """All composable words of the given length from a to b, in a fixed
-    deterministic order."""
+    deterministic order.  A vertex outside 0..n-1 or a negative length
+    raises ValueError."""
     n = quiver.n
-    if not (0 <= a <= n - 1 and 0 <= b <= n - 1):
-        raise ValueError("vertex out of range")
+    _check_cell(n, a, b, length)
     out: list[QuiverWord] = []
 
     def rec(cur, steps):
@@ -137,7 +147,9 @@ def enumerate_paths(quiver: Quiver, a: int, b: int, length: int) -> list[QuiverW
 
 def path_count(n: int, a: int, b: int, length: int) -> int:
     """Number of free paths, computed by walk counting (each step has n
-    label choices)."""
+    label choices).  A vertex outside 0..n-1 or a negative length raises
+    ValueError."""
+    _check_cell(n, a, b, length)
     walks = {a: 1}
     for _ in range(length):
         nxt: dict[int, int] = {}
@@ -236,8 +248,7 @@ def _relation_rows(rows, layout, rels) -> None:
     """Write the relation rows of a weight block into `rows` (zero on
     entry, at least as tall as the block's rows): `layout` is {arrow:
     (column offset, source block)}, a source block (dim, maps) as
-    `QuiverDimEngine.block` reads it, so a non-canonical one's maps are
-    transported as the rows read them; `rels` is the flat list dq,
+    `QuiverDimEngine.block` reads it; `rels` is the flat list dq,
     terms, ... of the generators applied to blocks two levels down."""
     start = 0
     it = iter(rels)
@@ -276,20 +287,26 @@ class CertificationError(RuntimeError):
 _STACK_CAP = 2 ** 15
 
 
-class _Transported(dict):
-    """{arrow: map} of a block u whose weight is not canonical: the map on
-    arrow y is moved by pi_u^-1 from the canonical block on its first
-    lookup."""
+@lru_cache(maxsize=None)
+def _canonical(w):
+    """(canon(w), pi_w, pi_w^-1): w sorted descending, and the stable
+    sort pi_w taking canon(w) to w (canon(w)[k] = w[pi_w[k]]), as
+    one-line tuples of the 0-based labels 0..len(w)-1."""
+    pi = tuple(sorted(range(len(w)), key=lambda i: -w[i]))
+    inv = [0] * len(w)
+    for k, i in enumerate(pi):
+        inv[i] = k
+    return tuple(w[i] for i in pi), pi, tuple(inv)
 
-    def __init__(self, eng, l, a, b, u):
-        super().__init__()
-        c, _, piinv = eng._canonical(u)
-        self._at = (eng, l, a, b, c, piinv, u)
 
-    def __missing__(self, y):
-        eng, l, a, b, c, piinv, u = self._at
-        m = self[y] = eng._moved(l, a, b, c, piinv, y, tuple(map(sub, u, eng._aw[y])))
-        return m
+@lru_cache(maxsize=None)
+def _orbit_size(w) -> int:
+    """n! / prod(run length!) for a canonical w, n = len(w)."""
+    size, run = 1, 0
+    for k in range(len(w)):
+        run = run + 1 if k and w[k] == w[k - 1] else 1
+        size = size * (k + 1) // run
+    return size
 
 
 class QuiverDimEngine:
@@ -306,10 +323,11 @@ class QuiverDimEngine:
     projection T (dim, W) onto its quotient on the arrow's piece of W,
     the source block of weight w - wt(arrow), in that block's basis.
     Blocks of dim 0 are not kept; a cell's dim is the sum over its
-    blocks of dim times orbit size.  `block` reads any weight, the maps
-    of a non-canonical one moved on demand from its canonical block by
-    `_moved`, the one place a map is moved by a label permutation (the
-    stabilizer actions rho_w(tau) of `_rho` read it too).
+    blocks of dim times orbit size.  `block` reads any weight; the maps
+    of a non-canonical one are all moved from its canonical block when
+    the block is first read, by `_moved`, the one place a map is moved
+    by a label permutation (the stabilizer actions rho_w(tau) of `_rho`
+    read it too).
 
     A level is built in two passes: the first collects each canonical
     block once, with its layout {arrow: (column offset, source block)}
@@ -336,10 +354,8 @@ class QuiverDimEngine:
         self._swaps = [self._id[:k] + (k + 1, k) + self._id[k + 2 :] for k in range(n - 1)]
         self._aw = {arrow: _weight(n, (arrow,)) for arrow, _ in
                     self._arrows_into(0) + self._arrows_into(n - 1)}
-        # w -> (canonical w, pi_w, pi_w inverse); canonical w -> orbit size
-        self._canon: dict = {}
-        self._orbits: dict = {}
-        # (l, a, b, w, tau) -> rho_w(tau), and (l, a, b, w) -> _Transported
+        # (l, a, b, w, tau) -> rho_w(tau), and (l, a, b, w) -> the moved
+        # maps of a non-canonical block
         self._rho_cache: dict = {}
         self._transported: dict = {}
         self._certify(0)
@@ -392,50 +408,29 @@ class QuiverDimEngine:
         while len(self.levels) <= length:
             self._build_level(len(self.levels))
 
-    def _canonical(self, w):
-        """(canon(w), pi_w, pi_w^-1): w sorted descending, and the stable
-        sort pi_w taking canon(w) to w (canon(w)[k] = w[pi_w[k]]), as
-        one-line tuples of 0-based labels."""
-        hit = self._canon.get(w)
-        if hit is None:
-            pi = tuple(sorted(self._id, key=lambda i: -w[i]))
-            inv = [0] * self.n
-            for k, i in enumerate(pi):
-                inv[i] = k
-            hit = self._canon[w] = (tuple(w[i] for i in pi), pi, tuple(inv))
-        return hit
-
-    def _orbit_size(self, w) -> int:
-        """n! / prod(run length!) for a canonical w."""
-        size = self._orbits.get(w)
-        if size is None:
-            size, run = 1, 0
-            for k in range(self.n):
-                run = run + 1 if k and w[k] == w[k - 1] else 1
-                size = size * (k + 1) // run
-            self._orbits[w] = size
-        return size
-
     def _prev_dim(self, a: int, s: int, lev: int) -> int:
         blocks = self.levels[lev].get((a, s))
         if not blocks:
             return 0
-        return sum(self._orbit_size(w) * dim for w, (dim, _) in blocks.items())
+        return sum(_orbit_size(w) * dim for w, (dim, _) in blocks.items())
 
     def block(self, l: int, a: int, b: int, w):
         """(dim, {arrow: map}) of the weight-w block of cell (a, b, l), for
         any w, or None if it is zero: the basis of block w is pi_w applied
-        to the basis of block canon(w), and its maps are transported on
-        lookup."""
+        to the basis of block canon(w), and its maps are all moved by
+        pi_w^-1 on the first read, each from block canon(w)'s map on
+        pi_w^-1(y) for its arrow y (`_moved`)."""
         cell = self.levels[l].get((a, b))
-        c = self._canonical(w)[0]
+        c, pi, piinv = _canonical(w)
         blk = cell.get(c) if cell else None
         if not blk or c == w:
             return blk
         key = (l, a, b, w)
         maps = self._transported.get(key)
         if maps is None:
-            maps = self._transported[key] = _Transported(self, l, a, b, w)
+            maps = self._transported[key] = {
+                y: self._moved(l, a, b, c, piinv, y, tuple(map(sub, w, self._aw[y])))
+                for y in ((kind, pi[i - 1] + 1) for kind, i in blk[1])}
         return blk[0], maps
 
     def _moved(self, l: int, a: int, b: int, c, sigma, y, v):
@@ -455,11 +450,11 @@ class QuiverDimEngine:
         `block`, or None if it is the identity.  sigma pi_v =
         pi_(sigma v) tau with tau in Stab(canon(v)), so it is
         rho_canon(v)(tau); tau is often the identity."""
-        c, pv, _ = self._canonical(v)
+        c, pv, _ = _canonical(v)
         moved = [0] * self.n
         for i, x in zip(sigma, v):
             moved[i] = x
-        inv = self._canonical(tuple(moved))[2]
+        inv = _canonical(tuple(moved))[2]
         tau = tuple([inv[sigma[j]] for j in pv])
         return None if tau == self._id else self._rho(l, a, b, c, tau)
 
@@ -491,7 +486,6 @@ class QuiverDimEngine:
 
     def _build_level(self, l: int) -> None:
         n = self.n
-        canon = self._canonical
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
         newlevel, newfree = {}, {}
@@ -505,7 +499,7 @@ class QuiverDimEngine:
                 # canon(s0 + wt(x)) over the canonical source blocks s0 and
                 # the arrows x: every block of the cell is in one of their
                 # orbits
-                targets = {canon(tuple(map(add, sw, aw)))[0]
+                targets = {_canonical(tuple(map(add, sw, aw)))[0]
                            for _, src, aw in into for sw in prev[(a, src)]}
                 if not targets:
                     continue
@@ -528,7 +522,7 @@ class QuiverDimEngine:
                     rel: list = []
                     if stop > 0:
                         for cell, gw, term_lists in gens:
-                            low = cell.get(canon(tuple(map(sub, w, gw)))[0])
+                            low = cell.get(_canonical(tuple(map(sub, w, gw)))[0])
                             if low:
                                 for terms in term_lists:
                                     rel += (low[0], terms)
@@ -605,12 +599,8 @@ def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     A cell whose value misses its corank target raises
     `CertificationError` with the engine's entry for it, and a vertex
     outside 0..n-1 or a negative length raises ValueError."""
-    n = quiver.n
-    if not (0 <= a <= n - 1 and 0 <= b <= n - 1):
-        raise ValueError(f"vertex ({a}, {b}) out of range 0..{n - 1}")
-    if length < 0:
-        raise ValueError(f"length={length} out of range: must be at least 0")
-    eng = _engine(n)
+    _check_cell(quiver.n, a, b, length)
+    eng = _engine(quiver.n)
     eng.ensure(length)
     entry = eng.verdicts[(a, b, length)]
     if entry:

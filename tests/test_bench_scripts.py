@@ -4,7 +4,9 @@ It reads the engine's data model directly, so a change to that model
 must update it; these runs catch one that does not."""
 
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,10 +31,10 @@ def trees(measure):
         del sys.modules[name]
 
 
-def test_level_widths(measure):
+def test_level_widths(measure, trees):
     eng = quiveralg.QuiverDimEngine(3)
     eng.ensure(3)
-    levels = measure.level_memory(quiveralg, 3, 3)
+    levels = measure.level_memory(trees["a"], 3, 3)
     for l in range(1, 4):
         cell_w, block_w = measure.widths(quiveralg, eng, l)
         assert (levels[f"l{l}"]["cell_W"], levels[f"l{l}"]["block_W"]) == (cell_w, block_w)
@@ -47,11 +49,11 @@ def test_level_widths(measure):
                    for _, maps in blocks.values())
 
 
-def test_level_seconds_and_memory(measure):
-    seconds = measure.level_seconds(quiveralg, 3, 3)
+def test_level_seconds_and_memory(measure, trees):
+    seconds = measure.level_seconds(trees["a"], 3, 3)
     assert list(seconds) == ["l1", "l2", "l3"]
     assert all(s >= 0 for s in seconds.values())
-    memory = measure.level_memory(quiveralg, 3, 3)
+    memory = measure.level_memory(trees["a"], 3, 3)
     assert list(memory) == ["l1", "l2", "l3"]
     assert all(m["peak_mb"] >= m["kept_mb"] > 0 for m in memory.values())
 
@@ -88,13 +90,43 @@ def test_uncertified_cell_stops_the_run(measure, trees, monkeypatch):
     with pytest.raises(SystemExit, match=r"uncertified cells \[\(1, 1, 2,"):
         measure.alternate(trees, measure.timer("3:3"), 2)
     # the other tree's engine keeps its own target
-    measure.level_seconds(trees["a"].quiveralg, 3, 3)
+    measure.level_seconds(trees["a"], 3, 3)
 
 
 def _cache_sizes(tree):
     return {f"{name}.{attr}": value.cache_info().currsize
             for name, module in sys.modules.items() if name.startswith(f"{tree.__name__}.")
             for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+
+
+def test_engine_cases_start_cold(measure, trees, monkeypatch):
+    # the weight orbit caches are module-level, so a timed run that did
+    # not clear them would reuse its warm-up's; the first clock read of
+    # each run must find the running tree's caches empty (an N:L run
+    # builds its engine first, which reads the orbit size of weight 0)
+    for tree in trees.values():
+        monkeypatch.setattr(tree.acceptance, "criterion_1", lambda q=tree.quiveralg: (
+            SimpleNamespace(passed=q.compare_with_nccr(3, 3).passed)))
+    running, starts = [], []
+
+    def clock():
+        if len(starts) < len(running):
+            q = trees[running[-1]].quiveralg
+            starts.append((q._canonical.cache_info().currsize,
+                           q._orbit_size.cache_info().currsize))
+        return time.perf_counter()
+
+    monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=clock))
+    for case in ("3:3", "criterion1"):
+        timer = measure.timer(case)
+
+        def logged(tree):
+            running.append(tree.__name__.removeprefix("minorbit_"))
+            return timer(tree)
+
+        measure.alternate(trees, logged, 2)
+    assert len(starts) == len(running) == 12
+    assert all(canonical == 0 and orbits <= 1 for canonical, orbits in starts), starts
 
 
 def test_symbolic_case_starts_cold(measure, trees, monkeypatch):

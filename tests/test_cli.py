@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import bwb
+from minorbit import bwb, quiveralg
 from minorbit.cli import BundleParseError, main, parse_bundle_spec
 
 
@@ -335,6 +335,30 @@ def test_reader_closing_the_pipe_early_exits_1_quietly():
     assert len(head) == 200
     # no traceback, and no "Exception ignored" from the exit flush
     assert err == ""
+
+
+def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch):
+    # without one off-diagonal mixed generator the set is not S_n-stable,
+    # so the engine raises ValueError for every n >= 3; criterion 1 fails
+    # with that message, criteria 2-10 still run, and the exit is a check
+    # failure, not a usage error
+    real = quiveralg.relation_generators
+
+    def one_mixed_dropped(n):
+        gens = real(n)
+        drop = next((g for g in gens if g.name == "mixed" and
+                     g.terms[0][1][0][1] != g.terms[0][1][1][1]), None)
+        return tuple(g for g in gens if g is not drop)
+
+    monkeypatch.setattr(quiveralg, "relation_generators", one_mixed_dropped)
+    monkeypatch.setattr(quiveralg, "_engines", {})
+    rc, out, err = run(capsys, ["accept"])
+    assert rc == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "FAIL criterion 1: raised ValueError"
+    assert lines[1].strip().startswith("generator mixed (1 -> 1) is not S_n-stable")
+    assert [line.split(":")[0] for line in lines[2:]] == [
+        f"PASS criterion {c}" for c in range(2, 11)]
 
 
 def test_determinism(capsys):

@@ -97,8 +97,8 @@ def test_orbit_closes_exactly():
     for n in (3, 4, 5):
         rep = orbit_check(n, 6)
         assert rep.passed
+        # the first closure, so the orbit does not close earlier
         assert rep.closed_after == 2 * n - 2
-        assert not rep.early_return
         assert rep.ends_agree
         assert len(rep.steps) == 2 * n - 1  # initial state plus one per step
         d = rep.as_dict()

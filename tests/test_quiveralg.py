@@ -406,10 +406,10 @@ def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
     checked = 0
     for l in range(1, max_len + 1):
         for (a, b), cell in eng.levels[l].items():
-            canonical = {w for w in (eng._canonical(v)[0] for v in {
+            canonical = {quiveralg._canonical(v)[0] for v in {
                 tuple(x + y for x, y in zip(sw, quiveralg._weight(n, (arrow,))))
                 for arrow, src in eng._arrows_into(b)
-                for sw in _weights(eng, l - 1, a, src)})}
+                for sw in _weights(eng, l - 1, a, src)}}
             rebuilt = {w: _rebuilt_block(eng, l, a, b, w) for w in canonical}
             rebuilt = {w: block for w, block in rebuilt.items() if block[0]}
             assert cell.keys() == rebuilt.keys(), (l, a, b)
@@ -525,18 +525,27 @@ def test_graded_dim_reads_the_engine_verdict(monkeypatch):
     assert graded_dim(Quiver(3), 1, 1, 4) == eng.dim(1, 1, 4)
 
 
+_LENGTH = "length=-1 out of range: must be at least 0"
+
+
 @pytest.mark.parametrize(
-    "cell, match",
-    [((5, 0, 2), r"vertex \(5, 0\) out of range 0\.\.2"),
-     ((0, -1, 2), r"vertex \(0, -1\) out of range 0\.\.2"),
-     ((0, 0, -1), "length=-1 out of range: must be at least 0")],
-    ids=["source", "target", "length"],
+    "count, args, match",
+    [(graded_dim, (Quiver(3), 5, 0, 2), r"vertex \(5, 0\) out of range 0\.\.2"),
+     (graded_dim, (Quiver(3), 0, -1, 2), r"vertex \(0, -1\) out of range 0\.\.2"),
+     (graded_dim, (Quiver(3), 0, 0, -1), _LENGTH),
+     (path_count, (3, 0, 0, -1), _LENGTH),
+     (path_count, (3, -1, 0, 1), r"vertex \(-1, 0\) out of range 0\.\.2"),
+     (enumerate_paths, (Quiver(3), 0, 0, -1), _LENGTH),
+     (enumerate_paths, (Quiver(3), 0, 3, 1), r"vertex \(0, 3\) out of range 0\.\.2")],
+    ids=["source", "target", "length", "path_count-length", "path_count-source",
+         "enumerate_paths-length", "enumerate_paths-target"],
 )
-def test_graded_dim_names_the_range_of_a_bad_cell(cell, match):
-    # a ValueError naming the range, not a KeyError from the engine's
-    # verdicts
+def test_graded_dim_names_the_range_of_a_bad_cell(count, args, match):
+    # a ValueError naming the range: not a KeyError from the engine's
+    # verdicts, a float or a count for a vertex off the quiver from the
+    # walk count, or a RecursionError from the enumeration
     with pytest.raises(ValueError, match=match):
-        graded_dim(Quiver(3), *cell)
+        count(*args)
 
 
 def test_a_cell_without_paths_keeps_its_check(understate_target):
