@@ -31,7 +31,7 @@ class BundleParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<int>-?\d+)|(?P<ch>[(),+\-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<ch>[(),+\-]))")
 
 _CONSTRUCTORS = {
     "O": (1, lambda n, args: bwb.BundleExpr.of(bwb.line_bundle(n, args[0]))),
@@ -306,8 +306,6 @@ def cmd_kflop(args) -> int:
         payload = rep.as_dict()
         _emit(args, payload)
         return 0 if rep.passed else CHECK_FAILURE
-    if not args.matrix:
-        raise SystemExit("kflop needs one of --matrix, --flopflop, --ptwist-ledger")
     payload = {
         "n": args.n,
         "matrix": kfunctor.kn_matrix(args.n),

@@ -55,11 +55,6 @@ class KClass:
         return KClass(self.n, self.side, tuple(
             a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "KClass") -> "KClass":
-        self._compat(other)
-        return KClass(self.n, self.side, tuple(
-            a - b for a, b in zip(self.coords, other.coords)))
-
     def scale(self, c: int) -> "KClass":
         return KClass(self.n, self.side, tuple(c * a for a in self.coords))
 
@@ -162,10 +157,10 @@ def kn_matrix(n: int) -> list[list[int]]:
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
-    matrix: tuple | None = None
+    matrix: tuple
 
     def as_dict(self):
-        return {"pass": self.passed, "matrix": [list(r) for r in self.matrix] if self.matrix else None}
+        return {"pass": self.passed, "matrix": [list(r) for r in self.matrix]}
 
 
 def flop_flop_check(n: int) -> CheckResult:

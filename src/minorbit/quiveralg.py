@@ -41,16 +41,20 @@ a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
 surjection onto the graded Hom pieces of the cone, whose dimensions
 (the closed-form trace coranks of `cohengine.sym_pair_corank`) bound it
-from below.  The surjection preserves the torus weight, so each block
-has its own exact lower bound (`_weight_target`), which depends only on
-the multiset of the weight.  Each canonical block is certified against
-it; sigma, being defined over Z, carries the certified rational
-dimension to every block of the orbit, whose target is the same, and a
-cell's dimension is the sum over its canonical blocks of dimension
-times orbit size.  Equality of the bounds certifies the value; the
-engine records its verdict on every cell as it builds the level, and a
-cell whose bounds disagree raises `CertificationError` and is
-reported, never patched.
+from below.  The surjection exists only if the evaluation carries the
+relation ideal into the ideal of the trace t = sum_i x_i y_i, whose
+cokernel the coranks count; the engine stops each elimination at the
+bound, so its constructor refuses a generator that evaluates to
+anything but 0 or a multiple of t.  The surjection preserves the torus
+weight, so each block has its own exact lower bound (`_weight_target`),
+which depends only on the multiset of the weight.  Each canonical block
+is certified against it; sigma, being defined over Z, carries the
+certified rational dimension to every block of the orbit, whose target
+is the same, and a cell's dimension is the sum over its canonical
+blocks of dimension times orbit size.  Equality of the bounds certifies
+the value; the engine records its verdict on every cell as it builds
+the level, and a cell whose bounds disagree raises `CertificationError`
+and is reported, never patched.
 """
 
 from __future__ import annotations
@@ -204,7 +208,8 @@ def graded_dim_direct(quiver: Quiver, a: int, b: int, length: int) -> int:
 def _cell_target(n: int, a: int, b: int, length: int) -> int:
     """Exact lower bound for the cell dimension: the corank of the
     matching graded Hom piece (paths evaluate onto monomials, and the
-    relation ideal dies under the evaluation)."""
+    relation ideal dies under the evaluation, as `QuiverDimEngine`
+    checks on its generators)."""
     down2 = length - (b - a)
     up2 = length + (b - a)
     if down2 < 0 or up2 < 0 or down2 % 2 or up2 % 2:
@@ -313,15 +318,17 @@ class QuiverDimEngine:
     """Degree-by-degree quotient construction, mod p, one S_n-orbit of
     torus-weight blocks at a time.
 
-    Every relation generator is homogeneous for the torus weight and the
-    generating set is stable under the adjacent label swaps up to sign
-    (the constructor raises ValueError otherwise), so the quotient splits
-    into weight blocks, and the blocks of weights u and sigma(u) are
-    isomorphic.  `levels[l]` maps each cell (a, b) reached from level
-    l - 1 to its canonical blocks, {w: (dim, {arrow: map})} with w
-    sorted descending: the map on an arrow is the part of the block's
-    projection T (dim, W) onto its quotient on the arrow's piece of W,
-    the source block of weight w - wt(arrow), in that block's basis.
+    The constructor raises ValueError unless every relation generator is
+    homogeneous for the torus weight, has its terms end in distinct
+    arrows and evaluates to 0 or a multiple of the trace (the premise of
+    the stop below), and the generating set is stable under the adjacent
+    label swaps up to sign.  So the quotient splits into weight blocks,
+    and the blocks of weights u and sigma(u) are isomorphic.
+    `levels[l]` maps each cell (a, b) reached from level l - 1 to its
+    canonical blocks, {w: (dim, {arrow: map})} with w sorted descending:
+    the map on an arrow is the part of the block's projection T (dim, W)
+    onto its quotient on the arrow's piece of W, the source block of
+    weight w - wt(arrow), in that block's basis.
     Blocks of dim 0 are not kept; a cell's dim is the sum over its
     blocks of dim times orbit size.  `block` reads any weight; the maps
     of a non-canonical one are all moved from its canonical block when
@@ -363,6 +370,8 @@ class QuiverDimEngine:
         # (coeff, first, top)
         self._gens_by_target: dict[int, dict] = {}
         gens = relation_generators(n)
+        # the trace t = sum_i x_i y_i, as the monomials of its terms
+        trace = {(("f", i), ("v", i)) for i in range(1, n + 1)}
         for gen in gens:
             weights = {_weight(n, steps) for _, steps in gen.terms}
             if len(weights) != 1:
@@ -374,6 +383,19 @@ class QuiverDimEngine:
                 raise ValueError(
                     f"generator {gen.name} ({gen.source} -> {gen.target}) "
                     f"has two terms ending in one arrow: {gen.terms}"
+                )
+            # the evaluation f_i -> x_i, v_j -> y_j: a word's monomial is
+            # its sorted steps
+            image: dict = {}
+            for coeff, steps in gen.terms:
+                mono = tuple(sorted(steps))
+                image[mono] = image.get(mono, 0) + coeff
+            image = {mono: c for mono, c in image.items() if c}
+            if image and (image.keys() != trace or len(set(image.values())) != 1):
+                raise ValueError(
+                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                    f"evaluates to {image}, not to 0 or a multiple of the "
+                    f"trace, so the corank targets are no lower bounds"
                 )
             terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
             self._gens_by_target.setdefault(gen.target, {}).setdefault(
@@ -606,38 +628,6 @@ def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     if entry:
         raise CertificationError(entry)
     return eng.dim(a, b, length)
-
-
-def evaluation_kills_generators(n: int) -> bool:
-    """Check on generators that the monomial evaluation used for the
-    lower bound annihilates the relation ideal: commutation relations
-    evaluate to syntactically equal monomials and trace relations to the
-    trace element itself, which spans the quotient kernel.  Returns True
-    when every generator term-multiset matches that pattern.
-
-    It also shows that every generator is torus-weight homogeneous, as
-    the engine's weight blocks require: all terms of a commutator have
-    one (down, up) label content, hence one weight, and every trace term
-    f_i v_i has weight 0.  (The engine raises ValueError on a generator
-    that is not homogeneous.)"""
-    for gen in relation_generators(n):
-        content = set()
-        for coeff, steps in gen.terms:
-            down = tuple(sorted(i for kind, i in steps if kind == "v"))
-            up = tuple(sorted(i for kind, i in steps if kind == "f"))
-            content.add((down, up))
-        if gen.name.startswith("trace"):
-            # terms must be exactly (v_i, f_i) over all i, coefficient 1
-            if content != {((i,), (i,)) for i in range(1, n + 1)}:
-                return False
-            if any(c != 1 for c, _ in gen.terms):
-                return False
-        else:
-            if len(content) != 1:
-                return False
-            if sorted(c for c, _ in gen.terms) != [-1, 1]:
-                return False
-    return True
 
 
 def _parity_cells(n: int, max_len: int):

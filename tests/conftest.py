@@ -21,3 +21,11 @@ def understate_target(monkeypatch):
             n: eng for n, eng in quiveralg._engines.items() if n != cell[0]})
 
     return understate
+
+
+@pytest.fixture
+def fresh_engines(monkeypatch):
+    """Start from no cached engines, so a patched generator set or target
+    is read by every engine the test builds; the real cache comes back
+    afterwards."""
+    monkeypatch.setattr(quiveralg, "_engines", {})

@@ -28,15 +28,6 @@ def test_criterion_10_window_ranks_are_computed(monkeypatch):
     assert "Lambda_k" in res.detail and "LambdaPrime" in res.detail
 
 
-def test_criterion_1_checks_the_evaluation(monkeypatch):
-    # the corank targets bound the cell dimensions from below only if the
-    # evaluation kills the relation ideal
-    monkeypatch.setattr(quiveralg, "evaluation_kills_generators", lambda n: n != 3)
-    res = acceptance.criterion_1()
-    assert not res.passed
-    assert "(3, 'evaluation does not kill the generators')" in res.detail
-
-
 def test_criterion_1_fails_on_an_uncertified_cell(monkeypatch):
     # every cell the engine cannot certify is a mismatch of the report,
     # and any mismatch fails the criterion
@@ -68,10 +59,10 @@ def test_criterion_10_fails_on_an_uncertified_cell(understate_target):
     assert res.detail == "failures: [(0, 0, 4, 5, 4)]"
 
 
-def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch):
+def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch, fresh_engines):
     # relabel one term of the first ff commutator at n = 3: f_1 f_2 - f_3 f_1
-    # is no longer torus-weight homogeneous, so the evaluation step fails
-    # and the engine refuses to split its cells into weight blocks
+    # is no longer torus-weight homogeneous, so the engine refuses to
+    # split its cells into weight blocks and criterion 1 raises
     real = quiveralg.relation_generators
 
     def mislabelled(n):
@@ -84,11 +75,9 @@ def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch):
         return tuple(gens)
 
     monkeypatch.setattr(quiveralg, "relation_generators", mislabelled)
-    res = acceptance.criterion_1()
-    assert not res.passed
-    assert "(3, 'evaluation does not kill the generators')" in res.detail
-    with pytest.raises(ValueError, match="not torus-weight homogeneous"):
-        quiveralg.QuiverDimEngine(3).ensure(2)
+    with pytest.raises(ValueError,
+                       match=r"generator ff \(0 -> 2\) is not torus-weight homogeneous"):
+        acceptance.criterion_1()
 
 
 def test_criterion_5_cross_checks_unequal_twists(monkeypatch):

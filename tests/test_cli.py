@@ -26,6 +26,14 @@ def test_parse_bundle_spec():
     assert combo == (
         bwb.BundleExpr.of(bwb.line_bundle(3, 1)).scale(2) - bwb.omega(3, 1, 2)
     )
+    # a sign is always the '-' character, read once: "--1" is no number,
+    # and a '-' after a term starts a term
+    assert parse_bundle_spec("O(- 1)", 3) == bwb.BundleExpr.of(bwb.line_bundle(3, -1))
+    for text, col, msg in (("O(--1)", 3, "expected int, found -"),
+                           ("O(1)-2", 5, "expected name, found 2")):
+        with pytest.raises(BundleParseError, match=msg) as e:
+            parse_bundle_spec(text, 3)
+        assert e.value.col == col, text
 
 
 def test_parse_errors_carry_positions():
@@ -57,6 +65,8 @@ def test_usage_error_exit_code(capsys):
     rc, _, _ = run(capsys, ["coh", "--n", "1", "--bundle", "O(0)"])
     assert rc == 2
     assert main(["nonsense"]) == 2
+    # kflop needs one of its modes
+    assert main(["kflop", "--n", "3"]) == 2
 
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
@@ -337,7 +347,7 @@ def test_reader_closing_the_pipe_early_exits_1_quietly():
     assert err == ""
 
 
-def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch):
+def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch, fresh_engines):
     # without one off-diagonal mixed generator the set is not S_n-stable,
     # so the engine raises ValueError for every n >= 3; criterion 1 fails
     # with that message, criteria 2-10 still run, and the exit is a check
@@ -351,7 +361,6 @@ def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch):
         return tuple(g for g in gens if g is not drop)
 
     monkeypatch.setattr(quiveralg, "relation_generators", one_mixed_dropped)
-    monkeypatch.setattr(quiveralg, "_engines", {})
     rc, out, err = run(capsys, ["accept"])
     assert rc == 1 and err == ""
     lines = out.splitlines()

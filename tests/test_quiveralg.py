@@ -3,7 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from minorbit import quiveralg
+from minorbit import acceptance, quiveralg
+from minorbit.cli import main
 from minorbit.linalg import MODP, ModPRref, rank_exact
 from minorbit.quiveralg import (
     CertificationError,
@@ -13,13 +14,13 @@ from minorbit.quiveralg import (
     compare_with_nccr,
     dim_table,
     enumerate_paths,
-    evaluation_kills_generators,
     graded_dim,
     graded_dim_direct,
     path_count,
     relation_generators,
     relation_instances,
 )
+from minorbit.relations import RelationGen
 
 
 def test_word_validity():
@@ -106,11 +107,6 @@ def test_label_swap_symmetry():
                     d = graded_dim(q, a, b, l)
                     assert d == graded_dim(q, b, a, l)
                     assert d == graded_dim(q, n - 1 - a, n - 1 - b, l)
-
-
-def test_evaluation_kills_generators():
-    for n in (2, 3, 4, 5):
-        assert evaluation_kills_generators(n)
 
 
 def test_generator_terms_are_composable_and_uniform():
@@ -325,7 +321,7 @@ def test_block_dims_match_the_direct_oracle_per_weight(n, max_len):
     assert checked > 200
 
 
-def test_overstated_weight_target_is_uncertified(monkeypatch):
+def test_overstated_weight_target_is_uncertified(monkeypatch, fresh_engines):
     # a block stopped one row early keeps one dimension too many, and so
     # does every block of its orbit: (1, 0, 0) carries it to (0, 1, 0)
     # and (0, 0, 1), so its cell misses the cell target by 3, is listed
@@ -341,7 +337,6 @@ def test_overstated_weight_target_is_uncertified(monkeypatch):
         return t + 1 if ((n, a, b, length), w) == (cell, weight) else t
 
     monkeypatch.setattr(quiveralg, "_weight_target", target)
-    monkeypatch.setattr(quiveralg, "_engines", {})
     calls = _no_direct_calls(monkeypatch)
     entry = (0, 1, 3, true_dim + 3, true_dim)
     rep = compare_with_nccr(3, 3)
@@ -574,3 +569,50 @@ def test_engine_rejects_a_generator_with_two_terms_on_one_arrow(monkeypatch):
     monkeypatch.setattr(quiveralg, "relation_generators", doubled)
     with pytest.raises(ValueError, match="two terms ending in one arrow"):
         QuiverDimEngine(3)
+
+
+def test_every_route_refuses_a_generator_the_evaluation_keeps(capsys, monkeypatch,
+                                                             fresh_engines):
+    # f_i v_i at vertex 1 evaluates to x_i y_i, no multiple of the trace,
+    # so the corank targets are no lower bounds and the engine's stop at
+    # W - target would report false certified dims (8 for the true 6 at
+    # (1, 1, 2) of n = 3): the engine, the comparison, `quiver --compare`
+    # and `accept` all refuse it
+    real = quiveralg.relation_generators
+
+    def extra(n):
+        if n < 3:
+            return real(n)
+        return real(n) + tuple(RelationGen(1, 1, ((1, (("f", i), ("v", i))),), "extra")
+                               for i in range(1, n + 1))
+
+    monkeypatch.setattr(quiveralg, "relation_generators", extra)
+    refusal = r"generator extra \(1 -> 1\) evaluates to"
+    with pytest.raises(ValueError, match=refusal):
+        QuiverDimEngine(3)
+    with pytest.raises(ValueError, match=refusal):
+        compare_with_nccr(3, 4)
+    assert main(["quiver", "--compare", "--n", "3", "--max-len", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: generator extra (1 -> 1) evaluates to")
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_1])
+    assert main(["accept"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL criterion 1: raised ValueError"
+    assert lines[1].strip().startswith("generator extra (1 -> 1) evaluates to")
+
+
+def test_negated_generators_give_the_same_dims(monkeypatch, fresh_engines):
+    # -g spans the ideal g does, and evaluates to 0 or to -t for the
+    # traces: the engine builds and certifies the real dims
+    real_dims = {}
+    for n in range(2, 6):
+        eng = QuiverDimEngine(n)
+        real_dims[n] = {cell: eng.dim(*cell) for cell in quiveralg._parity_cells(n, 4)}
+    real = quiveralg.relation_generators
+    monkeypatch.setattr(quiveralg, "relation_generators", lambda n: tuple(
+        RelationGen(g.source, g.target, tuple((-c, w) for c, w in g.terms), g.name)
+        for g in real(n)))
+    for n in range(2, 6):
+        assert dim_table(n, 4) == real_dims[n]
+        assert quiveralg._engines[n].uncertified == []
