@@ -10,12 +10,13 @@ side in one process.  Every case runs once untimed per tree (the
 warm-up), then --repeats times (default 10) per tree; with two trees
 the runs alternate and their order flips on every repeat.  A case is
 
-- N:L: `ensure(l)` for l = 1..L on a fresh QuiverDimEngine(N), timed
-  per level.  One more run per tree, under tracemalloc, records per
-  level cell_W (the widest cell's spanning-set width, as perfbench's
-  quiveralg.max_W reads it), block_W (the widest canonical weight
-  block the engine eliminates), peak_mb (peak traced memory during
-  `ensure(l)` above the level's start) and kept_mb (what it keeps);
+- N:L, N >= 2 and L >= 1: `ensure(l)` for l = 1..L on a fresh
+  QuiverDimEngine(N), timed per level.  One more run per tree, under
+  tracemalloc, records per level cell_W (the widest cell's
+  spanning-set width, as perfbench's quiveralg.max_W reads it),
+  block_W (the widest canonical weight block the engine eliminates),
+  peak_mb (peak traced memory during `ensure(l)` above the level's
+  start) and kept_mb (what it keeps);
 - criterion1: `acceptance.criterion_1()`;
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
   each timed, as perfbench's symbolic workload runs them;
@@ -88,7 +89,7 @@ def widths(quiveralg, eng, l: int) -> tuple[int, int]:
     for a, b in eng.levels[l]:
         into = [(src, quiveralg._weight(eng.n, (arrow,))) for arrow, src in eng._arrows_into(b)]
         cell_w = max(cell_w, sum(eng._prev_dim(a, src, l - 1) for src, _ in into))
-        targets = {tuple(sorted(map(add, sw, aw), reverse=True))
+        targets = {quiveralg._canonical(tuple(map(add, sw, aw)))[0]
                    for src, aw in into for sw in eng.levels[l - 1].get((a, src), ())}
         for w in targets:
             sources = (eng.block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
@@ -248,6 +249,11 @@ def source(text: str) -> tuple[str, str]:
 
 def case_name(text: str) -> str:
     timer(text)  # raises ValueError unless text is N:L or a named case
+    if ":" in text:
+        n, max_len = map(int, text.split(":"))
+        if n < 2 or max_len < 1:
+            raise argparse.ArgumentTypeError(
+                f"case {text}: N:L needs N >= 2 and L >= 1")
     return text
 
 

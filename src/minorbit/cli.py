@@ -246,11 +246,14 @@ def cmd_quiver(args) -> int:
         )
         _emit(args, payload)
         return 0 if rep.passed else CHECK_FAILURE
+    rep = quiveralg.compare_with_nccr(args.n, args.max_len)
+    if rep.mismatches:
+        raise quiveralg.CertificationError(rep.mismatches[0])
     rows = []
-    for (a, b, length), dim in quiveralg.dim_table(args.n, args.max_len).items():
-        paths = quiveralg.path_count(args.n, a, b, length)
+    for c in rep.cells:
+        paths = quiveralg.path_count(args.n, c.a, c.b, c.length)
         if paths:
-            rows.append((a, b, length, paths, paths - dim, dim))
+            rows.append((c.a, c.b, c.length, paths, paths - c.dim, c.dim))
     payload = {
         "n": args.n,
         "max_len": args.max_len,

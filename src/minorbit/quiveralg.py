@@ -318,12 +318,13 @@ class QuiverDimEngine:
     """Degree-by-degree quotient construction, mod p, one S_n-orbit of
     torus-weight blocks at a time.
 
-    The constructor raises ValueError unless every relation generator is
-    homogeneous for the torus weight, has its terms end in distinct
-    arrows and evaluates to 0 or a multiple of the trace (the premise of
-    the stop below), and the generating set is stable under the adjacent
-    label swaps up to sign.  So the quotient splits into weight blocks,
-    and the blocks of weights u and sigma(u) are isomorphic.
+    The constructor raises ValueError unless n >= 2, every relation
+    generator is homogeneous for the torus weight, has its terms end in
+    distinct arrows and evaluates to 0 or a multiple of the trace (the
+    premise of the stop below), and the generating set is stable under
+    the adjacent label swaps up to sign.  So the quotient splits into
+    weight blocks, and the blocks of weights u and sigma(u) are
+    isomorphic.
     `levels[l]` maps each cell (a, b) reached from level l - 1 to its
     canonical blocks, {w: (dim, {arrow: map})} with w sorted descending:
     the map on an arrow is the part of the block's projection T (dim, W)
@@ -350,6 +351,8 @@ class QuiverDimEngine:
     `uncertified`."""
 
     def __init__(self, n: int):
+        if n < 2:
+            raise ValueError("n must be at least 2")
         self.n = n
         origin = (0,) * n
         self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(n)}]
@@ -455,30 +458,30 @@ class QuiverDimEngine:
                 for y in ((kind, pi[i - 1] + 1) for kind, i in blk[1])}
         return blk[0], maps
 
-    def _moved(self, l: int, a: int, b: int, c, sigma, y, v):
-        """The map on arrow y of the block that the label permutation sigma
-        carries onto canonical block c of cell (a, b, l): M(c, sigma(y)) @
-        (the action of sigma from block v, y's source block one level
-        down, to block sigma(v)).  `block` transports with sigma =
-        pi_u^-1 and `_rho` acts with sigma = tau in Stab(c)."""
+    def _moved(self, l: int, a: int, b: int, c, sigma, y, v, cols=None):
+        """Columns `cols` (all if None) of the map on arrow y of the block
+        that the label permutation sigma (one-line tuple) carries onto
+        canonical block c of cell (a, b, l): M(c, sigma(y)) @ A[:, cols],
+        A the matrix of sigma from block v, y's source block one level
+        down, to block sigma(v), in the bases of `block`.  sigma pi_v =
+        pi_(sigma v) tau with tau in Stab(canon(v)), so A is
+        rho_canon(v)(tau); tau is often the identity, and then the
+        columns of M are the map.
+        `block` transports with sigma = pi_u^-1 and keeps every column;
+        `_rho` acts with sigma = tau in Stab(c) and keeps the piece's
+        nonpivot columns, so no product is formed only to be sliced."""
         kind, i = y
         M = self.levels[l][(a, b)][c][1][(kind, sigma[i - 1] + 1)]
-        A = self._action(l - 1, a, b - 1 if kind == "f" else b + 1, sigma, v)
-        return M if A is None else M @ A % MODP
-
-    def _action(self, l: int, a: int, b: int, sigma, v):
-        """The matrix of the label permutation sigma (one-line tuple) from
-        block v of cell (a, b, l) to block sigma(v), in the bases of
-        `block`, or None if it is the identity.  sigma pi_v =
-        pi_(sigma v) tau with tau in Stab(canon(v)), so it is
-        rho_canon(v)(tau); tau is often the identity."""
-        c, pv, _ = _canonical(v)
+        cv, pv, _ = _canonical(v)
         moved = [0] * self.n
-        for i, x in zip(sigma, v):
-            moved[i] = x
+        for k, x in zip(sigma, v):
+            moved[k] = x
         inv = _canonical(tuple(moved))[2]
         tau = tuple([inv[sigma[j]] for j in pv])
-        return None if tau == self._id else self._rho(l, a, b, c, tau)
+        if tau == self._id:
+            return M if cols is None else M[:, cols]
+        A = self._rho(l - 1, a, b - 1 if kind == "f" else b + 1, cv, tau)
+        return M @ (A if cols is None else A[:, cols]) % MODP
 
     def _rho(self, l: int, a: int, b: int, w, tau):
         """The action rho_w(tau) (dim, dim) of tau in Stab(w) on canonical
@@ -501,7 +504,7 @@ class QuiverDimEngine:
                 lo, hi = np.searchsorted(free, (off, off + width)).tolist()
                 if hi > lo:
                     v = tuple(map(sub, w, self._aw[x]))
-                    R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v)[:, free[lo:hi] - off]
+                    R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v, free[lo:hi] - off)
                 off += width
             self._rho_cache[key] = R
         return R
@@ -641,14 +644,6 @@ def _parity_cells(n: int, max_len: int):
             for b in range(n):
                 if (length - (b - a)) % 2 == 0:
                     yield a, b, length
-
-
-def dim_table(n: int, max_len: int) -> dict[tuple[int, int, int], int]:
-    """Table {(a, b, length): dim} over the parity cells; entries with
-    length < |b - a| are 0.  Raises `CertificationError` on the first
-    uncertified cell."""
-    q = Quiver(n)
-    return {cell: graded_dim(q, *cell) for cell in _parity_cells(n, max_len)}
 
 
 # ---------------------------------------------------------------------------

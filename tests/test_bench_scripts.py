@@ -176,3 +176,16 @@ def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):
     monkeypatch.setattr(trees["b"].bwb, "bott_closed_form", lambda n, p, t: {})
     with pytest.raises(SystemExit, match="criterion 2 failed"):
         measure.alternate(trees, measure.timer("symbolic"), 2)
+
+
+def test_engine_cases_outside_the_range_are_usage_errors(measure, capsys, tmp_path):
+    # 4:0 used to run and then divide by a zero total, and 3:-1 and 1:3
+    # recorded empty or meaningless timings
+    out = tmp_path / "bench.json"
+    for case in ("4:0", "3:-1", "1:3", "0:2"):
+        with pytest.raises(SystemExit) as stop:
+            measure.main(["--out", str(out), "--case", case])
+        assert stop.value.code == 2, case
+        assert "N >= 2 and L >= 1" in capsys.readouterr().err, case
+    assert not out.exists()
+    assert measure.case_name("2:1") == "2:1"

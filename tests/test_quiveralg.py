@@ -12,7 +12,6 @@ from minorbit.quiveralg import (
     Quiver,
     QuiverWord,
     compare_with_nccr,
-    dim_table,
     enumerate_paths,
     graded_dim,
     graded_dim_direct,
@@ -184,6 +183,13 @@ def test_generators_are_a_basis_of_the_degree_two_relations():
                 assert rank_exact(rows, npaths) == len(gens), (n, a, b)
 
 
+def test_engine_refuses_n_below_2():
+    # n = 1 would build levels and certify its lone vertex's cells
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            QuiverDimEngine(n)
+
+
 def test_engine_certified_at_small_n():
     eng = QuiverDimEngine(2)
     eng.ensure(8)
@@ -198,12 +204,14 @@ def test_compare_examples():
     d = rep.as_dict()
     assert d["pass"] is True and d["cells_checked"] == len(rep.cells)
     assert d["mismatches"] == []
-    assert {(c.a, c.b, c.length): c.dim for c in rep.cells} == dim_table(3, 6)
+    eng = QuiverDimEngine(3)
+    assert {(c.a, c.b, c.length): c.dim for c in rep.cells} == {
+        cell: eng.dim(*cell) for cell in quiveralg._parity_cells(3, 6)}
 
 
-def test_dim_table_parity_invariant():
+def test_compare_cells_parity_invariant():
     for n in (2, 3):
-        table = dim_table(n, 5)
+        table = {(c.a, c.b, c.length): c.dim for c in compare_with_nccr(n, 5).cells}
         assert set(table) == {
             (a, b, l)
             for l in range(6) for a in range(n) for b in range(n)
@@ -614,5 +622,6 @@ def test_negated_generators_give_the_same_dims(monkeypatch, fresh_engines):
         RelationGen(g.source, g.target, tuple((-c, w) for c, w in g.terms), g.name)
         for g in real(n)))
     for n in range(2, 6):
-        assert dim_table(n, 4) == real_dims[n]
+        assert {(c.a, c.b, c.length): c.dim
+                for c in compare_with_nccr(n, 4).cells} == real_dims[n]
         assert quiveralg._engines[n].uncertified == []
