@@ -5,9 +5,10 @@ Conventions
 P(V) is the space of lines in an n-dimensional space V, so sections of
 O(1) form the n-dimensional space V*.  An irreducible homogeneous bundle
 is encoded as a :class:`LeviWeight` ``(first; rest)`` for the Levi
-GL_1 x GL_{n-1} of the parabolic stabilizing a line:
+GL_1 x GL_{n-1} of the parabolic stabilizing a line, and every bundle
+constructor returns a :class:`BundleExpr`, a formal sum of such weights:
 
-- ``line_bundle(n, t)``  is ``(t; 0, ..., 0)``;
+- ``line_bundle(n, t)``  is the one weight ``(t; 0, ..., 0)``;
 - the rank n-1 bundle W with Lambda^p W = Omega^p(p) is ``(0; 1, 0, ..., 0)``,
   and ``rest`` is the highest weight of a Schur functor of W;
 - adding a constant to all n entries (``first`` and ``rest`` together) is a
@@ -96,8 +97,8 @@ class BundleExpr:
             self.terms = {w: c for w, c in self.terms.items() if c}
 
     @classmethod
-    def of(cls, w: LeviWeight, coeff: int = 1) -> "BundleExpr":
-        return cls(w.n, {w: coeff})
+    def of(cls, w: LeviWeight) -> "BundleExpr":
+        return cls(w.n, {w: 1})
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
         if other.n != self.n:
@@ -141,18 +142,18 @@ class BundleExpr:
     def __eq__(self, other) -> bool:
         return isinstance(other, BundleExpr) and self.n == other.n and self.terms == other.terms
 
+    def __hash__(self) -> int:
+        """Memos key on the bundle itself.  Sound because no method
+        mutates a BundleExpr: every method returns a new one, so `terms`
+        never changes once built."""
+        return hash(frozenset(self.terms.items()))
+
     def __repr__(self):
         if not self.terms:
             return "BundleExpr(0)"
         bits = [f"{c}*({w.first};{w.rest})" for w, c in sorted(
             self.terms.items(), key=lambda t: (t[0].first, t[0].rest))]
         return "BundleExpr(" + " + ".join(bits) + ")"
-
-
-def _as_expr(e) -> BundleExpr:
-    if isinstance(e, LeviWeight):
-        return BundleExpr.of(e)
-    return e
 
 
 @lru_cache(maxsize=None)
@@ -168,26 +169,25 @@ def _tensor_weights(w1: LeviWeight, w2: LeviWeight):
     return tuple(out)
 
 
-def line_bundle(n: int, t: int) -> LeviWeight:
+def line_bundle(n: int, t: int) -> BundleExpr:
     """O(t) on P^{n-1}."""
-    return LeviWeight(n, t, (0,) * (n - 1))
+    return BundleExpr.of(LeviWeight(n, t, (0,) * (n - 1)))
 
 
-def schur_of_omega1(n: int, lam, t: int = 0) -> LeviWeight:
+def schur_of_omega1(n: int, lam, t: int = 0) -> BundleExpr:
     """S_lam(W) (x) O(t), where W is the rank n-1 bundle with
     Lambda^p W = Omega^p(p)."""
     lam = normalize_partition(lam)
     if len(lam) > n - 1:
         raise ValueError(f"{lam} has more than {n - 1} rows")
-    return LeviWeight(n, t, tuple(lam) + (0,) * (n - 1 - len(lam)))
+    return BundleExpr.of(LeviWeight(n, t, tuple(lam) + (0,) * (n - 1 - len(lam))))
 
 
 def omega(n: int, p: int, t: int) -> BundleExpr:
     """Omega^p(t), the p-th cotangent power twisted by O(t)."""
     if not 0 <= p <= n - 1:
         raise ValueError(f"p={p} out of range [0, {n - 1}]")
-    w = schur_of_omega1(n, (1,) * p, t - p)
-    return BundleExpr.of(w)
+    return schur_of_omega1(n, (1,) * p, t - p)
 
 
 def wedge_tangent(n: int, p: int, t: int) -> BundleExpr:
@@ -196,7 +196,7 @@ def wedge_tangent(n: int, p: int, t: int) -> BundleExpr:
         raise ValueError(f"p={p} out of range [0, {n - 1}]")
     # Lambda^p of W* twisted by O(p + t)
     rest = (0,) * (n - 1 - p) + (-1,) * p
-    return BundleExpr.of(LeviWeight(n, p + t, rest).normalized())
+    return BundleExpr.of(LeviWeight(n, p + t, rest))
 
 
 @lru_cache(maxsize=None)
@@ -216,13 +216,12 @@ def _bwb_single(n: int, first: int, rest: tuple[int, ...]):
     return inversions, weyl_dim(n, lam)
 
 
-def cohomology(e) -> CohTable:
+def cohomology(e: BundleExpr) -> CohTable:
     """Cohomology table {degree: dimension} of a bundle expression.
 
     Dimensions can be negative for virtual inputs; zero entries are
     omitted.
     """
-    e = _as_expr(e)
     table: dict[int, int] = {}
     for w, c in e.terms.items():
         res = _bwb_single(w.n, w.first, w.rest)
@@ -256,15 +255,14 @@ def bott_closed_form(n: int, p: int, t: int) -> CohTable:
     return table
 
 
-def euler_characteristic(e) -> int:
+def euler_characteristic(e: BundleExpr) -> int:
     """Alternating sum of the cohomology table."""
     return sum((-1) ** d * v for d, v in cohomology(e).items())
 
 
-def serre_dual(e) -> BundleExpr:
+def serre_dual(e: BundleExpr) -> BundleExpr:
     """E^v (x) O(-n); its cohomology mirrors that of E in degree
     q <-> n-1-q."""
-    e = _as_expr(e)
     return e.dual().twist(-e.n)
 
 

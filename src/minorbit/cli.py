@@ -34,7 +34,7 @@ class BundleParseError(ValueError):
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<ch>[(),+\-]))")
 
 _CONSTRUCTORS = {
-    "O": (1, lambda n, args: bwb.BundleExpr.of(bwb.line_bundle(n, args[0]))),
+    "O": (1, lambda n, args: bwb.line_bundle(n, args[0])),
     "omega": (2, lambda n, args: bwb.omega(n, args[0], args[1])),
     "wedgeT": (2, lambda n, args: bwb.wedge_tangent(n, args[0], args[1])),
     "hom": (3, lambda n, args: bwb.hom_bundle(args[0], args[1], args[2], n)),

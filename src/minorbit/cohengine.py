@@ -192,7 +192,7 @@ def hilbert_M(a: int, n: int, cap: int) -> GradedDims:
     return hom_y_graded(0, a, n, cap)
 
 
-def pushforward_graded(expr, n: int, cap: int) -> GradedDims:
+def pushforward_graded(expr: bwb.BundleExpr, cap: int) -> GradedDims:
     """Fiber-degree Hilbert function of the pushforward to the cone of
     the pullback of a bundle E on P^{n-1}:
 
@@ -203,7 +203,7 @@ def pushforward_graded(expr, n: int, cap: int) -> GradedDims:
     asserted degree by degree up to cap+1 and the dominance chamber covers
     the rest.
     """
-    expr = bwb._as_expr(expr)
+    n = expr.n
 
     def h0(m: int) -> int:
         table = bwb.cohomology(expr.twist(m))
@@ -246,16 +246,18 @@ class TiltingFamily:
             raise ValueError(f"unknown family {self.name}")
         if self.name in ("Sk", "SkDual") and not 0 <= self.k <= self.n - 1:
             raise ValueError(f"k={self.k} out of range [0, {self.n - 1}]")
+        if self.name == "TPrime" and self.k != 0:
+            raise ValueError(f"k={self.k} out of range [0, 0]: TPrime has no k")
 
 
 def family_summands(fam: TiltingFamily) -> list[bwb.BundleExpr]:
     n, k = fam.n, fam.k
     if fam.name in ("Tk", "TkPlus"):
         # the mirror family has the same pairwise twist differences
-        return [bwb.BundleExpr.of(bwb.line_bundle(n, a)) for a in range(-n + k + 1, k + 1)]
+        return [bwb.line_bundle(n, a) for a in range(-n + k + 1, k + 1)]
     if fam.name == "TPrime":
         return [bwb.omega(n, a - 1, a) for a in range(1, n + 1)]
-    summands = [bwb.BundleExpr.of(bwb.line_bundle(n, a)) for a in range(-n + 2, 1)]
+    summands = [bwb.line_bundle(n, a) for a in range(-n + 2, 1)]
     summands.append(bwb.omega(n, k, 1))
     if fam.name == "SkDual":
         summands = [s.dual() for s in summands]
@@ -284,17 +286,15 @@ class TiltingReport:
 
 
 @lru_cache(maxsize=None)
-def _pair_bundle(n: int, si: frozenset, sj: frozenset) -> frozenset:
-    """The terms of S_i^v (x) S_j, for summands given by their terms."""
-    e = bwb.BundleExpr(n, dict(si)).dual().tensor(bwb.BundleExpr(n, dict(sj)))
-    return frozenset(e.terms.items())
+def _pair_bundle(si: bwb.BundleExpr, sj: bwb.BundleExpr) -> bwb.BundleExpr:
+    """S_i^v (x) S_j."""
+    return si.dual().tensor(sj)
 
 
 @lru_cache(maxsize=None)
-def _first_higher(n: int, terms: frozenset, bound: int) -> tuple | None:
-    """The first (deg, m), m = 0..bound, with H^deg(E(m)) != 0 and deg > 0
-    for the bundle E with these terms, or None."""
-    e = bwb.BundleExpr(n, dict(terms))
+def _first_higher(e: bwb.BundleExpr, bound: int) -> tuple | None:
+    """The first (deg, m), m = 0..bound, with H^deg(E(m)) != 0 and deg > 0,
+    or None."""
     for m in range(bound + 1):
         for deg, v in bwb.cohomology(e.twist(m)).items():
             if deg > 0 and v != 0:
@@ -314,28 +314,28 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
     the stabilization bound.
 
     The pairs are walked in order, but each distinct pair bundle is
-    scanned once per process: the scan is memoized on (n, the bundle's
-    terms, bound), and its result depends on nothing else, so families
-    sharing a pair bundle share the scan (SkDual's pair (i, j) is Sk's
-    pair (j, i), and line-bundle pairs recur across families and k).
-    The pair bundles are memoized on the summands' terms in the same way.
+    scanned once per process: the scan is memoized on (the bundle,
+    bound), not on its terms, and its result depends on nothing else, so
+    families sharing a pair bundle share the scan (SkDual's pair (i, j)
+    is Sk's pair (j, i), and line-bundle pairs recur across families and
+    k).  The pair bundles are memoized on the two summand bundles in the
+    same way.
     A test that sabotages `bwb` must call `cache_clear` on
     `_pair_bundle` and `_first_higher` first, or the memo answers for it.
     """
-    n = fam.n
-    summands = [frozenset(s.terms.items()) for s in family_summands(fam)]
-    pairs = [_pair_bundle(n, si, sj) for si in summands for sj in summands]
-    k_min = max([0] + [w.rest[0] - w.first for e in pairs for w, _ in e])
+    summands = family_summands(fam)
+    pairs = [_pair_bundle(si, sj) for si in summands for sj in summands]
+    k_min = max([0] + [w.rest[0] - w.first for e in pairs for w in e.terms])
     bound = 2 * k_min
     witness = None
     for idx, e in enumerate(pairs):
-        hit = _first_higher(n, e, bound)
+        hit = _first_higher(e, bound)
         if hit:
             witness = divmod(idx, len(summands)) + hit
             break
     return TiltingReport(
         family=fam.name,
-        n=n,
+        n=fam.n,
         k=fam.k,
         passed=witness is None,
         witness=witness,

@@ -75,7 +75,7 @@ def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
     the given side ('minus' = descending chain, 'plus' = ascending)."""
     kind, v = label
     if kind == "M":
-        expr = bwb.BundleExpr.of(bwb.line_bundle(n, -v if side == "minus" else v))
+        expr = bwb.line_bundle(n, -v if side == "minus" else v)
     elif kind == "L":
         if side != "minus":
             raise ValueError("L-labels live on the descending side")
@@ -84,7 +84,7 @@ def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
         if side != "plus":
             raise ValueError("WedgeT-labels live on the ascending side")
         expr = bwb.wedge_tangent(n, v, -1)
-    return pushforward_graded(expr, n, cap)
+    return pushforward_graded(expr, cap)
 
 
 def _generation_offset(label: Label) -> int:
@@ -134,10 +134,12 @@ def splices(n: int, side: str) -> list[Splice]:
             Splice("minus", L(k), dim_wedge(n, k), M(k - 1), L(k - 1))
             for k in range(n - 1, 0, -1)
         ]
-    return [
-        Splice("plus", WedgeT(j - 1), dim_wedge(n, j), M(j - 1), WedgeT(j))
-        for j in range(1, n)
-    ]
+    if side == "plus":
+        return [
+            Splice("plus", WedgeT(j - 1), dim_wedge(n, j), M(j - 1), WedgeT(j))
+            for j in range(1, n)
+        ]
+    raise ValueError(f"unknown side {side!r}: expected minus or plus")
 
 
 def splice_exact(sp: Splice, n: int, cap: int) -> bool:

@@ -426,6 +426,9 @@ class QuiverDimEngine:
         return [entry for entry in self.verdicts.values() if entry]
 
     def dim(self, a: int, b: int, length: int) -> int:
+        """Dimension of the cell (a, b, length), its level built first; a
+        vertex outside 0..n-1 or a negative length raises ValueError."""
+        _check_cell(self.n, a, b, length)
         self.ensure(length)
         return self._prev_dim(a, b, length)
 
@@ -624,13 +627,12 @@ def graded_dim(quiver: Quiver, a: int, b: int, length: int) -> int:
     A cell whose value misses its corank target raises
     `CertificationError` with the engine's entry for it, and a vertex
     outside 0..n-1 or a negative length raises ValueError."""
-    _check_cell(quiver.n, a, b, length)
     eng = _engine(quiver.n)
-    eng.ensure(length)
+    dim = eng.dim(a, b, length)
     entry = eng.verdicts[(a, b, length)]
     if entry:
         raise CertificationError(entry)
-    return eng.dim(a, b, length)
+    return dim
 
 
 def _parity_cells(n: int, max_len: int):

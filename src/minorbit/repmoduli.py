@@ -331,8 +331,11 @@ def rescale(r: Rep, c) -> Rep:
 
     r and c are lifted together, so they lie in one field: to N / d and
     C / d, and an f entry is the one `_quotient` N C_{k+1} / (d C_k).  A
-    c entry of zero raises ZeroDivisionError."""
+    c entry of zero raises ZeroDivisionError, and a c of any length but
+    n raises ValueError."""
     n = r.n
+    if len(c) != n:
+        raise ValueError(f"c must have length {n}, got {len(c)}")
     v0 = (n - 1) * n
     vals, d, p = _lift_scalars([*_scalars(r), *c])
     cs = vals[2 * v0:]
@@ -407,7 +410,9 @@ def random_triple(n: int, rng: Random) -> RepTriple:
     the rest, and its image is exactly the set of kept draws.  Each kept
     draw is equally likely, so beta is uniform over S(alpha), as
     rejecting whole draws from [-BOX, BOX]^n would give, but a draw is
-    kept 2 BOX + 1 times as often."""
+    kept 2 BOX + 1 times as often.  n < 2 raises ValueError."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     while True:
         alpha = tuple(rng.randint(-BOX, BOX) for _ in range(n))
         if any(alpha):
@@ -446,6 +451,8 @@ def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
     integers alone, never from that rep: X_ij = alpha_i beta_j as ints,
     and the line alpha_i / alpha_pivot, so that the point step checks
     `to_point` against data it does not read."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if samples < 0:
         raise ValueError(f"samples={samples} out of range: must be at least 0")
     rng = Random(seed)

@@ -31,11 +31,26 @@ def binom_poly(t, n):
 
 
 def test_constructor_examples():
-    assert omega(3, 0, 2) == BundleExpr.of(line_bundle(3, 2))
+    assert omega(3, 0, 2) == line_bundle(3, 2)
     for n in (2, 3, 4):
-        assert wedge_tangent(n, 0, 0) == BundleExpr.of(line_bundle(n, 0))
+        assert wedge_tangent(n, 0, 0) == line_bundle(n, 0)
         # top cotangent power is O(-n)
-        assert omega(n, n - 1, 0) == BundleExpr.of(line_bundle(n, -n))
+        assert omega(n, n - 1, 0) == line_bundle(n, -n)
+
+
+def test_equal_bundles_hash_equal():
+    # a memo keys on the bundle, so one bundle reached by two routes is
+    # one key, however its terms were built
+    n = 4
+    routes = [
+        (line_bundle(n, -n), omega(n, n - 1, 0)),
+        (wedge_tangent(n, 0, 0), hom_bundle(1, 1, 0, n)),
+        (schur_of_omega1(n, (1,), 1).twist(-2), omega(n, 1, 0)),
+        (omega(n, 1, 2) + omega(n, 2, 0) - omega(n, 2, 0), omega(n, 1, 2)),
+    ]
+    for a, b in routes:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({a for a, _ in routes}) == len(routes)
 
 
 def test_constructor_rejects_bad_input():
@@ -87,7 +102,7 @@ def test_serre_duality_on_constructed_bundles():
         for p in range(n):
             exprs.append(omega(n, p, 2))
             exprs.append(wedge_tangent(n, p, -1))
-        exprs.append(BundleExpr.of(schur_of_omega1(n, (2, 1)[: n - 1], 1)))
+        exprs.append(schur_of_omega1(n, (2, 1)[: n - 1], 1))
         for a in range(1, n + 1):
             exprs.append(hom_bundle(a, 1 + (a % n), 1, n))
     for e in exprs:
@@ -111,7 +126,7 @@ def test_euler_characteristic_additive():
 
 def test_hom_bundle_examples():
     for n in (2, 3, 4):
-        assert hom_bundle(1, 1, 0, n) == BundleExpr.of(line_bundle(n, 0))
+        assert hom_bundle(1, 1, 0, n) == line_bundle(n, 0)
         for a in range(1, n + 1):
             table = cohomology(hom_bundle(a, a, 0, n))
             assert table.get(0, 0) >= 1  # identity endomorphism

@@ -18,17 +18,17 @@ def run(capsys, argv):
 
 
 def test_parse_bundle_spec():
-    assert parse_bundle_spec("O(2)", 3) == bwb.BundleExpr.of(bwb.line_bundle(3, 2))
+    assert parse_bundle_spec("O(2)", 3) == bwb.line_bundle(3, 2)
     assert parse_bundle_spec("omega(1, 0)", 3) == bwb.omega(3, 1, 0)
     assert parse_bundle_spec("wedgeT(1,-1)", 3) == bwb.wedge_tangent(3, 1, -1)
     assert parse_bundle_spec("hom(2,1,0)", 3) == bwb.hom_bundle(2, 1, 0, 3)
     combo = parse_bundle_spec("O(1)+O(1)-omega(1,2)", 3)
     assert combo == (
-        bwb.BundleExpr.of(bwb.line_bundle(3, 1)).scale(2) - bwb.omega(3, 1, 2)
+        bwb.line_bundle(3, 1).scale(2) - bwb.omega(3, 1, 2)
     )
     # a sign is always the '-' character, read once: "--1" is no number,
     # and a '-' after a term starts a term
-    assert parse_bundle_spec("O(- 1)", 3) == bwb.BundleExpr.of(bwb.line_bundle(3, -1))
+    assert parse_bundle_spec("O(- 1)", 3) == bwb.line_bundle(3, -1)
     for text, col, msg in (("O(--1)", 3, "expected int, found -"),
                            ("O(1)-2", 5, "expected name, found 2")):
         with pytest.raises(BundleParseError, match=msg) as e:
@@ -84,9 +84,11 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
 
 
 def test_out_of_range_parameters_report_range(capsys):
-    rc, _, err = run(capsys, ["tilting", "--family", "Sk", "--k", "9", "--n", "3"])
-    assert rc == 2
-    assert "range" in err
+    # TPrime has no k, so any k but 0 is out of its range
+    for family, k in (("Sk", "9"), ("TPrime", "7")):
+        rc, out, err = run(capsys, ["tilting", "--family", family, "--k", k, "--n", "3"])
+        assert rc == 2 and out == "", family
+        assert "range" in err, family
     rc, _, err = run(capsys, ["hilbert", "--module", "M(7)", "--n", "3"])
     assert rc == 2
     assert "range" in err

@@ -112,9 +112,7 @@ def test_pushforward_matches_corank_for_lines():
     # up to the generation-degree shift max(a, 0)
     for n in (2, 3):
         for a in range(-(n - 1), n):
-            fibered = pushforward_graded(
-                bwb.BundleExpr.of(bwb.line_bundle(n, -a)), n, 6
-            )
+            fibered = pushforward_graded(bwb.line_bundle(n, -a), 6)
             shift = max(a, 0)
             direct = hilbert_M(a, n, 6)
             for m in range(6 + 1):
@@ -124,7 +122,7 @@ def test_pushforward_matches_corank_for_lines():
 
 def test_pushforward_rejects_bad_bundles():
     with pytest.raises(ValueError):
-        pushforward_graded(bwb.BundleExpr.of(bwb.line_bundle(3, -3)), 3, 4)
+        pushforward_graded(bwb.line_bundle(3, -3), 4)
 
 
 def test_monomials_basis():
@@ -229,7 +227,7 @@ def test_memoized_tilting_check_finds_the_reference_witness(monkeypatch):
     real = cohengine.family_summands
 
     def widened(fam):
-        extra = bwb.BundleExpr.of(bwb.line_bundle(fam.n, -fam.n + fam.k))
+        extra = bwb.line_bundle(fam.n, -fam.n + fam.k)
         return real(fam) + [extra]
 
     monkeypatch.setattr(cohengine, "family_summands", widened)

@@ -52,6 +52,13 @@ def test_splice_multiplicities():
             assert sp.mult == dim_wedge(n, sp.sub[1])
 
 
+def test_splices_refuse_an_unknown_side():
+    # the two chains are the only sides: no other string names one
+    for side in ("bogus", "Plus", ""):
+        with pytest.raises(ValueError, match="expected minus or plus"):
+            splices(3, side)
+
+
 def test_recursive_hilbert_agrees_from_both_ends():
     # the splices force the splice-module Hilbert data recursively from
     # either end; the direct computation must agree

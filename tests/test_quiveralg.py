@@ -531,6 +531,12 @@ def test_graded_dim_reads_the_engine_verdict(monkeypatch):
 _LENGTH = "length=-1 out of range: must be at least 0"
 
 
+def _engine_dim(n, a, b, length):
+    eng = quiveralg._engine(n)
+    eng.ensure(4)
+    return eng.dim(a, b, length)
+
+
 @pytest.mark.parametrize(
     "count, args, match",
     [(graded_dim, (Quiver(3), 5, 0, 2), r"vertex \(5, 0\) out of range 0\.\.2"),
@@ -539,14 +545,18 @@ _LENGTH = "length=-1 out of range: must be at least 0"
      (path_count, (3, 0, 0, -1), _LENGTH),
      (path_count, (3, -1, 0, 1), r"vertex \(-1, 0\) out of range 0\.\.2"),
      (enumerate_paths, (Quiver(3), 0, 0, -1), _LENGTH),
-     (enumerate_paths, (Quiver(3), 0, 3, 1), r"vertex \(0, 3\) out of range 0\.\.2")],
+     (enumerate_paths, (Quiver(3), 0, 3, 1), r"vertex \(0, 3\) out of range 0\.\.2"),
+     (_engine_dim, (3, 0, 0, -1), _LENGTH),
+     (_engine_dim, (3, 7, 0, 2), r"vertex \(7, 0\) out of range 0\.\.2")],
     ids=["source", "target", "length", "path_count-length", "path_count-source",
-         "enumerate_paths-length", "enumerate_paths-target"],
+         "enumerate_paths-length", "enumerate_paths-target", "engine-length",
+         "engine-source"],
 )
 def test_graded_dim_names_the_range_of_a_bad_cell(count, args, match):
     # a ValueError naming the range: not a KeyError from the engine's
     # verdicts, a float or a count for a vertex off the quiver from the
-    # walk count, or a RecursionError from the enumeration
+    # walk count, a RecursionError from the enumeration, or the engine's
+    # count of another cell (a negative length reads the top level)
     with pytest.raises(ValueError, match=match):
         count(*args)
 

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import operator
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -562,6 +564,14 @@ def test_an_int_rep_rescales_and_points_to_fractions():
     assert _entries(to_point(r).X[1]) == _entries(q(4, -2, 0))
 
 
+def test_rescale_refuses_a_basis_of_the_wrong_length():
+    # one c entry per vertex W_k: neither fewer nor more
+    r = rep_from_triple(RepTriple(3, (1, 2, 1), (2, -1, 0)))
+    for c in ((1, 2), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match=f"c must have length 3, got {len(c)}"):
+            rescale(r, c)
+
+
 def _with(r, layer, k, i, value):
     tables = {"f": [list(x) for x in r.f_scalars], "v": [list(x) for x in r.v_scalars]}
     tables[layer][k][i] = value
@@ -770,6 +780,34 @@ def test_battery_refuses_a_negative_sample_count():
     with pytest.raises(ValueError, match="samples=-1 out of range: must be at least 0"):
         run_battery(3, -1, 0)
     assert run_battery(3, 0, 0) == repmoduli.BatteryReport(3, 0, True, ())
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, rather than hang the suite, if the body is still
+    running after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_sampling_refuses_n_below_two(n):
+    # for n <= 0 alpha is (), which is never nonzero, so no draw of alpha
+    # can end; n = 1 has no vector alpha with a covector beta either
+    with _deadline(5):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            random_triple(n, Random(1))
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="n must be at least 2"):
+                run_battery(n, samples, 0)
 
 
 def _wrong_layer_check(r):
