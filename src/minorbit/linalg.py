@@ -4,7 +4,8 @@ Two rank routines are provided:
 
 - `rank_exact`: exact fraction-free elimination over the integers, for
   the small matrices of the direct path-algebra oracle (the tests'
-  reference for the quiver engine);
+  reference for the quiver engine) and of the engine's check that the
+  reflection maps the degree-2 relations into their span;
 - one mod-p reduced-row-echelon loop on numpy float64 arrays, the
   elimination kernel of the quiver engine, in `rref_stack` alone.  It
   runs over a stack of same-width matrices at once (with
@@ -40,8 +41,9 @@ MODP = 1048573
 def rank_exact(rows, ncols: int) -> int:
     """Rank over Q of integer rows given as {col: coeff} dicts.
 
-    Fraction-free elimination with gcd reduction; intended for the small
-    matrices of the direct path-algebra oracle and unit tests.
+    Fraction-free elimination with gcd reduction; intended for small
+    matrices: the direct path-algebra oracle's, the quiver engine's
+    reflection check on the degree-2 relations, and unit tests'.
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:

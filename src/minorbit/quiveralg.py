@@ -36,6 +36,21 @@ of some tau fixing the source block's canonical weight.  The top level's
 other blocks are never built, and a lower one's maps are all moved when
 the block is first read.
 
+The reflection, vertex s -> n-1-s with f_i <-> v_i, maps the quiver
+to itself, a word to the word of the reflected steps in the same order,
+and weight w to -w.  The ideal is generated in degree 2, so if the
+reflection maps every generator into the span of its image cell's
+generators (the constructor checks this over Q, `_check_reflection`),
+it maps the ideal onto itself and is an automorphism of the quotient
+over Q (`relations` proves it for the package's generators).  A path
+never leaves its source, so the rows of the quotient (the paths out of
+one vertex a) are built independently, and the reflection carries row
+a onto row n-1-a.  The engine therefore builds only the rows a < (n+1)//2 and
+reads block w of a cell (a, b) of any other row as block -w of cell
+(n-1-a, n-1-b), each map keyed by its reflected arrow: a relabeling,
+with no matrix work.  The middle row of odd n is its own mirror and is
+built in full.
+
 The engine runs mod p for speed and its answers are certified exact by
 a sandwich: mod-p dimensions bound the rational dimension from above,
 while evaluating paths to monomials in Sym V (x) Sym V* exhibits a
@@ -51,10 +66,13 @@ which depends only on the multiset of the weight.  Each canonical block
 is certified against it; sigma, being defined over Z, carries the
 certified rational dimension to every block of the orbit, whose target
 is the same, and a cell's dimension is the sum over its canonical
-blocks of dimension times orbit size.  Equality of the bounds certifies
-the value; the engine records its verdict on every cell as it builds
-the level, and a cell whose bounds disagree raises `CertificationError`
-and is reported, never patched.
+blocks of dimension times orbit size.  A cell of a mirrored row is
+certified the same way: its rational dimension is its mirror cell's,
+which the mirror's mod-p dimension bounds from above, and its own
+`_cell_target`, computed for the cell itself, bounds it from below.
+Equality of the bounds certifies the value; the engine records its
+verdict on every cell as it builds the level, and a cell whose bounds
+disagree raises `CertificationError` and is reported, never patched.
 """
 
 from __future__ import annotations
@@ -241,6 +259,12 @@ def _weight_target(n: int, a: int, b: int, length: int, w: tuple[int, ...]) -> i
     return comb(k + n - 2, n - 2) if k >= 0 else 0
 
 
+def _reflected(step: tuple[str, int]) -> tuple[str, int]:
+    """The reflected arrow: f_i <-> v_i."""
+    kind, i = step
+    return ("v" if kind == "f" else "f", i)
+
+
 def _weight(n: int, steps) -> tuple[int, ...]:
     """Torus weight of a word: +e_i per f_i, -e_i per v_i."""
     w = [0] * n
@@ -321,18 +345,22 @@ class QuiverDimEngine:
     The constructor raises ValueError unless n >= 2, every relation
     generator is homogeneous for the torus weight, has its terms end in
     distinct arrows and evaluates to 0 or a multiple of the trace (the
-    premise of the stop below), and the generating set is stable under
-    the adjacent label swaps up to sign.  So the quotient splits into
-    weight blocks, and the blocks of weights u and sigma(u) are
-    isomorphic.
-    `levels[l]` maps each cell (a, b) reached from level l - 1 to its
-    canonical blocks, {w: (dim, {arrow: map})} with w sorted descending:
+    premise of the stop below), the generating set is stable under
+    the adjacent label swaps up to sign (checked first), and the
+    reflection s -> n-1-s, f_i <-> v_i maps each generator into the
+    span of its image cell's generators.  So the quotient splits into
+    weight blocks, the blocks of weights u and sigma(u) are isomorphic,
+    and row a is isomorphic to row n-1-a.
+    `levels[l]` holds the built rows a < (n+1)//2 only: it maps each
+    of their cells (a, b) reached from level l - 1 to its canonical
+    blocks, {w: (dim, {arrow: map})} with w sorted descending:
     the map on an arrow is the part of the block's projection T (dim, W)
     onto its quotient on the arrow's piece of W, the source block of
     weight w - wt(arrow), in that block's basis.
     Blocks of dim 0 are not kept; a cell's dim is the sum over its
-    blocks of dim times orbit size.  `block` reads any weight; the maps
-    of a non-canonical one are all moved from its canonical block when
+    blocks of dim times orbit size.  `block` reads any weight of any row
+    (a mirrored row's off its mirror, as `dim` reads any cell); the maps
+    of a non-canonical block are all moved from its canonical block when
     the block is first read, by `_moved`, the one place a map is moved
     by a label permutation (the stabilizer actions rho_w(tau) of `_rho`
     read it too).
@@ -347,17 +375,20 @@ class QuiverDimEngine:
     so every block dim is at least its target, and a cell meets
     `_cell_target` exactly when every canonical block meets its own.
     The engine records its verdict on every cell of a level as it builds
-    it, in `verdicts`; the cells that miss their target are listed in
+    it, mirrored or not, in `verdicts`, each against the cell's own
+    `_cell_target`; the cells that miss their target are listed in
     `uncertified`."""
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("n must be at least 2")
         self.n = n
+        # the rows a < half are built; row a >= half is read off row n-1-a
+        self._half = half = (n + 1) // 2
         origin = (0,) * n
-        self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(n)}]
+        self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(half)}]
         # parallel to levels: (a, b) -> {w: the block's nonpivot columns}
-        self._free: list[dict] = [{(a, a): {origin: np.arange(1)} for a in range(n)}]
+        self._free: list[dict] = [{(a, a): {origin: np.arange(1)} for a in range(half)}]
         # (a, b, length) -> None if certified, else (a, b, length, dim, target)
         self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
         self._id = tuple(range(n))
@@ -403,23 +434,52 @@ class QuiverDimEngine:
             terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
             self._gens_by_target.setdefault(gen.target, {}).setdefault(
                 (gen.source, weights.pop()), []).append(terms)
-        self._check_symmetry(gens)
+        # each generator and its negative, as (source, target, frozenset(terms))
+        signed = {(g.source, g.target, frozenset((sign * c, steps) for c, steps in g.terms))
+                  for g in gens for sign in (1, -1)}
+        self._check_symmetry(gens, signed)
+        self._check_reflection(gens, signed)
 
-    def _check_symmetry(self, gens) -> None:
+    def _check_symmetry(self, gens, signed) -> None:
         """Raise ValueError unless every adjacent label swap maps every
-        generator to plus or minus a generator."""
-        known = {(g.source, g.target, frozenset(g.terms)) for g in gens}
+        generator to plus or minus a generator, one of `signed`."""
         for gen in gens:
             for k, sk in enumerate(self._swaps):
                 moved = [(c, tuple((kind, sk[i - 1] + 1) for kind, i in steps))
                          for c, steps in gen.terms]
-                if not any((gen.source, gen.target, frozenset((sign * c, steps)
-                            for c, steps in moved)) in known for sign in (1, -1)):
+                if (gen.source, gen.target, frozenset(moved)) not in signed:
                     raise ValueError(
                         f"generator {gen.name} ({gen.source} -> {gen.target}) "
                         f"is not S_n-stable: swapping labels {k + 1} and {k + 2} "
                         f"gives {moved}, which is no generator up to sign"
                     )
+
+    def _check_reflection(self, gens, signed) -> None:
+        """Raise ValueError, naming the cell, unless the reflection (vertex
+        s -> n-1-s, f_i <-> v_i) maps every generator into the span of the
+        generators of its image cell.  A moved generator that is plus or
+        minus a generator passes by lookup in `signed`; any other must leave
+        the exact rank of its cell's generators unchanged.  The ideal is
+        generated in degree 2, so the reflection then maps it into itself,
+        and, being an involution, is an automorphism of the quotient over
+        Q that carries row a onto row n-1-a."""
+        n = self.n
+        for gen in gens:
+            s, t = n - 1 - gen.source, n - 1 - gen.target
+            moved = [(c, tuple(map(_reflected, steps))) for c, steps in gen.terms]
+            if (s, t, frozenset(moved)) in signed:
+                continue
+            cell = [g.terms for g in gens if (g.source, g.target) == (s, t)]
+            index: dict = {}
+            rows = [{index.setdefault(steps, len(index)): c for c, steps in terms}
+                    for terms in cell + [moved]]
+            if rank_exact(rows, len(index)) > rank_exact(rows[:-1], len(index)):
+                raise ValueError(
+                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                    f"is not reflection-stable: the reflection s -> n-1-s, "
+                    f"f_i <-> v_i gives {moved}, outside the span of the "
+                    f"generators of cell ({s}, {t})"
+                )
 
     @property
     def uncertified(self) -> list[tuple[int, int, int, int, int]]:
@@ -437,6 +497,8 @@ class QuiverDimEngine:
             self._build_level(len(self.levels))
 
     def _prev_dim(self, a: int, s: int, lev: int) -> int:
+        if a >= self._half:
+            a, s = self.n - 1 - a, self.n - 1 - s
         blocks = self.levels[lev].get((a, s))
         if not blocks:
             return 0
@@ -447,7 +509,12 @@ class QuiverDimEngine:
         any w, or None if it is zero: the basis of block w is pi_w applied
         to the basis of block canon(w), and its maps are all moved by
         pi_w^-1 on the first read, each from block canon(w)'s map on
-        pi_w^-1(y) for its arrow y (`_moved`)."""
+        pi_w^-1(y) for its arrow y (`_moved`).  A block of a row
+        a >= (n+1)//2 is block -w of cell (n-1-a, n-1-b), with each map
+        keyed by its reflected arrow."""
+        if a >= self._half:
+            blk = self.block(l, self.n - 1 - a, self.n - 1 - b, tuple(-x for x in w))
+            return blk and (blk[0], {_reflected(y): M for y, M in blk[1].items()})
         cell = self.levels[l].get((a, b))
         c, pi, piinv = _canonical(w)
         blk = cell.get(c) if cell else None
@@ -520,7 +587,7 @@ class QuiverDimEngine:
         # W -> [(height, the cell's blocks, their nonpivots, w, layout, stop,
         # relation terms)]
         groups: dict = {}
-        for a in range(n):
+        for a in range(self._half):
             for b in range(n):
                 into = [(arrow, src, self._aw[arrow]) for arrow, src in self._arrows_into(b)
                         if prev.get((a, src))]

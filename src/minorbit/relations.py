@@ -23,7 +23,24 @@ and trace-fv at every vertex s >= 1.  Written in application order:
   followed by an f arrow and by an f arrow followed by trace-fv(1).
 - vfv is the mirror case, with vv and mixed.
 - trace-fv(s) for 1 <= s <= n-2 equals trace-vf(s) modulo the i = j
-  generators of mixed(s).
+  generators of mixed(s): their sum over i is trace-vf(s) - trace-fv(s).
+
+The reflection (vertex s -> n-1-s, f_i <-> v_i, each word's steps
+kept in order) maps every generator into the integer span of the
+generators of its image cell:
+
+- ff(s) -> vv(n-1-s) and vv(s) -> ff(n-1-s), term for term;
+- mixed(s) for (i, j) -> minus mixed(n-1-s) for (j, i), since
+  (f_i, v_j) - (v_j, f_i) goes to (v_i, f_j) - (f_j, v_i);
+- trace-vf(s) -> trace-fv(n-1-s).  That is a generator at s = 0, and
+  for 1 <= s <= n-2 it is trace-vf(n-1-s) minus the i = j generators
+  of mixed(n-1-s), as shown above.  trace-fv(n-1) -> trace-vf(0).
+
+The reflection is a graded automorphism of the path algebra over Z and
+an involution, and the ideal is generated in degree 2, so it maps the
+ideal onto itself and is an automorphism of the quotient.  It carries
+the paths out of vertex a onto the paths out of n-1-a, and on the cone
+it is the transpose X -> X^T.
 
 `quiveralg` builds the quotient path algebra from these generators and
 `repmoduli` evaluates them on representations, so both check the same

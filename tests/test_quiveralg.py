@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -166,7 +166,11 @@ def test_dropped_generators_lie_in_the_kept_ideal():
 
 def test_generators_are_a_basis_of_the_degree_two_relations():
     # in a length-2 cell every instance is a bare generator; they must be
-    # independent and exactly as many as the relations the cell needs
+    # independent and exactly as many as the relations the cell needs.
+    # The reflection s -> n-1-s, f_i <-> v_i must carry the generators of
+    # the mirror cell (n-1-a, n-1-b) into the span of the cell's own,
+    # checked here on the words of the cell, apart from the engine's check
+    flip = {"f": "v", "v": "f"}
     for n in range(2, 8):
         q = Quiver(n)
         for a in range(n):
@@ -181,6 +185,12 @@ def test_generators_are_a_basis_of_the_degree_two_relations():
                 rows = [{index[QuiverWord(n, a, steps)]: c for c, steps in g.terms}
                         for g in gens]
                 assert rank_exact(rows, npaths) == len(gens), (n, a, b)
+                images = [{index[QuiverWord(n, a, tuple((flip[k], i) for k, i in steps))]: c
+                           for c, steps in g.terms}
+                          for g in relation_generators(n)
+                          if (g.source, g.target) == (n - 1 - a, n - 1 - b)]
+                assert len(images) == len(gens)
+                assert rank_exact(rows + images, npaths) == len(gens), (n, a, b)
 
 
 def test_engine_refuses_n_below_2():
@@ -234,14 +244,19 @@ def _no_direct_calls(monkeypatch):
 
 def test_uncertified_cell_raises_without_the_direct_oracle(monkeypatch, understate_target):
     # a small cell once went to the direct oracle; now it raises like any
-    # other, carrying the engine's entry, and the oracle is never asked
+    # other, carrying the engine's entry, and the oracle is never asked.
+    # (2, 1, 3) is the mirror of (0, 1, 3): the engine reads its dim off
+    # row 0, but compares it with its own target, so either cell fails
+    # alone while the other stays certified
     calls = _no_direct_calls(monkeypatch)
     assert path_count(3, 0, 1, 3) < path_count(3, 1, 1, 6)
-    understate_target((3, 0, 1, 3))
-    with pytest.raises(CertificationError, match=r"a=0, b=1, l=3") as e:
-        graded_dim(Quiver(3), 0, 1, 3)
-    assert e.value.cell == (0, 1, 3, 15, 14)
-    assert quiveralg._engines[3].uncertified == [(0, 1, 3, 15, 14)]
+    for cell, mirror in (((0, 1, 3), (2, 1, 3)), ((2, 1, 3), (0, 1, 3))):
+        understate_target((3,) + cell)
+        with pytest.raises(CertificationError, match=r"a=%d, b=%d, l=%d" % cell) as e:
+            graded_dim(Quiver(3), *cell)
+        assert e.value.cell == cell + (15, 14)
+        assert quiveralg._engines[3].uncertified == [cell + (15, 14)]
+        assert graded_dim(Quiver(3), *mirror) == 15
     assert calls == []
 
 
@@ -332,9 +347,10 @@ def test_block_dims_match_the_direct_oracle_per_weight(n, max_len):
 def test_overstated_weight_target_is_uncertified(monkeypatch, fresh_engines):
     # a block stopped one row early keeps one dimension too many, and so
     # does every block of its orbit: (1, 0, 0) carries it to (0, 1, 0)
-    # and (0, 0, 1), so its cell misses the cell target by 3, is listed
-    # by the engine, and is the one mismatch of the comparison that
-    # reaches it
+    # and (0, 0, 1), so its cell misses the cell target by 3.  The mirror
+    # cell (2, 1, 3) reads the same dim against the same target, so the
+    # two are listed by the engine and are the mismatches of the
+    # comparison that reaches them
     q = Quiver(3)
     true_dim = graded_dim_direct(q, 0, 1, 3)
     real_target = quiveralg._weight_target
@@ -346,12 +362,12 @@ def test_overstated_weight_target_is_uncertified(monkeypatch, fresh_engines):
 
     monkeypatch.setattr(quiveralg, "_weight_target", target)
     calls = _no_direct_calls(monkeypatch)
-    entry = (0, 1, 3, true_dim + 3, true_dim)
+    entries = [(a, 1, 3, true_dim + 3, true_dim) for a in (0, 2)]
     rep = compare_with_nccr(3, 3)
-    assert quiveralg._engines[3].uncertified == [entry]
-    assert rep.mismatches == (entry,)
+    assert quiveralg._engines[3].uncertified == entries
+    assert rep.mismatches == tuple(entries)
     assert rep.as_dict()["mismatches"] == [
-        dict(zip(("a", "b", "length", "dim", "target"), entry))
+        dict(zip(("a", "b", "length", "dim", "target"), entry)) for entry in entries
     ]
     assert compare_with_nccr(3, 2).passed
     assert calls == []
@@ -393,17 +409,23 @@ def _rebuilt_block(eng, l, a, b, w):
 
 
 def _weights(eng, l, a, b):
-    """Every weight of cell (a, b, l): the orbits of its canonical blocks."""
+    """Every weight of cell (a, b, l): the orbits of its canonical blocks,
+    or for a row the engine reads off its mirror, the mirror cell's
+    weights negated."""
+    n = eng.n
+    if a >= (n + 1) // 2:
+        return {tuple(-x for x in w) for w in _weights(eng, l, n - 1 - a, n - 1 - b)}
     return {w for c in eng.levels[l].get((a, b), {}) for w in set(permutations(c))}
 
 
-@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
+@pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
 def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
     # the engine eliminates a level's same-width canonical blocks in
     # shared stacks, on maps of lower blocks of every weight that it
     # transports; each canonical block, rebuilt and eliminated on its own
     # from the lower blocks read through `block`, must give the same dim
-    # and the same map on every arrow, entry for entry
+    # and the same map on every arrow, entry for entry (only the built
+    # rows hold canonical blocks)
     eng = QuiverDimEngine(n)
     eng.ensure(max_len)
     checked = 0
@@ -428,15 +450,16 @@ def test_batched_blocks_match_blocks_eliminated_one_by_one(n, max_len):
 
 @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
 def test_generators_vanish_on_the_transported_maps(n, max_len):
-    # for every block r of every weight and every generator out of its
-    # vertex, sum coeff * M(top) @ M(first) is the generator's action on
-    # the quotient, so it must be zero mod p; almost every block it
-    # reads is transported
+    # for every block r of every weight of every row and every generator
+    # out of its vertex, sum coeff * M(top) @ M(first) is the generator's
+    # action on the quotient, so it must be zero mod p; almost every
+    # block it reads is transported, and the rows a >= (n+1)//2 read the
+    # maps of their mirror rows keyed by the reflected arrows
     eng = QuiverDimEngine(n)
     eng.ensure(max_len)
     checked = 0
     for l in range(max_len - 1):
-        for a, s in eng.levels[l]:
+        for a, s in product(range(n), repeat=2):
             for r in _weights(eng, l, a, s):
                 for gen in relation_generators(n):
                     if gen.source != s:
@@ -454,7 +477,7 @@ def test_generators_vanish_on_the_transported_maps(n, max_len):
     assert checked > 1000
 
 
-@pytest.mark.parametrize("n, max_len", [(4, 5), (5, 4)])
+@pytest.mark.parametrize("n, max_len", [(4, 7), (5, 4)])
 def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
     # rho(s_k) on a canonical block w is defined when s_k fixes w; each is
     # an involution, and adjacent ones satisfy (rho(s_k) rho(s_k+1))^3 = I
@@ -476,7 +499,7 @@ def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
     assert braids > 30
 
 
-@pytest.mark.parametrize("n, max_len", [(4, 5), (5, 4)])
+@pytest.mark.parametrize("n, max_len", [(4, 6), (5, 4)])
 def test_stabilizer_actions_respect_products(n, max_len):
     # `_rho` builds each rho_w(tau) on its own from `_moved`, so nothing
     # in its construction makes rho a homomorphism: check
@@ -504,13 +527,31 @@ def test_stabilizer_actions_respect_products(n, max_len):
     assert checked > 1000
 
 
-def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(monkeypatch):
+def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(capsys, monkeypatch,
+                                                                   fresh_engines):
     # the engine eliminates one block per S_n-orbit, which is sound only
-    # if swapping two labels maps each generator to one up to sign
+    # if swapping two labels maps each generator to one up to sign, and
+    # builds only the rows a < (n+1)//2, which is sound only if the
+    # reflection s -> n-1-s, f_i <-> v_i maps each generator into the
+    # span of its image cell's.  Dropping the first generator breaks the
+    # first, which is checked first.  Dropping trace-vf(0), which every
+    # label swap fixes, breaks only the second: trace-fv(n-1) reflects
+    # onto it, and the cell (0, 0) has no other generator
     real = quiveralg.relation_generators
     monkeypatch.setattr(quiveralg, "relation_generators", lambda n: real(n)[1:])
     with pytest.raises(ValueError, match="not S_n-stable"):
         QuiverDimEngine(3)
+    monkeypatch.setattr(quiveralg, "relation_generators", lambda n: tuple(
+        g for g in real(n) if (g.name, g.source) != ("trace-vf", 0)))
+    for n in (3, 4, 5):
+        with pytest.raises(ValueError, match=r"generator trace-fv \({0} -> {0}\) is not "
+                           r"reflection-stable: .* cell \(0, 0\)$".format(n - 1)):
+            QuiverDimEngine(n)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_1])
+    assert main(["accept"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL criterion 1: raised ValueError"
+    assert lines[1].strip().startswith("generator trace-fv (1 -> 1) is not reflection-stable")
 
 
 def test_graded_dim_reads_the_engine_verdict(monkeypatch):
