@@ -16,7 +16,10 @@ the runs alternate and their order flips on every repeat.  A case is
   spanning-set width, as perfbench's quiveralg.max_W reads it),
   block_W (the widest canonical weight block the engine eliminates),
   peak_mb (peak traced memory during `ensure(l)` above the level's
-  start) and kept_mb (what it keeps);
+  start), kept_mb (what it keeps), and rref_calls and stacked_rows (the
+  number of calls of the tree's `quiveralg.rref_stack` and the sum of
+  their stack heights, the row steps they may take), read by wrapping
+  that function;
 - criterion1: `acceptance.criterion_1()`;
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
   each timed, as perfbench's symbolic workload runs them;
@@ -115,27 +118,40 @@ def level_seconds(tree, n: int, max_len: int) -> dict[str, float]:
 
 
 def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
-    """cell_W, block_W, peak_mb and kept_mb per level, under tracemalloc."""
+    """cell_W, block_W, peak_mb, kept_mb, rref_calls and stacked_rows per
+    level, under tracemalloc."""
     cold(tree)
     quiveralg = tree.quiveralg
     eng = quiveralg.QuiverDimEngine(n)
+    rref_stack = quiveralg.rref_stack
+    stacks = [0, 0]  # calls and stacked rows of the level being built
+
+    def counted(stack, stops):
+        stacks[0] += 1
+        stacks[1] += stack.shape[1]
+        return rref_stack(stack, stops)
+
     memory = []
+    quiveralg.rref_stack = counted
     tracemalloc.start()
     try:
         for l in range(1, max_len + 1):
+            stacks[:] = 0, 0
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             eng.ensure(l)
             now, peak = tracemalloc.get_traced_memory()
-            memory.append(((peak - start) / 2 ** 20, (now - start) / 2 ** 20))
+            memory.append(((peak - start) / 2 ** 20, (now - start) / 2 ** 20, *stacks))
     finally:
         tracemalloc.stop()
+        quiveralg.rref_stack = rref_stack
     certified(eng)
     out = {}
-    for l, (peak, kept) in enumerate(memory, start=1):
+    for l, (peak, kept, calls, rows) in enumerate(memory, start=1):
         cell_w, block_w = widths(quiveralg, eng, l)
         out[f"l{l}"] = {"cell_W": cell_w, "block_W": block_w,
-                        "peak_mb": round(peak, 3), "kept_mb": round(kept, 3)}
+                        "peak_mb": round(peak, 3), "kept_mb": round(kept, 3),
+                        "rref_calls": calls, "stacked_rows": rows}
     return out
 
 

@@ -8,8 +8,9 @@ Two rank routines are provided:
   reflection maps the degree-2 relations into their span;
 - one mod-p reduced-row-echelon loop on numpy float64 arrays, the
   elimination kernel of the quiver engine, in `rref_stack` alone.  It
-  runs over a stack of same-width matrices at once (with
-  `quotient_maps` for the projections onto the quotients), and
+  runs over a stack of matrices at once, the shorter and narrower ones
+  zero-padded (with `quotient_maps` for the projections onto the
+  quotients, each at its matrix's true width), and
   `ModPRref` is its view of a single matrix that grows by `add` calls,
   each of which re-runs it on the rows so far and the new ones.  It
   works modulo one fixed prime, `MODP`, read at call time.  Inside the
@@ -81,7 +82,7 @@ def _centered(x, p):
 
 def rref_stack(stack, stops):
     """Reduced row echelon forms mod `MODP` of a stack (B, H, W) of
-    same-width matrices of float64 integers below 2**53 - MODP in
+    matrices of float64 integers below 2**53 - MODP in
     magnitude, matrix i stopped once its rank reaches `stops[i]` (see
     `ModPRref` for why a caller may stop early).  This is the one
     elimination loop of the package.
@@ -89,8 +90,9 @@ def rref_stack(stack, stops):
     Row step t runs over every matrix still short of its stop: row t is
     reduced mod `MODP` and against the matrix's rows so far, and if
     anything is left it is scaled to a leading 1, cleared from the other
-    rows at its lead, and appended.  Zero rows change nothing, so
-    matrices of different heights can share a stack, zero-padded.
+    rows at its lead, and appended.  Zero rows change nothing and a zero
+    column is never a pivot, so matrices of different heights and widths
+    can share a stack, zero-padded below and on the right.
     Inside the loop entries are `_centered` representatives.
 
     Returns (rows, pivots, ranks): matrix i has rank `ranks[i]`, rows
@@ -142,18 +144,28 @@ def rref_stack(stack, stops):
     return buf, pivots, ranks
 
 
-def quotient_maps(rows, pivots, ranks) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def quotient_maps(rows, pivots, ranks, widths=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """For each matrix of an `rref_stack` result, the projection T
     (W - rank, W) onto the quotient by its row space, and its nonpivot
     columns, ascending.  The class of v is T @ v: the j-th nonpivot
     column maps to the j-th quotient coordinate and a pivot column to
-    minus its row of E = rows[:, nonpivots].  Built in one pass per
-    rank."""
-    B, _, W = rows.shape
+    minus its row of E = rows[:, nonpivots].
+
+    W is the matrix's true width, `widths[i]` (default: the stack's
+    width for every matrix).  A matrix narrower than the stack was
+    zero-padded on the right before `rref_stack`; zero columns are never
+    pivots, so its pivots and its rows on the true columns are those of
+    the unpadded matrix, and its T is built at the true width and is the
+    unpadded matrix's T.  Built in one pass per (rank, width), so no T
+    is a view into a buffer wider than itself."""
+    B, _, width = rows.shape
+    groups: dict = {}
+    for i, key in enumerate(zip(ranks.tolist(), [width] * B if widths is None else widths)):
+        groups.setdefault(key, []).append(i)
     out: list = [None] * B
     free_cols: list = [None] * B
-    for r in sorted(set(ranks.tolist())):
-        idx = np.flatnonzero(ranks == r)
+    for (r, W), members in groups.items():
+        idx = np.array(members)
         G, d = len(idx), W - r
         g = np.arange(G)[:, None]
         piv = pivots[idx, :r]
@@ -165,7 +177,7 @@ def quotient_maps(rows, pivots, ranks) -> tuple[list[np.ndarray], list[np.ndarra
         Tt[g, nonpiv, np.arange(d)] = 1
         E = rows[idx[:, None, None], np.arange(r)[:, None], nonpiv[:, None, :]]
         Tt[g, piv] = -E % MODP
-        for j, i in enumerate(idx.tolist()):
+        for j, i in enumerate(members):
             out[i] = Tt[j].T
             free_cols[i] = nonpiv[j]
     return out, free_cols

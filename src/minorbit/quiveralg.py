@@ -22,11 +22,12 @@ The symmetric group S_n permutes the labels 1..n.  It maps the quiver
 to itself and the generators to generators up to sign, so each sigma
 is an algebra automorphism over Z that carries the weight-u block of a
 cell onto the weight-sigma(u) block.  The engine therefore eliminates
-only the canonical blocks, w sorted descending, one per S_n-orbit, and
-the blocks of a level that share a width go through one batched mod-p
-call.  The basis of any other block u is pi_u applied to the basis of
-canon(u), pi_u the stable sort taking canon(u) to u.  One formula
-moves a map by a label permutation sigma: the map that block c's map on
+only the canonical blocks, w sorted descending, one per S_n-orbit,
+those of a level together in a few batched mod-p calls across widths,
+each block zero-padded to its call's widest and tallest block.  The
+basis of any other block u is pi_u applied to the basis of canon(u),
+pi_u the stable sort taking canon(u) to u.  One formula moves a map by
+a label permutation sigma: the map that block c's map on
 sigma(y) induces on arrow y is that map after the action of sigma on
 the arrow's source block one level down (`_moved`).  With sigma =
 pi_u^-1 it is the map of block u on y; with any tau fixing a canonical
@@ -310,9 +311,10 @@ class CertificationError(RuntimeError):
         self.cell = cell
 
 
-# float64 entries in one stack of same-width blocks (256 KiB): bounds the
-# transient memory of a level while keeping the stacks of small blocks
-# large enough to share the loop's per-row cost
+# float64 entries in one zero-padded stack of blocks, counted as blocks x
+# tallest x widest (256 KiB): bounds the transient memory of a level
+# while keeping the stacks of small blocks large enough to share the
+# loop's per-row cost
 _STACK_CAP = 2 ** 15
 
 
@@ -366,12 +368,14 @@ class QuiverDimEngine:
     read it too).
 
     A level is built in two passes: the first collects each canonical
-    block once, with its layout {arrow: (column offset, source block)}
-    and its relation rows (the generators applied to the blocks of
-    weight w - wt(generator) two levels down), into the group of its
-    width W; the second eliminates each group together
-    (`linalg.rref_stack`), every block stopped at W - `_weight_target`.
-    The blocks stay independent (each has its own rows, stop and RREF),
+    block once, with its width W, its layout {arrow: (column offset,
+    source block)} and its relation rows (the generators applied to the
+    blocks of weight w - wt(generator) two levels down), into one list;
+    the second eliminates them in a few zero-padded stacks across widths
+    (`_eliminate`, `linalg.rref_stack`), every block stopped at
+    W - `_weight_target`.
+    The blocks stay independent (each has its own rows, stop and RREF;
+    zero columns are never pivots, so padding changes none of them),
     so every block dim is at least its target, and a cell meets
     `_cell_target` exactly when every canonical block meets its own.
     The engine records its verdict on every cell of a level as it builds
@@ -406,34 +410,42 @@ class QuiverDimEngine:
         gens = relation_generators(n)
         # the trace t = sum_i x_i y_i, as the monomials of its terms
         trace = {(("f", i), ("v", i)) for i in range(1, n + 1)}
+        # terms -> (weight, [(coeff, first, top), ...]) of the terms that
+        # passed: the premises depend on the terms alone, which a family
+        # shares across vertices, so each distinct terms is checked once
+        checked: dict = {}
         for gen in gens:
-            weights = {_weight(n, steps) for _, steps in gen.terms}
-            if len(weights) != 1:
-                raise ValueError(
-                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
-                    f"is not torus-weight homogeneous: {gen.terms}"
-                )
-            if len({steps[-1] for _, steps in gen.terms}) != len(gen.terms):
-                raise ValueError(
-                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
-                    f"has two terms ending in one arrow: {gen.terms}"
-                )
-            # the evaluation f_i -> x_i, v_j -> y_j: a word's monomial is
-            # its sorted steps
-            image: dict = {}
-            for coeff, steps in gen.terms:
-                mono = tuple(sorted(steps))
-                image[mono] = image.get(mono, 0) + coeff
-            image = {mono: c for mono, c in image.items() if c}
-            if image and (image.keys() != trace or len(set(image.values())) != 1):
-                raise ValueError(
-                    f"generator {gen.name} ({gen.source} -> {gen.target}) "
-                    f"evaluates to {image}, not to 0 or a multiple of the "
-                    f"trace, so the corank targets are no lower bounds"
-                )
-            terms = [(coeff, first, top) for coeff, (first, top) in gen.terms]
+            premise = checked.get(gen.terms)
+            if premise is None:
+                weights = {_weight(n, steps) for _, steps in gen.terms}
+                if len(weights) != 1:
+                    raise ValueError(
+                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                        f"is not torus-weight homogeneous: {gen.terms}"
+                    )
+                if len({steps[-1] for _, steps in gen.terms}) != len(gen.terms):
+                    raise ValueError(
+                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                        f"has two terms ending in one arrow: {gen.terms}"
+                    )
+                # the evaluation f_i -> x_i, v_j -> y_j: a word's monomial is
+                # its sorted steps
+                image: dict = {}
+                for coeff, steps in gen.terms:
+                    mono = tuple(sorted(steps))
+                    image[mono] = image.get(mono, 0) + coeff
+                image = {mono: c for mono, c in image.items() if c}
+                if image and (image.keys() != trace or len(set(image.values())) != 1):
+                    raise ValueError(
+                        f"generator {gen.name} ({gen.source} -> {gen.target}) "
+                        f"evaluates to {image}, not to 0 or a multiple of the "
+                        f"trace, so the corank targets are no lower bounds"
+                    )
+                premise = checked[gen.terms] = (weights.pop(), [
+                    (coeff, first, top) for coeff, (first, top) in gen.terms])
+            weight, terms = premise
             self._gens_by_target.setdefault(gen.target, {}).setdefault(
-                (gen.source, weights.pop()), []).append(terms)
+                (gen.source, weight), []).append(terms)
         # each generator and its negative, as (source, target, frozenset(terms))
         signed = {(g.source, g.target, frozenset((sign * c, steps) for c, steps in g.terms))
                   for g in gens for sign in (1, -1)}
@@ -442,11 +454,18 @@ class QuiverDimEngine:
 
     def _check_symmetry(self, gens, signed) -> None:
         """Raise ValueError unless every adjacent label swap maps every
-        generator to plus or minus a generator, one of `signed`."""
+        generator to plus or minus a generator, one of `signed`.  The
+        images under the swaps depend on the terms alone, so they are
+        formed once per distinct terms."""
+        # terms -> its images under the swaps, one list per swap
+        images: dict = {}
         for gen in gens:
-            for k, sk in enumerate(self._swaps):
-                moved = [(c, tuple((kind, sk[i - 1] + 1) for kind, i in steps))
-                         for c, steps in gen.terms]
+            if gen.terms not in images:
+                images[gen.terms] = [
+                    [(c, tuple((kind, sk[i - 1] + 1) for kind, i in steps))
+                     for c, steps in gen.terms]
+                    for sk in self._swaps]
+            for k, moved in enumerate(images[gen.terms]):
                 if (gen.source, gen.target, frozenset(moved)) not in signed:
                     raise ValueError(
                         f"generator {gen.name} ({gen.source} -> {gen.target}) "
@@ -584,9 +603,9 @@ class QuiverDimEngine:
         prev = self.levels[l - 1]
         below = self.levels[l - 2] if l >= 2 else {}
         newlevel, newfree = {}, {}
-        # W -> [(height, the cell's blocks, their nonpivots, w, layout, stop,
+        # [(W, height, the cell's blocks, their nonpivots, w, layout, stop,
         # relation terms)]
-        groups: dict = {}
+        todo: list = []
         for a in range(self._half):
             for b in range(n):
                 into = [(arrow, src, self._aw[arrow]) for arrow, src in self._arrows_into(b)
@@ -621,11 +640,8 @@ class QuiverDimEngine:
                             if low:
                                 for terms in term_lists:
                                     rel += (low[0], terms)
-                    groups.setdefault(W, []).append(
-                        (sum(rel[::2]), blocks, free, w, layout, stop, rel))
-        # widest first, while the level holds the fewest maps
-        for W in sorted(groups, reverse=True):
-            self._eliminate(W, groups.pop(W))
+                    todo.append((W, sum(rel[::2]), blocks, free, w, layout, stop, rel))
+        self._eliminate(todo)
         self.levels.append(newlevel)
         self._free.append(newfree)
         # level l + 1 transports maps of level l only: drop level l - 1's
@@ -633,26 +649,38 @@ class QuiverDimEngine:
         self._certify(l)
 
     @staticmethod
-    def _eliminate(W: int, group) -> None:
-        """Eliminate a group of width-W blocks, tallest first, one
-        `rref_stack` call per part of at most `_STACK_CAP` stacked entries
-        (or of one block that alone is larger), and store each block's
-        (dim, maps) and nonpivot columns in its cell.  Each record is
-        dropped as its maps are stored, so the transient memory of a level
-        stays small."""
-        group.sort(key=itemgetter(0))
-        while group:
-            H = group[-1][0]
-            part = group[-max(1, _STACK_CAP // max(H * W, 1)) :]
-            del group[-len(part) :]
-            stack = np.zeros((len(part), H, W))
-            for rows, (_, _, _, _, layout, _, rel) in zip(stack, part):
+    def _eliminate(todo) -> None:
+        """Eliminate the canonical blocks of a level, sorted by (W, height)
+        and cut into parts widest first: each part is a run of blocks
+        whose zero-padded stack (blocks x tallest x widest) holds at most
+        `_STACK_CAP` entries, or one block that alone is larger, and goes
+        through one `rref_stack` call.  Zero columns are never pivots, so
+        padding changes no rank, stop, RREF on the true columns, T or
+        nonpivot; `quotient_maps` builds each T at its block's true
+        width.  Each block's (dim, maps) and nonpivot columns are stored in
+        its cell, and each record is dropped as its maps are stored, so
+        the transient memory of a level stays small."""
+        todo.sort(key=itemgetter(0, 1))
+        # parts are cut off the end: widest first, while the level holds
+        # the fewest maps
+        while todo:
+            W = todo[-1][0]
+            H = k = 0
+            while k < len(todo):
+                h = max(H, todo[-1 - k][1])
+                if k and (k + 1) * h * W > _STACK_CAP:
+                    break
+                H, k = h, k + 1
+            part = todo[-k:]
+            del todo[-k:]
+            stack = np.zeros((k, H, W))
+            for rows, (_, _, _, _, _, layout, _, rel) in zip(stack, part):
                 _relation_rows(rows, layout, rel)
-            rref = rref_stack(stack, [block[5] for block in part])
+            rref = rref_stack(stack, [block[6] for block in part])
             del stack
-            projections, nonpivots = quotient_maps(*rref)
+            projections, nonpivots = quotient_maps(*rref, [block[0] for block in part])
             while part:
-                _, blocks, free, w, layout, _, _ = part.pop()
+                _, _, blocks, free, w, layout, _, _ = part.pop()
                 T, cols = projections.pop(), nonpivots.pop()
                 if len(T):
                     blocks[w] = (len(T), {arrow: T[:, off : off + sdim]

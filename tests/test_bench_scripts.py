@@ -58,6 +58,31 @@ def test_level_seconds_and_memory(measure, trees):
     assert all(m["peak_mb"] >= m["kept_mb"] > 0 for m in memory.values())
 
 
+def test_level_stack_counts(measure, trees, monkeypatch):
+    # rref_calls and stacked_rows per level, against a count of this
+    # checkout's engine's `rref_stack` calls; the measured tree's own
+    # function is put back afterwards
+    q = trees["a"].quiveralg
+    kernel = q.rref_stack
+    levels = measure.level_memory(trees["a"], 4, 4)
+    assert q.rref_stack is kernel
+    counts = []
+
+    def counted(stack, stops):
+        counts[-1][0] += 1
+        counts[-1][1] += stack.shape[1]
+        return kernel(stack, stops)
+
+    monkeypatch.setattr(quiveralg, "rref_stack", counted)
+    eng = quiveralg.QuiverDimEngine(4)
+    for l in range(1, 5):
+        counts.append([0, 0])
+        eng.ensure(l)
+    assert [[levels[f"l{l}"]["rref_calls"], levels[f"l{l}"]["stacked_rows"]]
+            for l in range(1, 5)] == counts
+    assert all(calls > 0 for calls, _ in counts) and sum(rows for _, rows in counts) > 0
+
+
 def test_two_trees_alternate(measure, trees, monkeypatch):
     a, b = trees["a"], trees["b"]
     assert a.quiveralg is not b.quiveralg and quiveralg not in (a.quiveralg, b.quiveralg)

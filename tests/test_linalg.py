@@ -214,6 +214,40 @@ def test_rref_stack_matches_naive_on_every_matrix(monkeypatch, p):
         assert np.array_equal(acc.projection(), maps[i])
 
 
+def test_quotient_maps_at_true_widths_match_unpadded():
+    # matrices of mixed widths and heights zero-padded into one stack, as
+    # the quiver engine stacks a level's blocks: each T, built at its true
+    # width, and each nonpivot array must equal those of the matrix
+    # eliminated on its own, unpadded, entry for entry; rank 0 (a zero
+    # matrix and a stop at 0), full column rank (d = 0), width 1 and two
+    # matrices of one (rank, width) are covered
+    rng = np.random.default_rng(37)
+    shapes = [(3, 1, 0), (2, 1, 1), (5, 6, 0), (6, 4, 4), (12, 9, 5), (4, 7, 3),
+              (7, 3, 3), (9, 9, 5), (5, 4, 4), (0, 5, 0)]
+    mats = [_rank_deficient(rng, h, w, r) for h, w, r in shapes]
+    widths = [w for _, w, _ in shapes]
+    stops = [w - (i == 4) if i != 7 else 0 for i, w in enumerate(widths)]
+    stack = np.zeros((len(mats), max(h for h, _, _ in shapes), max(widths)))
+    for layer, mat in zip(stack, mats):
+        layer[: mat.shape[0], : mat.shape[1]] = mat
+    rows, pivots, ranks = rref_stack(stack, stops)
+    maps, free = quotient_maps(rows, pivots, ranks, widths)
+    ds = []
+    for i, (mat, w, stop) in enumerate(zip(mats, widths, stops)):
+        ref = rref_stack(mat[None].astype(float), [stop])
+        (ref_T,), (ref_free,) = quotient_maps(*ref)
+        r = int(ranks[i])
+        assert r == int(ref[2][0]) and pivots[i, :r].tolist() == ref[1][0, :r].tolist()
+        assert np.array_equal(rows[i, :r, :w], ref[0][0, :r]) and not rows[i, :, w:].any()
+        assert maps[i].shape == ref_T.shape == (w - r, w), i
+        assert np.array_equal(maps[i], ref_T) and np.array_equal(free[i], ref_free), i
+        # no T is a view into a buffer wider than itself
+        assert maps[i].base.shape[1] == w, i
+        ds.append(w - r)
+    assert 0 in ds and ranks.min() == 0 and 1 in widths
+    assert len(set(zip(ranks.tolist(), widths))) < len(mats)
+
+
 @pytest.mark.parametrize("p", [MODP, OTHER_P])
 def test_centered_is_exact_below_2_53(p):
     # near +-2**52 and the top of the range |x| < 2**53 - p, exact
