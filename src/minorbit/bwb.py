@@ -64,9 +64,6 @@ class LeviWeight(namedtuple("LeviWeight", "n first rest")):
             self.n, self.first - c, tuple(r - c for r in self.rest)
         )
 
-    def rank(self) -> int:
-        return weyl_dim(self.n - 1, self.rest)
-
     def dual(self) -> "LeviWeight":
         rest = tuple(-r for r in reversed(self.rest))
         return LeviWeight(self.n, -self.first, rest).normalized()
@@ -135,9 +132,6 @@ class BundleExpr:
                 for w, m in _tensor_weights(w1, w2):
                     out[w] = out.get(w, 0) + c1 * c2 * m
         return BundleExpr(self.n, out)
-
-    def rank(self) -> int:
-        return sum(c * w.rank() for w, c in self.terms.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BundleExpr) and self.n == other.n and self.terms == other.terms

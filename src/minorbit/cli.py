@@ -295,15 +295,6 @@ def cmd_rep(args) -> int:
 
 
 def cmd_kflop(args) -> int:
-    if args.flopflop:
-        res = kfunctor.flop_flop_check(args.n)
-        payload = res.as_dict()
-        payload["claim"] = (
-            "flop matrices compose to the identity: the twist is invisible "
-            "in the K-lattice"
-        )
-        _emit(args, payload)
-        return 0 if res.passed else CHECK_FAILURE
     if args.ptwist_ledger:
         rep = kfunctor.ptwist_ledger_check(args.n)
         payload = rep.as_dict()
@@ -395,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--matrix", action="store_true")
-    g.add_argument("--flopflop", action="store_true")
     g.add_argument("--ptwist-ledger", dest="ptwist_ledger", action="store_true")
     p.set_defaults(func=cmd_kflop)
 

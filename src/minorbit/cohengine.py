@@ -342,19 +342,3 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
         stabilization_bound=bound,
         pairs_checked=len(pairs),
     )
-
-
-def nccr_rank(family: str, n: int) -> int:
-    """Total rank of the two endomorphism algebras over the cone: twice
-    the summed ranks of the tilting summands, the line-bundle window
-    Tk for Lambda_k (2n) and the cotangent-power window TPrime for
-    LambdaPrime (2 * sum_a rank Omega^{a-1} = 2^n)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if family == "Lambda_k":
-        window = TiltingFamily("Tk", n, 0)
-    elif family == "LambdaPrime":
-        window = TiltingFamily("TPrime", n)
-    else:
-        raise ValueError(f"unknown family {family}")
-    return 2 * sum(s.rank() for s in family_summands(window))

@@ -119,10 +119,6 @@ def kclass_jpdual(b: int, n: int) -> KClass:
 # matrices
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def matmul(A, B) -> list[list[int]]:
     rn, inner, cn = len(A), len(B), len(B[0])
     return [
@@ -152,24 +148,6 @@ def kn_matrix(n: int) -> list[list[int]]:
     """
     cols = [_reduce_coeffs(-j, n) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    matrix: tuple
-
-    def as_dict(self):
-        return {"pass": self.passed, "matrix": [list(r) for r in self.matrix]}
-
-
-def flop_flop_check(n: int) -> CheckResult:
-    """K-lattice shadow of flop-then-flop-back being a twist: the twist
-    autoequivalence attached to a projective-space object is trivial on
-    the K-lattice, so the flop matrix must square to the identity."""
-    prod = matmul(kn_matrix(n), kn_matrix(n))
-    ok = prod == identity_matrix(n)
-    return CheckResult(ok, tuple(tuple(r) for r in prod))
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,6 @@ def test_criterion(criterion):
     assert res.passed, res.detail
 
 
-def test_criterion_10_window_ranks_are_computed(monkeypatch):
-    # the window ranks come from the tilting summands, so a wrong bundle
-    # rank must fail the criterion
-    real = bwb.BundleExpr.rank
-    monkeypatch.setattr(bwb.BundleExpr, "rank", lambda self: real(self) + 1)
-    res = acceptance.criterion_10()
-    assert not res.passed
-    assert "Lambda_k" in res.detail and "LambdaPrime" in res.detail
-
-
 def test_criterion_1_fails_on_an_uncertified_cell(monkeypatch):
     # every cell the engine cannot certify is a mismatch of the report,
     # and any mismatch fails the criterion
@@ -80,6 +70,31 @@ def test_criterion_1_rejects_a_generator_of_mixed_weight(monkeypatch, fresh_engi
         acceptance.criterion_1()
 
 
+def test_criterion_2_checks_the_closed_form(monkeypatch):
+    # the closed form is an oracle independent of the dominance shift,
+    # so moving it up one degree must show wherever Omega^p(t) has
+    # cohomology
+    real = bwb.bott_closed_form
+
+    def shifted(n, p, t):
+        return {d + 1: v for d, v in real(n, p, t).items()}
+
+    monkeypatch.setattr(bwb, "bott_closed_form", shifted)
+    res = acceptance.criterion_2()
+    assert not res.passed
+    assert res.detail == (
+        "failures: [(2, 0, -4), (2, 0, -3), (2, 0, -2), (2, 0, 0), (2, 0, 1)]")
+
+
+def test_criterion_3_checks_the_classification(monkeypatch):
+    # a classification that calls every group zero is contradicted by
+    # the first nonzero cohomology group
+    monkeypatch.setattr(bwb, "blv_classify", lambda a, b, c, d, n: bwb.VANISHES)
+    res = acceptance.criterion_3()
+    assert not res.passed
+    assert res.detail.startswith("failures: [(2, 1, 1, -4, 0), ")
+
+
 def test_criterion_5_cross_checks_unequal_twists(monkeypatch):
     # a profile between different twists that gains one odd-degree line
     # keeps every self-profile but breaks the K-class pairing
@@ -112,8 +127,8 @@ def test_criterion_6_reads_the_recorded_pushforward(monkeypatch):
 
 def test_criterion_6_checks_the_window_rule(monkeypatch):
     # the flop matrix is built from the window coordinates of [O(-j)], so
-    # Lagrange coordinates that lose their sign, or sit on the shifted
-    # nodes 1..n, must break [O(a)] -> [O(-a)]
+    # Lagrange coordinates that lose their sign, sit on the shifted
+    # nodes 1..n, or are doubled must break [O(a)] -> [O(-a)]
     real = kfunctor._reduce_coeffs
 
     def lost_sign(a, n):
@@ -122,7 +137,10 @@ def test_criterion_6_checks_the_window_rule(monkeypatch):
     def shifted_nodes(a, n):
         return real(a - 1, n)
 
-    for broken in (lost_sign, shifted_nodes):
+    def doubled(a, n):
+        return tuple(2 * c for c in real(a, n))
+
+    for broken in (lost_sign, shifted_nodes, doubled):
         monkeypatch.setattr(kfunctor, "_reduce_coeffs", lru_cache(maxsize=None)(broken))
         kfunctor.kclass_jp.cache_clear()
         try:
@@ -136,11 +154,52 @@ def test_criterion_6_checks_the_window_rule(monkeypatch):
 def test_criterion_6_reads_the_flop_matrix_in_the_window_rule_alone(monkeypatch):
     # the image table checks only its computed correction, so a flop
     # matrix that is the identity fails the window rule and nothing else
-    monkeypatch.setattr(kfunctor, "kn_matrix", kfunctor.identity_matrix)
+    monkeypatch.setattr(kfunctor, "kn_matrix",
+                        lambda n: [[int(i == j) for j in range(n)] for i in range(n)])
     res = acceptance.criterion_6()
     assert not res.passed
     failures = ast.literal_eval(res.detail.removeprefix("failures: "))
     assert failures and all(f[-1] == "window rule" for f in failures)
+
+
+def test_zero_window_coordinates_fail_criterion_5(monkeypatch):
+    # with every class zero the flop matrix is zero and criterion 6
+    # compares zero with zero, so the K-class pairing of criterion 5 is
+    # what catches coordinates that are not unit vectors on the nodes
+    monkeypatch.setattr(kfunctor, "_reduce_coeffs",
+                        lru_cache(maxsize=None)(lambda a, n: (0,) * n))
+    kfunctor.kclass_jp.cache_clear()
+    try:
+        res = acceptance.criterion_5()
+    finally:
+        kfunctor.kclass_jp.cache_clear()
+    assert not res.passed
+    assert res.detail.startswith("failures: [(2, -2, -2, 'chi'), ")
+
+
+def test_criterion_7_checks_the_ledger_profiles(monkeypatch):
+    # Ext(j_*O_P(-1), O_Y(b)) one degree low moves the line against
+    # O(-1); cohomology one twist high brings a line into the last
+    # vanishing step
+    real_jp_oy, real_p_coh = kfunctor._profile_jp_oy, kfunctor._p_coh
+
+    def low_degree(c, b, n):
+        return {k - 1: v for k, v in real_jp_oy(c, b, n).items()}
+
+    def high_twist(n, t):
+        return real_p_coh(n, t + 1)
+
+    for name, broken, detail in (
+        ("_profile_jp_oy", low_degree, "failures: [(3, 'against-O(-1)'), "
+         "(4, 'against-O(-1)'), (5, 'against-O(-1)')]"),
+        ("_p_coh", high_twist, "failures: [(3, 'vanishing-b1'), "
+         "(4, 'vanishing-b2'), (5, 'vanishing-b3')]"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(kfunctor, name, broken)
+            res = acceptance.criterion_7()
+        assert not res.passed, name
+        assert res.detail == detail, name
 
 
 def test_criterion_4_checks_the_width_bound(monkeypatch):

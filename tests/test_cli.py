@@ -78,7 +78,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["accept", "--output", "json"],
         ["kflop", "--matrix", "--n", "3", "--direction", "KN"],
         ["kflop", "--matrix", "--k", "0", "--n", "3"],
-        ["kflop", "--flopflop", "--k", "1", "--n", "3"],
+        ["kflop", "--ptwist-ledger", "--k", "1", "--n", "3"],
     ):
         assert run(capsys, argv)[0] == 2, argv
 
@@ -135,15 +135,6 @@ def test_quiver_dims_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "a,b,l,paths,relations_rank,dim"
     assert "0,0,2,4,1,3" in lines
-
-
-def test_kflop_flopflop(capsys):
-    rc, out, _ = run(capsys, ["kflop", "--flopflop", "--n", "4"])
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["pass"] is True
-    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert payload["matrix"] == ident
 
 
 def test_kflop_ledger(capsys):

@@ -8,7 +8,6 @@ from minorbit.cohengine import (
     hilbert_M,
     hom_y_graded,
     monomials,
-    nccr_rank,
     pushforward_graded,
     sym_pair_corank,
     tilting_check,
@@ -236,12 +235,3 @@ def test_memoized_tilting_check_finds_the_reference_witness(monkeypatch):
             rep = tilting_check(fam)
             assert _verdict(rep) == _reference_tilting(fam), fam
             assert fam.name != "Tk" or not rep.passed
-
-
-def test_nccr_rank_values():
-    assert nccr_rank("Lambda_k", 3) == 6
-    assert nccr_rank("LambdaPrime", 3) == 8
-    assert nccr_rank("LambdaPrime", 2) == 4
-    for n in range(2, 7):
-        assert nccr_rank("Lambda_k", n) == 2 * n
-        assert nccr_rank("LambdaPrime", n) == 2 ** n
