@@ -20,6 +20,9 @@ the runs alternate and their order flips on every repeat.  A case is
   number of calls of the tree's `quiveralg.rref_stack` and the sum of
   their stack heights, the row steps they may take), read by wrapping
   that function;
+- quiver: `quiveralg.compare_with_nccr(n, l)` for (n, l) = (4, 5) and
+  (5, 4), perfbench's quiver workload, each timed with its engine's
+  construction (the relation checks of the constructor) included;
 - criterion1: `acceptance.criterion_1()`;
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
   each timed, as perfbench's symbolic workload runs them;
@@ -33,13 +36,13 @@ before each run of every case, so every run starts cold, as a perfbench
 child does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
-criterion1, symbolic and battery.  Each tree's entry holds every
+quiver, criterion1, symbolic and battery.  Each tree's entry holds every
 timing's median over the repeats and the median total; with two trees,
 each case also records the per-pair ratio of totals (second tree /
 first tree), its median and quartiles, and the number of pairs the
 second tree won.
-The run stops on an uncertified cell, a failed criterion or a failed
-battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
+The run stops on an uncertified cell, a failed comparison or criterion,
+or a failed battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
 other entries in that file are kept.  Timings are wall clock on a
 possibly shared machine, which is why the two trees alternate.
 """
@@ -62,7 +65,9 @@ from statistics import median, quantiles
 import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
-DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "criterion1", "symbolic", "battery")
+DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "quiver", "criterion1", "symbolic",
+                 "battery")
+QUIVER = ((4, 5), (5, 4))
 SYMBOLIC = (2, 3, 4, 5, 6, 7, 8, 10)
 ORBIT_N = 6
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
@@ -155,6 +160,18 @@ def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
     return out
 
 
+def quiver_seconds(tree) -> dict[str, float]:
+    cold(tree)
+    out = {}
+    for n, max_len in QUIVER:
+        t0 = time.perf_counter()
+        rep = tree.quiveralg.compare_with_nccr(n, max_len)
+        out[f"{n}:{max_len}"] = time.perf_counter() - t0
+        if not rep.passed:
+            raise SystemExit(f"compare_with_nccr({n}, {max_len}) failed: {rep.mismatches}")
+    return out
+
+
 def criterion1_seconds(tree) -> dict[str, float]:
     cold(tree)
     t0 = time.perf_counter()
@@ -207,6 +224,8 @@ def battery_seconds(tree) -> dict[str, float]:
 
 def timer(case: str):
     """The function timing one run of `case` on a tree."""
+    if case == "quiver":
+        return quiver_seconds
     if case == "criterion1":
         return criterion1_seconds
     if case == "symbolic":
@@ -280,7 +299,7 @@ def main(argv=None) -> None:
     ap.add_argument("--out", required=True, help="the JSON file to record in")
     ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
     ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
-                    help=f"N:L, criterion1, symbolic or battery "
+                    help=f"N:L, quiver, criterion1, symbolic or battery "
                          f"(default {' '.join(DEFAULT_CASES)})")
     args = ap.parse_args(argv)
     pairs = args.src or [("change", DEFAULT_SRC)]

@@ -80,6 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import add, itemgetter, sub
 
@@ -323,11 +324,22 @@ def _canonical(w):
     """(canon(w), pi_w, pi_w^-1): w sorted descending, and the stable
     sort pi_w taking canon(w) to w (canon(w)[k] = w[pi_w[k]]), as
     one-line tuples of the 0-based labels 0..len(w)-1."""
-    pi = tuple(sorted(range(len(w)), key=lambda i: -w[i]))
-    inv = [0] * len(w)
-    for k, i in enumerate(pi):
-        inv[i] = k
-    return tuple(w[i] for i in pi), pi, tuple(inv)
+    pi = sorted(range(len(w)), key=w.__getitem__, reverse=True)
+    return (tuple(sorted(w, reverse=True)), tuple(pi),
+            tuple(sorted(range(len(w)), key=pi.__getitem__)))
+
+
+@lru_cache(maxsize=None)
+def _tau(sigma, v):
+    """(canon(v), tau) for a label permutation sigma (one-line tuple) and
+    a weight v: tau is the element of Stab(canon(v)) with sigma pi_v =
+    pi_(sigma v) tau, or None when it is the identity, so that sigma
+    carries block v onto block sigma(v) as rho_canon(v)(tau) does."""
+    cv, pv, _ = _canonical(v)
+    # sigma(v)[sigma[k]] = v[k], and inv = pi_(sigma v)^-1
+    inv = _canonical(tuple(map(v.__getitem__, sorted(range(len(v)), key=sigma.__getitem__))))[2]
+    tau = tuple(map(inv.__getitem__, map(sigma.__getitem__, pv)))
+    return cv, None if tau == tuple(range(len(v))) else tau
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +364,8 @@ class QuiverDimEngine:
     reflection s -> n-1-s, f_i <-> v_i maps each generator into the
     span of its image cell's generators.  So the quotient splits into
     weight blocks, the blocks of weights u and sigma(u) are isomorphic,
-    and row a is isomorphic to row n-1-a.
+    and row a is isomorphic to row n-1-a.  Each distinct terms tuple,
+    which a family shares across vertices, is checked and moved once.
     `levels[l]` holds the built rows a < (n+1)//2 only: it maps each
     of their cells (a, b) reached from level l - 1 to its canonical
     blocks, {w: (dim, {arrow: map})} with w sorted descending:
@@ -365,7 +378,11 @@ class QuiverDimEngine:
     of a non-canonical block are all moved from its canonical block when
     the block is first read, by `_moved`, the one place a map is moved
     by a label permutation (the stabilizer actions rho_w(tau) of `_rho`
-    read it too).
+    read it too).  The tau of a move, with sigma pi_v = pi_(sigma v) tau,
+    depends on (sigma, v) alone and comes from the cached `_tau` (None
+    for the identity); `_rho` memoizes each action and stores None for
+    one it computed to be the identity, so `_moved` forms a product only
+    for an action that is not.
 
     A level is built in two passes: the first collects each canonical
     block once, with its width W, its layout {arrow: (column offset,
@@ -391,7 +408,8 @@ class QuiverDimEngine:
         self._half = half = (n + 1) // 2
         origin = (0,) * n
         self.levels: list[dict] = [{(a, a): {origin: (1, {})} for a in range(half)}]
-        # parallel to levels: (a, b) -> {w: the block's nonpivot columns}
+        # parallel to levels: (a, b) -> {w: the block's nonpivot columns},
+        # split by piece once `_rho` first acts on the block
         self._free: list[dict] = [{(a, a): {origin: np.arange(1)} for a in range(half)}]
         # (a, b, length) -> None if certified, else (a, b, length, dim, target)
         self.verdicts: dict[tuple[int, int, int], tuple | None] = {}
@@ -399,7 +417,10 @@ class QuiverDimEngine:
         self._swaps = [self._id[:k] + (k + 1, k) + self._id[k + 2 :] for k in range(n - 1)]
         self._aw = {arrow: _weight(n, (arrow,)) for arrow, _ in
                     self._arrows_into(0) + self._arrows_into(n - 1)}
-        # (l, a, b, w, tau) -> rho_w(tau), and (l, a, b, w) -> the moved
+        # vertex b -> [(arrow, source vertex, arrow weight)] of the arrows into b
+        self._into = [[(arrow, src, self._aw[arrow]) for arrow, src in self._arrows_into(b)]
+                      for b in range(n)]
+        # (l, a, b, w, tau) -> rho_w(tau) or None, and (l, a, b, w) -> the moved
         # maps of a non-canonical block
         self._rho_cache: dict = {}
         self._transported: dict = {}
@@ -446,47 +467,49 @@ class QuiverDimEngine:
             weight, terms = premise
             self._gens_by_target.setdefault(gen.target, {}).setdefault(
                 (gen.source, weight), []).append(terms)
+        # terms -> [(image, frozenset(image))] under each adjacent label swap,
+        # then under the reflection, and -> the frozensets of the terms and
+        # of their negative: formed once per distinct terms
+        images, keys = {}, {}
+        for terms in checked:
+            moved = [[(c, tuple([(kind, sk[i - 1] + 1) for kind, i in steps]))
+                      for c, steps in terms] for sk in self._swaps]
+            moved.append([(c, tuple(map(_reflected, steps))) for c, steps in terms])
+            images[terms] = [(m, frozenset(m)) for m in moved]
+            keys[terms] = (frozenset(terms), frozenset((-c, steps) for c, steps in terms))
         # each generator and its negative, as (source, target, frozenset(terms))
-        signed = {(g.source, g.target, frozenset((sign * c, steps) for c, steps in g.terms))
-                  for g in gens for sign in (1, -1)}
-        self._check_symmetry(gens, signed)
-        self._check_reflection(gens, signed)
+        signed = {(g.source, g.target, fs) for g in gens for fs in keys[g.terms]}
+        self._check_symmetry(gens, signed, images)
+        self._check_reflection(gens, signed, images)
 
-    def _check_symmetry(self, gens, signed) -> None:
+    def _check_symmetry(self, gens, signed, images) -> None:
         """Raise ValueError unless every adjacent label swap maps every
-        generator to plus or minus a generator, one of `signed`.  The
-        images under the swaps depend on the terms alone, so they are
-        formed once per distinct terms."""
-        # terms -> its images under the swaps, one list per swap
-        images: dict = {}
+        generator to plus or minus a generator, one of `signed`; `images`
+        holds each terms' images."""
         for gen in gens:
-            if gen.terms not in images:
-                images[gen.terms] = [
-                    [(c, tuple((kind, sk[i - 1] + 1) for kind, i in steps))
-                     for c, steps in gen.terms]
-                    for sk in self._swaps]
-            for k, moved in enumerate(images[gen.terms]):
-                if (gen.source, gen.target, frozenset(moved)) not in signed:
+            for k, (moved, image) in enumerate(images[gen.terms][:-1]):
+                if (gen.source, gen.target, image) not in signed:
                     raise ValueError(
                         f"generator {gen.name} ({gen.source} -> {gen.target}) "
                         f"is not S_n-stable: swapping labels {k + 1} and {k + 2} "
                         f"gives {moved}, which is no generator up to sign"
                     )
 
-    def _check_reflection(self, gens, signed) -> None:
+    def _check_reflection(self, gens, signed, images) -> None:
         """Raise ValueError, naming the cell, unless the reflection (vertex
         s -> n-1-s, f_i <-> v_i) maps every generator into the span of the
-        generators of its image cell.  A moved generator that is plus or
-        minus a generator passes by lookup in `signed`; any other must leave
-        the exact rank of its cell's generators unchanged.  The ideal is
-        generated in degree 2, so the reflection then maps it into itself,
-        and, being an involution, is an automorphism of the quotient over
-        Q that carries row a onto row n-1-a."""
+        generators of its image cell; `images` holds each terms' reflected
+        image.  A moved generator that is plus or minus a generator passes
+        by lookup in `signed`; any other must leave the exact rank of its
+        cell's generators unchanged.  The ideal is generated in degree 2,
+        so the reflection then maps it into itself, and, being an
+        involution, is an automorphism of the quotient over Q that carries
+        row a onto row n-1-a."""
         n = self.n
         for gen in gens:
             s, t = n - 1 - gen.source, n - 1 - gen.target
-            moved = [(c, tuple(map(_reflected, steps))) for c, steps in gen.terms]
-            if (s, t, frozenset(moved)) in signed:
+            moved, image = images[gen.terms][-1]
+            if (s, t, image) in signed:
                 continue
             cell = [g.terms for g in gens if (g.source, g.target) == (s, t)]
             index: dict = {}
@@ -542,61 +565,63 @@ class QuiverDimEngine:
         key = (l, a, b, w)
         maps = self._transported.get(key)
         if maps is None:
-            maps = self._transported[key] = {
-                y: self._moved(l, a, b, c, piinv, y, tuple(map(sub, w, self._aw[y])))
-                for y in ((kind, pi[i - 1] + 1) for kind, i in blk[1])}
+            maps = self._transported[key] = {}
+            for (kind, i), M in blk[1].items():
+                y = (kind, pi[i - 1] + 1)
+                maps[y] = self._moved(l, a, b, M, kind, piinv, tuple(map(sub, w, self._aw[y])))
         return blk[0], maps
 
-    def _moved(self, l: int, a: int, b: int, c, sigma, y, v, cols=None):
-        """Columns `cols` (all if None) of the map on arrow y of the block
-        that the label permutation sigma (one-line tuple) carries onto
-        canonical block c of cell (a, b, l): M(c, sigma(y)) @ A[:, cols],
-        A the matrix of sigma from block v, y's source block one level
-        down, to block sigma(v), in the bases of `block`.  sigma pi_v =
-        pi_(sigma v) tau with tau in Stab(canon(v)), so A is
-        rho_canon(v)(tau); tau is often the identity, and then the
-        columns of M are the map.
+    def _moved(self, l: int, a: int, b: int, M, kind, sigma, v, cols=None):
+        """Columns `cols` (all if None) of the map on an arrow y of the
+        given kind, of source block v one level down, of the block that
+        the label permutation sigma (one-line tuple) carries onto a
+        canonical block of cell (a, b, l), whose map on sigma(y) is M:
+        M @ A[:, cols], A the matrix of sigma from block v to block
+        sigma(v), in the bases of `block`.  sigma pi_v = pi_(sigma v) tau
+        with tau in Stab(canon(v)), read from `_tau`, so A is
+        rho_canon(v)(tau).  When tau is the identity, or `_rho` found that
+        tau acts as the identity (it stores None then), the columns of M
+        are the map and no product is formed: M's entries lie in [0, p),
+        so M @ I % p would be M.
         `block` transports with sigma = pi_u^-1 and keeps every column;
         `_rho` acts with sigma = tau in Stab(c) and keeps the piece's
         nonpivot columns, so no product is formed only to be sliced."""
-        kind, i = y
-        M = self.levels[l][(a, b)][c][1][(kind, sigma[i - 1] + 1)]
-        cv, pv, _ = _canonical(v)
-        moved = [0] * self.n
-        for k, x in zip(sigma, v):
-            moved[k] = x
-        inv = _canonical(tuple(moved))[2]
-        tau = tuple([inv[sigma[j]] for j in pv])
-        if tau == self._id:
+        cv, tau = _tau(sigma, v)
+        A = tau and self._rho(l - 1, a, b - 1 if kind == "f" else b + 1, cv, tau)
+        if A is None:
             return M if cols is None else M[:, cols]
-        A = self._rho(l - 1, a, b - 1 if kind == "f" else b + 1, cv, tau)
         return M @ (A if cols is None else A[:, cols]) % MODP
 
     def _rho(self, l: int, a: int, b: int, w, tau):
         """The action rho_w(tau) (dim, dim) of tau in Stab(w) on canonical
-        block w of cell (a, b, l): column j holds the coordinates of
-        tau(basis vector j).  Basis vector m, nonpivot column m at piece
-        x, is the class of (source basis vector j) x, which tau sends to
-        tau(source vector) tau(x) in block tau(w) = w, whose coordinates
-        are column j of `_moved` with sigma = tau.  Level 0's block, the
-        empty path, has no pieces, and rho is the 1x1 identity that R
-        starts as."""
+        block w of cell (a, b, l), or None if it is the identity (detected
+        on the computed matrix, never assumed: a stabilizer can act by
+        -1).  Column j holds the coordinates of tau(basis vector j).
+        Basis vector m, nonpivot column m at piece x, is the class of
+        (source basis vector j) x, which tau sends to tau(source vector)
+        tau(x) in block tau(w) = w, whose coordinates are column j of
+        `_moved` with sigma = tau.  Only the pieces that hold nonpivot
+        columns are visited; on the block's first action its nonpivots
+        in `_free` are split once into (arrow x, source weight, first and
+        last column + 1 of R, the piece's own columns).  Level 0's block,
+        the empty path, has no pieces, and its rho is the identity."""
         key = (l, a, b, w, tau)
-        R = self._rho_cache.get(key)
-        if R is None:
+        if key not in self._rho_cache:
             dim, maps = self.levels[l][(a, b)][w]
-            free = self._free[l][(a, b)][w]
-            R = np.eye(dim)
-            off = 0
-            for x, T in maps.items():
-                width = T.shape[1]
-                lo, hi = np.searchsorted(free, (off, off + width)).tolist()
-                if hi > lo:
-                    v = tuple(map(sub, w, self._aw[x]))
-                    R[:, lo:hi] = self._moved(l, a, b, w, tau, x, v, free[lo:hi] - off)
-                off += width
-            self._rho_cache[key] = R
-        return R
+            free = self._free[l][(a, b)]
+            pieces = free[w]
+            if isinstance(pieces, np.ndarray):
+                offs = [0, *accumulate(T.shape[1] for T in maps.values())]
+                edges = np.searchsorted(pieces, offs).tolist()
+                pieces = free[w] = [
+                    (x, tuple(map(sub, w, self._aw[x])), lo, hi, pieces[lo:hi] - off)
+                    for x, off, lo, hi in zip(maps, offs, edges, edges[1:]) if hi > lo]
+            eye = np.eye(dim)
+            R = eye.copy()
+            for (kind, i), v, lo, hi, cols in pieces:
+                R[:, lo:hi] = self._moved(l, a, b, maps[kind, tau[i - 1] + 1], kind, tau, v, cols)
+            self._rho_cache[key] = None if R.tolist() == eye.tolist() else R
+        return self._rho_cache[key]
 
     def _build_level(self, l: int) -> None:
         n = self.n
@@ -608,8 +633,7 @@ class QuiverDimEngine:
         todo: list = []
         for a in range(self._half):
             for b in range(n):
-                into = [(arrow, src, self._aw[arrow]) for arrow, src in self._arrows_into(b)
-                        if prev.get((a, src))]
+                into = [x for x in self._into[b] if prev.get((a, x[1]))]
                 # canon(s0 + wt(x)) over the canonical source blocks s0 and
                 # the arrows x: every block of the cell is in one of their
                 # orbits

@@ -118,6 +118,31 @@ def test_uncertified_cell_stops_the_run(measure, trees, monkeypatch):
     measure.level_seconds(trees["a"], 3, 3)
 
 
+def test_quiver_case_times_each_comparison_with_its_engine(measure, trees, monkeypatch):
+    # the engine's construction is timed with its comparison: no run
+    # finds an engine built, and each starts on empty weight caches
+    monkeypatch.setattr(measure, "QUIVER", ((3, 3), (2, 4)))
+    seen = []
+    for tree in trees.values():
+        q = tree.quiveralg
+
+        def compare(n, max_len, q=q, real=q.compare_with_nccr):
+            seen.append((n in q._engines, q._canonical.cache_info().currsize))
+            return real(n, max_len)
+
+        monkeypatch.setattr(q, "compare_with_nccr", compare)
+    runs = measure.alternate(trees, measure.timer("quiver"), 2)
+    assert list(runs["a"][0]) == ["3:3", "2:4"] and len(seen) == 12
+    assert not any(built for built, _ in seen)
+    assert [cached for _, cached in seen[::2]] == [0] * 6
+    # a comparison that fails stops the run
+    true_target = trees["b"].quiveralg._cell_target
+    monkeypatch.setattr(trees["b"].quiveralg, "_cell_target", lambda n, a, b, length: (
+        true_target(n, a, b, length) - ((a, b, length) == (1, 1, 2))))
+    with pytest.raises(SystemExit, match=r"compare_with_nccr\(3, 3\) failed"):
+        measure.alternate(trees, measure.timer("quiver"), 2)
+
+
 def _cache_sizes(tree):
     return {f"{name}.{attr}": value.cache_info().currsize
             for name, module in sys.modules.items() if name.startswith(f"{tree.__name__}.")

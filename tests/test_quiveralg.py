@@ -492,6 +492,13 @@ def test_generators_vanish_on_the_transported_maps(n, max_len):
     assert checked > 1000
 
 
+def _rho(eng, l, a, b, w, tau):
+    """rho_w(tau) as a matrix: `_rho` stores None where the action it
+    computed is the identity."""
+    R = eng._rho(l, a, b, w, tau)
+    return np.eye(eng.levels[l][(a, b)][w][0]) if R is None else R
+
+
 @pytest.mark.parametrize("n, max_len", [(4, 7), (5, 4)])
 def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
     # rho(s_k) on a canonical block w is defined when s_k fixes w; each is
@@ -503,7 +510,7 @@ def test_swap_actions_are_involutions_with_braid_relations(n, max_len):
         for (a, b), cell in eng.levels[l].items():
             for w, (dim, _) in cell.items():
                 eye = np.eye(dim)
-                rho = {k: eng._rho(l, a, b, w, eng._swaps[k])
+                rho = {k: _rho(eng, l, a, b, w, eng._swaps[k])
                        for k in range(n - 1) if w[k] == w[k + 1]}
                 for k, R in rho.items():
                     assert np.array_equal(R @ R % MODP, eye), (l, a, b, w, k)
@@ -530,16 +537,141 @@ def test_stabilizer_actions_respect_products(n, max_len):
                 stab = [tau for tau in permutations(range(n))
                         if all(w[t] == x for t, x in zip(tau, w))]
                 swaps = [sk for sk in eng._swaps if sk in stab]
-                assert np.array_equal(eng._rho(l, a, b, w, eng._id), np.eye(dim))
+                assert eng._rho(l, a, b, w, eng._id) is None
                 for tau in stab:
-                    R = eng._rho(l, a, b, w, tau)
+                    R = _rho(eng, l, a, b, w, tau)
                     for sk in swaps:
                         tau_sk = tuple(tau[i] for i in sk)
-                        assert np.array_equal(eng._rho(l, a, b, w, tau_sk),
-                                              R @ eng._rho(l, a, b, w, sk) % MODP), (
+                        assert np.array_equal(_rho(eng, l, a, b, w, tau_sk),
+                                              R @ _rho(eng, l, a, b, w, sk) % MODP), (
                             l, a, b, w, tau, sk)
                         checked += 1
     assert checked > 1000
+
+
+def test_identity_actions_are_detected_not_assumed():
+    # at n = 2 the swap fixes weight 0 and acts on block (0, 0) of cell
+    # (0, 0, 2), spanned by f_1 v_1 = -f_2 v_2 modulo the trace, by -1:
+    # `_rho` reads the identity off the matrix it computed, never off tau
+    eng = QuiverDimEngine(2)
+    eng.ensure(2)
+    R = eng._rho(2, 0, 0, (0, 0), (1, 0))
+    assert R is not None and np.array_equal(R, [[MODP - 1]])
+    assert eng._rho(2, 0, 0, (0, 0), (0, 1)) is None
+
+
+def _tau_reference(sigma, v):
+    """tau with sigma pi_v = pi_(sigma v) tau, from the stable sorts alone."""
+    n = len(v)
+    moved = [0] * n
+    for k, x in zip(sigma, v):
+        moved[k] = x
+    pi_v = sorted(range(n), key=lambda i: -v[i])
+    pi_moved = sorted(range(n), key=lambda i: -moved[i])
+    return tuple(pi_moved.index(sigma[pi_v[k]]) for k in range(n))
+
+
+def test_tau_relates_the_stable_sorts():
+    # for random sigma and v: tau fixes canon(v), sigma pi_v = pi_(sigma v)
+    # tau as one-line tuples, and `_tau` returns None exactly when tau is
+    # the identity
+    rng = np.random.default_rng(34)
+    identities = 0
+    for n in range(2, 7):
+        for _ in range(300):
+            v = tuple(int(x) for x in rng.integers(-2, 3, size=n))
+            sigma = tuple(int(x) for x in rng.permutation(n))
+            c, tau = quiveralg._tau(sigma, v)
+            assert c == quiveralg._canonical(v)[0]
+            ref = _tau_reference(sigma, v)
+            assert (tau is None) == (ref == tuple(range(n)))
+            tau = tau or tuple(range(n))
+            assert tau == ref
+            assert all(c[tau[k]] == c[k] for k in range(n))
+            moved = [0] * n
+            for k, x in zip(sigma, v):
+                moved[k] = x
+            pi_v, pi_moved = quiveralg._canonical(v)[1], quiveralg._canonical(tuple(moved))[1]
+            # `_canonical` keeps the stable descending sort of every weight
+            assert pi_v == tuple(sorted(range(n), key=lambda i: -v[i]))
+            assert all(sigma[pi_v[k]] == pi_moved[tau[k]] for k in range(n))
+            identities += tau == tuple(range(n))
+    assert 0 < identities < 1500
+
+
+def _explicit_moved(eng, l, a, b, M, kind, sigma, v, cols=None):
+    """`_moved` without a shortcut: always M @ A[:, cols] % p, A the
+    explicit action of tau on the source block, tau from the stable
+    sorts."""
+    A = _explicit_rho(eng, l - 1, a, b - 1 if kind == "f" else b + 1,
+                      quiveralg._canonical(v)[0], _tau_reference(sigma, v))
+    return M @ (A if cols is None else A[:, cols]) % MODP
+
+
+def _explicit_rho(eng, l, a, b, w, tau):
+    """rho_w(tau) as a matrix, the identity included, each piece of the
+    block's nonpivot columns found by its own search."""
+    key = ("explicit", l, a, b, w, tau)
+    if key not in eng._rho_cache:
+        dim, maps = eng.levels[l][(a, b)][w]
+        free = eng._free[l][(a, b)][w]
+        R, off = np.eye(dim), 0
+        for (kind, i), T in maps.items():
+            lo, hi = np.searchsorted(free, (off, off + T.shape[1])).tolist()
+            if hi > lo:
+                v = tuple(x - y for x, y in zip(w, eng._aw[kind, i]))
+                R[:, lo:hi] = _explicit_moved(eng, l, a, b, maps[kind, tau[i - 1] + 1], kind,
+                                              tau, v, free[lo:hi] - off)
+            off += T.shape[1]
+        eng._rho_cache[key] = R
+    return eng._rho_cache[key]
+
+
+@pytest.mark.parametrize("n, max_len", [(2, 6), (3, 6), (4, 8), (5, 6)])
+def test_moved_maps_equal_the_explicit_products(n, max_len, monkeypatch):
+    # on criterion 1's grid for n <= 5: every map `_moved` returns, the
+    # identity shortcut taken or not, equals the explicit product on a
+    # reference engine that always multiplies; both build the same
+    # levels, and every action the engine stored as None is the identity
+    # matrix computed in full
+    with monkeypatch.context() as m:
+        m.setattr(QuiverDimEngine, "_moved", _explicit_moved)
+        ref = QuiverDimEngine(n)
+        ref.ensure(max_len)
+    moved, shortcuts = QuiverDimEngine._moved, []
+
+    def compared(self, l, a, b, M, kind, sigma, v, cols=None):
+        got = moved(self, l, a, b, M, kind, sigma, v, cols)
+        want = _explicit_moved(ref, l, a, b, M, kind, sigma, v, cols)
+        assert got.shape == want.shape and np.array_equal(got, want), (l, a, b, kind, sigma, v)
+        cv, tau = quiveralg._tau(sigma, v)
+        src = b - 1 if kind == "f" else b + 1
+        shortcuts.append(tau is None or self._rho(l - 1, a, src, cv, tau) is None)
+        return got
+
+    monkeypatch.setattr(QuiverDimEngine, "_moved", compared)
+    eng = QuiverDimEngine(n)
+    eng.ensure(max_len)
+    assert not eng.uncertified and eng.verdicts == ref.verdicts
+    # both the shortcut and the product were taken
+    assert any(shortcuts) and not all(shortcuts)
+    for l, level in enumerate(eng.levels):
+        assert level.keys() == ref.levels[l].keys()
+        for cell, blocks in level.items():
+            ref_blocks = ref.levels[l][cell]
+            assert blocks.keys() == ref_blocks.keys(), (l, cell)
+            for w, (dim, maps) in blocks.items():
+                assert dim == ref_blocks[w][0] and maps.keys() == ref_blocks[w][1].keys()
+                for arrow, M in maps.items():
+                    assert np.array_equal(M, ref_blocks[w][1][arrow]), (l, cell, w, arrow)
+    identities = 0
+    for (l, a, b, w, tau), R in list(eng._rho_cache.items()):
+        full = _explicit_rho(ref, l, a, b, w, tau)
+        assert np.array_equal(full, np.eye(len(full)) if R is None else R), (l, a, b, w, tau)
+        assert R is None or not np.array_equal(R, np.eye(len(R))), (l, a, b, w, tau)
+        identities += R is None
+    if n > 2:
+        assert 0 < identities < len(eng._rho_cache)
 
 
 def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(capsys, monkeypatch,
@@ -567,6 +699,44 @@ def test_engine_rejects_a_generator_set_that_is_not_label_symmetric(capsys, monk
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "FAIL criterion 1: raised ValueError"
     assert lines[1].strip().startswith("generator trace-fv (1 -> 1) is not reflection-stable")
+
+
+_REFUSALS = {
+    # ff(0) for (1, 3) dropped: the swap of labels 2 and 3 moves ff(0)
+    # for (1, 2) onto it
+    "swap image": (3, lambda g: g.name == "ff" and g.terms[0][1] == (("f", 1), ("f", 3)), (
+        "generator ff (0 -> 2) is not S_n-stable: swapping labels 2 and 3 gives "
+        "[(1, (('f', 1), ('f', 3))), (-1, (('f', 3), ('f', 1)))], which is no "
+        "generator up to sign")),
+    # every vv(3) dropped: the set stays S_n-stable, and ff(0), whose
+    # reflected image is a vv(3), is refused first
+    "reflected generator": (4, lambda g: g.name == "vv" and g.source == 3, (
+        "generator ff (0 -> 2) is not reflection-stable: the reflection s -> n-1-s, "
+        "f_i <-> v_i gives [(1, (('v', 1), ('v', 2))), (-1, (('v', 2), ('v', 1)))], "
+        "outside the span of the generators of cell (3, 1)")),
+    # trace-vf(1) dropped: trace-vf(2) still reflects into the span of
+    # cell (2, 2), but trace-vf(3) reflects out of the span of cell
+    # (1, 1), which now differs from cell (2, 2)
+    "trace": (5, lambda g: (g.name, g.source) == ("trace-vf", 1), (
+        "generator trace-vf (3 -> 3) is not reflection-stable: the reflection "
+        "s -> n-1-s, f_i <-> v_i gives [(1, (('v', 1), ('f', 1))), (1, (('v', 2), "
+        "('f', 2))), (1, (('v', 3), ('f', 3))), (1, (('v', 4), ('f', 4))), (1, "
+        "(('v', 5), ('f', 5)))], outside the span of the generators of cell (1, 1)")),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusals_keep_their_text(case, monkeypatch):
+    # the constructor forms each distinct terms' images once: every
+    # refusal names the same generator, swap, moved list and cell as it
+    # did when each generator was moved on its own
+    n, dropped, message = _REFUSALS[case]
+    real = quiveralg.relation_generators
+    monkeypatch.setattr(quiveralg, "relation_generators",
+                        lambda n: tuple(g for g in real(n) if not dropped(g)))
+    with pytest.raises(ValueError) as refusal:
+        QuiverDimEngine(n)
+    assert str(refusal.value) == message
 
 
 def test_graded_dim_reads_the_engine_verdict(monkeypatch):
