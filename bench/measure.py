@@ -14,12 +14,13 @@ the runs alternate and their order flips on every repeat.  A case is
   QuiverDimEngine(N), timed per level.  One more run per tree, under
   tracemalloc, records per level cell_W (the widest cell's
   spanning-set width, as perfbench's quiveralg.max_W reads it),
-  block_W (the widest canonical weight block the engine eliminates),
   peak_mb (peak traced memory during `ensure(l)` above the level's
-  start), kept_mb (what it keeps), and rref_calls and stacked_rows (the
-  number of calls of the tree's `quiveralg.rref_stack` and the sum of
-  their stack heights, the row steps they may take), read by wrapping
-  that function;
+  start), kept_mb (what it keeps), and rref_calls, stacked_rows and
+  block_W (the number of calls of the tree's `quiveralg.rref_stack`,
+  the sum of their stack heights, the row steps they may take, and the
+  widest stack, which is the widest canonical weight block the engine
+  eliminates, as a stack is zero-padded to its widest block), read by
+  wrapping that function;
 - quiver: `quiveralg.compare_with_nccr(n, l)` for (n, l) = (4, 5) and
   (5, 4), perfbench's quiver workload, each timed with its engine's
   construction (the relation checks of the constructor) included;
@@ -58,7 +59,6 @@ import platform
 import sys
 import time
 import tracemalloc
-from operator import add, sub
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -88,21 +88,11 @@ def load(label: str, src) -> object:
     return tree
 
 
-def widths(quiveralg, eng, l: int) -> tuple[int, int]:
-    """(widest cell W, widest block W) of level l.  A cell's W sums its
-    source cells' dims, as perfbench's quiveralg.max_W reads it; a block
-    is one the engine eliminates, of canonical weight w, and its W sums
-    the dims of its source blocks w - wt(arrow)."""
-    cell_w = block_w = 0
-    for a, b in eng.levels[l]:
-        into = [(src, quiveralg._weight(eng.n, (arrow,))) for arrow, src in eng._arrows_into(b)]
-        cell_w = max(cell_w, sum(eng._prev_dim(a, src, l - 1) for src, _ in into))
-        targets = {quiveralg._canonical(tuple(map(add, sw, aw)))[0]
-                   for src, aw in into for sw in eng.levels[l - 1].get((a, src), ())}
-        for w in targets:
-            sources = (eng.block(l - 1, a, src, tuple(map(sub, w, aw))) for src, aw in into)
-            block_w = max(block_w, sum(source[0] for source in sources if source))
-    return cell_w, block_w
+def cell_width(eng, l: int) -> int:
+    """The widest cell W of level l.  A cell's W sums its source cells'
+    dims, as perfbench's quiveralg.max_W reads it."""
+    return max((sum(eng._prev_dim(a, src, l - 1) for _, src in eng._arrows_into(b))
+                for a, b in eng.levels[l]), default=0)
 
 
 def certified(eng) -> None:
@@ -129,11 +119,13 @@ def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
     quiveralg = tree.quiveralg
     eng = quiveralg.QuiverDimEngine(n)
     rref_stack = quiveralg.rref_stack
-    stacks = [0, 0]  # calls and stacked rows of the level being built
+    # calls, stacked rows and the widest stack of the level being built
+    stacks = [0, 0, 0]
 
     def counted(stack, stops):
         stacks[0] += 1
         stacks[1] += stack.shape[1]
+        stacks[2] = max(stacks[2], stack.shape[2])
         return rref_stack(stack, stops)
 
     memory = []
@@ -141,7 +133,7 @@ def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
     tracemalloc.start()
     try:
         for l in range(1, max_len + 1):
-            stacks[:] = 0, 0
+            stacks[:] = 0, 0, 0
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             eng.ensure(l)
@@ -152,9 +144,8 @@ def level_memory(tree, n: int, max_len: int) -> dict[str, dict]:
         quiveralg.rref_stack = rref_stack
     certified(eng)
     out = {}
-    for l, (peak, kept, calls, rows) in enumerate(memory, start=1):
-        cell_w, block_w = widths(quiveralg, eng, l)
-        out[f"l{l}"] = {"cell_W": cell_w, "block_W": block_w,
+    for l, (peak, kept, calls, rows, block_w) in enumerate(memory, start=1):
+        out[f"l{l}"] = {"cell_W": cell_width(eng, l), "block_W": block_w,
                         "peak_mb": round(peak, 3), "kept_mb": round(kept, 3),
                         "rref_calls": calls, "stacked_rows": rows}
     return out

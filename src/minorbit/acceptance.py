@@ -67,18 +67,15 @@ def criterion_2() -> CriterionResult:
         if bwb.cohomology(bwb.line_bundle(n, 1)) != {0: n}:
             bad.append((n, "O(1)"))
     for n in range(2, 6):
-        for p in range(n):
-            for t in range(-n, n + 1):
-                e = bwb.omega(n, p, t)
-                mirror = {n - 1 - q: v for q, v in bwb.cohomology(e).items()}
-                if mirror != bwb.cohomology(bwb.serre_dual(e)):
-                    bad.append((n, p, t, "serre"))
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                e = bwb.hom_bundle(a, b, 0, n)
-                mirror = {n - 1 - q: v for q, v in bwb.cohomology(e).items()}
-                if mirror != bwb.cohomology(bwb.serre_dual(e)):
-                    bad.append((n, a, b, "serre-hom"))
+        # Serre duality on the omega bundles, then on the Hom bundles
+        omegas = [(bwb.omega(n, p, t), (n, p, t, "serre"))
+                  for p in range(n) for t in range(-n, n + 1)]
+        homs = [(bwb.hom_bundle(a, b, 0, n), (n, a, b, "serre-hom"))
+                for a in range(1, n + 1) for b in range(1, n + 1)]
+        for e, failure in omegas + homs:
+            mirror = {n - 1 - q: v for q, v in bwb.cohomology(e).items()}
+            if mirror != bwb.cohomology(bwb.serre_dual(e)):
+                bad.append(failure)
     return CriterionResult(
         2,
         "dominance-shift cohomology equals the closed form (n<=6, |t|<=2n); "

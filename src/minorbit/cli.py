@@ -148,15 +148,13 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         text = _pretty(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        base = os.environ.get("MINORBIT_OUTPUT_DIR", ".")
-        path = os.path.join(base, os.path.normpath(args.out))
+    if args.out_path:
         try:
-            with open(path, "w") as fh:
+            with open(args.out_path, "w") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as e:
             raise SystemExit(f"--out {args.out!r}: {e.strerror}") from None
-        print(path)
+        print(args.out_path)
     else:
         print(text.rstrip("\n"))
 
@@ -205,17 +203,22 @@ def cmd_coh(args) -> int:
     return 0
 
 
+def _report(args, rep, claim=None) -> int:
+    """Emit a check's report, with the claim it checks if given; exit 0
+    if the check passed."""
+    payload = rep.as_dict()
+    if claim:
+        payload["claim"] = claim
+    _emit(args, payload)
+    return 0 if rep.passed else CHECK_FAILURE
+
+
 def cmd_tilting(args) -> int:
     name = "TkPlus" if args.family == "TPlus" else args.family
     fam = cohengine.TiltingFamily(name, args.n, args.k)
-    rep = cohengine.tilting_check(fam)
-    payload = rep.as_dict()
-    payload["claim"] = (
-        "all positive-degree self-extensions of the family vanish on the "
-        "cotangent-bundle total space"
-    )
-    _emit(args, payload)
-    return 0 if rep.passed else CHECK_FAILURE
+    return _report(args, cohengine.tilting_check(fam),
+                   "all positive-degree self-extensions of the family vanish on the "
+                   "cotangent-bundle total space")
 
 
 def cmd_hilbert(args) -> int:
@@ -237,16 +240,11 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    if args.compare:
-        rep = quiveralg.compare_with_nccr(args.n, args.max_len)
-        payload = rep.as_dict()
-        payload["claim"] = (
-            "path-algebra graded dimensions equal the graded Hom dimensions "
-            "of the line-bundle window on the cone"
-        )
-        _emit(args, payload)
-        return 0 if rep.passed else CHECK_FAILURE
     rep = quiveralg.compare_with_nccr(args.n, args.max_len)
+    if args.compare:
+        return _report(args, rep,
+                       "path-algebra graded dimensions equal the graded Hom dimensions "
+                       "of the line-bundle window on the cone")
     if rep.mismatches:
         raise quiveralg.CertificationError(rep.mismatches[0])
     rows = []
@@ -272,11 +270,7 @@ def cmd_rep(args) -> int:
     alpha = _parse_rationals(args.alpha)
     beta = _parse_rationals(args.beta)
     n = len(alpha)
-    try:
-        triple = repmoduli.RepTriple(n, alpha, beta)
-    except ValueError as e:
-        raise SystemExit(str(e))
-    r = repmoduli.rep_from_triple(triple)
+    r = repmoduli.rep_from_triple(repmoduli.RepTriple(n, alpha, beta))
     chk = repmoduli.check_relations(r)
     pt = repmoduli.to_point(r)
     payload = {
@@ -296,10 +290,7 @@ def cmd_rep(args) -> int:
 
 def cmd_kflop(args) -> int:
     if args.ptwist_ledger:
-        rep = kfunctor.ptwist_ledger_check(args.n)
-        payload = rep.as_dict()
-        _emit(args, payload)
-        return 0 if rep.passed else CHECK_FAILURE
+        return _report(args, kfunctor.ptwist_ledger_check(args.n))
     payload = {
         "n": args.n,
         "matrix": kfunctor.kn_matrix(args.n),
@@ -312,14 +303,9 @@ def cmd_kflop(args) -> int:
 def cmd_mutate(args) -> int:
     if not args.orbit:
         raise SystemExit("mutate needs --orbit")
-    rep = mutation.orbit_check(args.n, args.cap)
-    payload = rep.as_dict()
-    payload["claim"] = (
-        "the mutation orbit closes after exactly 2n-2 steps with exact "
-        "splices throughout"
-    )
-    _emit(args, payload)
-    return 0 if rep.passed else CHECK_FAILURE
+    return _report(args, mutation.orbit_check(args.n, args.cap),
+                   "the mutation orbit closes after exactly 2n-2 steps with exact "
+                   "splices throughout")
 
 
 def cmd_accept(args) -> int:
@@ -407,7 +393,8 @@ _OUTPUTS = ("json", "csv", "pretty")
 
 def _apply_config(args) -> None:
     """Fill each shared flag the subcommand defines and the command line
-    left unset: from the config file, else from _DEFAULTS."""
+    left unset: from the config file, else from _DEFAULTS.  Resolve --out
+    under MINORBIT_OUTPUT_DIR to args.out_path, the file _emit writes."""
     cfg = _load_config(args.config)
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
@@ -418,12 +405,14 @@ def _apply_config(args) -> None:
         raise SystemExit(f"{args.command}: this report has no table for "
                          "--output csv; use json or pretty")
     out = getattr(args, "out", None)
-    if out and (os.path.isabs(out) or os.path.normpath(out).split(os.sep)[0] == os.pardir):
-        raise SystemExit(f"--out {out!r} must be a relative path that stays "
-                         "under MINORBIT_OUTPUT_DIR")
+    args.out_path = None
     if out:
-        folder = os.path.dirname(os.path.join(
-            os.environ.get("MINORBIT_OUTPUT_DIR", "."), os.path.normpath(out)))
+        if os.path.isabs(out) or os.path.normpath(out).split(os.sep)[0] == os.pardir:
+            raise SystemExit(f"--out {out!r} must be a relative path that stays "
+                             "under MINORBIT_OUTPUT_DIR")
+        args.out_path = os.path.join(os.environ.get("MINORBIT_OUTPUT_DIR", "."),
+                                     os.path.normpath(out))
+        folder = os.path.dirname(args.out_path)
         if not os.path.isdir(folder):
             raise SystemExit(f"--out {out!r}: no directory {folder!r}")
 
@@ -452,14 +441,9 @@ def main(argv=None) -> int:
     except quiveralg.CertificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_FAILURE
-    except BundleParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as e:
-        # constructors report the valid parameter range in the message
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except SystemExit as e:
+    except (ValueError, SystemExit) as e:
+        # constructors report the valid parameter range in the message,
+        # a BundleParseError the column
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

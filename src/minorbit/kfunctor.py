@@ -195,26 +195,19 @@ def _shift(profile: ExtProfile, s: int) -> ExtProfile:
 def _cone_profile(x: ExtProfile, y: ExtProfile) -> ExtProfile:
     """Profile of RHom(A, Cone(X -> Y)) from the profiles of X and Y,
     assuming every induced map Ext^k(A,X) -> Ext^k(A,Y) has maximal
-    rank.  Sound only when each overlapping pair of dimensions is 0 or
-    1; larger overlaps raise."""
+    rank: degree k holds its cokernel and the kernel in degree k + 1.
+    Sound only when each overlapping pair of dimensions is 0 or 1;
+    larger overlaps raise."""
+    rank = {k: min(x[k], y[k]) for k in x.keys() & y.keys()}
+    for k, r in sorted(rank.items()):
+        if r and max(x[k], y[k]) > 1:
+            raise AmbiguousConnectingMap(f"degree {k}: dims {x[k]} -> {y[k]} not forced")
     out: dict[int, int] = {}
-    degs = set(x) | set(y)
-    for k in set(d for d in degs) | {d - 1 for d in x}:
-        xk, yk = x.get(k, 0), y.get(k, 0)
-        if min(xk, yk) > 0 and max(xk, yk) > 1:
-            raise AmbiguousConnectingMap(
-                f"degree {k}: dims {xk} -> {yk} not forced"
-            )
-        r_k = min(xk, yk)
-        x1, y1 = x.get(k + 1, 0), y.get(k + 1, 0)
-        if min(x1, y1) > 0 and max(x1, y1) > 1:
-            raise AmbiguousConnectingMap(
-                f"degree {k + 1}: dims {x1} -> {y1} not forced"
-            )
-        v = (yk - r_k) + (x1 - min(x1, y1))
+    for k in sorted(x.keys() | y.keys() | {d - 1 for d in x}):
+        v = y.get(k, 0) - rank.get(k, 0) + x.get(k + 1, 0) - rank.get(k + 1, 0)
         if v:
             out[k] = v
-    return dict(sorted(out.items()))
+    return out
 
 
 def _p_coh(n: int, t: int) -> ExtProfile:

@@ -56,17 +56,11 @@ def WedgeT(k: int) -> Label:
 
 
 def normalize_label(label: Label, n: int) -> Label:
+    """Rename a chain end to its M-label: L(n-1) and WedgeT(n-1) are
+    M(n-1), L(0) and WedgeT(0) are M(-1)."""
     kind, v = label
-    if kind == "L":
-        if v == n - 1:
-            return M(n - 1)
-        if v == 0:
-            return M(-1)
-    if kind == "WT":
-        if v == 0:
-            return M(-1)
-        if v == n - 1:
-            return M(n - 1)
+    if kind != "M" and v in (0, n - 1):
+        return M(n - 1) if v else M(-1)
     return label
 
 
@@ -107,6 +101,8 @@ def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
     kind, v = label
     if kind == "M":
         return hilbert_M(v, n, cap)
+    if not 0 <= v < n:
+        raise ValueError(f"k={v} out of range [0, {n - 1}]")
     side = "minus" if kind == "L" else "plus"
     off = _generation_offset(label)
     return _fiber_dims(label, n, cap + off, side).shifted(-off, cap)

@@ -86,6 +86,27 @@ def test_criterion_2_checks_the_closed_form(monkeypatch):
         "failures: [(2, 0, -4), (2, 0, -3), (2, 0, -2), (2, 0, 0), (2, 0, 1)]")
 
 
+def test_criterion_2_checks_serre_duality_on_omega_and_hom_bundles(monkeypatch):
+    # one Serre check runs over the omega bundles, then the Hom bundles:
+    # a dual off by one twist fails it on the omega bundles first, and a
+    # dual wrong only on multi-term bundles (Hom bundles; every Omega^p(t)
+    # is one term) fails it on the Hom bundles alone
+    real = bwb.serre_dual
+    monkeypatch.setattr(bwb, "serre_dual", lambda e: real(e).twist(-1))
+    res = acceptance.criterion_2()
+    assert not res.passed
+    assert res.detail == (
+        "failures: [(2, 0, -2, 'serre'), (2, 0, -1, 'serre'), (2, 0, 0, 'serre'), "
+        "(2, 0, 1, 'serre'), (2, 0, 2, 'serre')]")
+    monkeypatch.setattr(bwb, "serre_dual",
+                        lambda e: real(e).twist(-1) if len(e.terms) > 1 else real(e))
+    res = acceptance.criterion_2()
+    assert not res.passed
+    assert res.detail == (
+        "failures: [(3, 2, 2, 'serre-hom'), (4, 2, 2, 'serre-hom'), (4, 2, 3, 'serre-hom'), "
+        "(4, 3, 2, 'serre-hom'), (4, 3, 3, 'serre-hom')]")
+
+
 def test_criterion_3_checks_the_classification(monkeypatch):
     # a classification that calls every group zero is contradicted by
     # the first nonzero cohomology group

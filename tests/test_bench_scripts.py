@@ -35,14 +35,15 @@ def test_level_widths(measure, trees):
     eng = quiveralg.QuiverDimEngine(3)
     eng.ensure(3)
     levels = measure.level_memory(trees["a"], 3, 3)
-    for l in range(1, 4):
-        cell_w, block_w = measure.widths(quiveralg, eng, l)
-        assert (levels[f"l{l}"]["cell_W"], levels[f"l{l}"]["block_W"]) == (cell_w, block_w)
+    widths = [(levels[f"l{l}"]["cell_W"], levels[f"l{l}"]["block_W"]) for l in range(1, 4)]
+    # the widths an enumeration of each level's canonical target weights read
+    assert widths == [(3, 1), (18, 6), (42, 7)]
+    for l, (cell_w, block_w) in enumerate(widths, start=1):
         # the cell width as perfbench's tracer reads it
-        assert cell_w == max(
+        assert cell_w == measure.cell_width(eng, l) == max(
             sum(eng._prev_dim(a, src, l - 1) for _, src in eng._arrows_into(b))
             for a, b in eng.levels[l])
-        # no block is wider than the widest one measured
+        # no block is wider than the widest stack eliminated
         assert 0 < block_w <= cell_w
         assert all(sum(m.shape[1] for m in maps.values()) <= block_w
                    for blocks in eng.levels[l].values()

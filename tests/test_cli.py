@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import bwb, quiveralg
+from minorbit import acceptance, bwb, quiveralg
 from minorbit.cli import BundleParseError, main, parse_bundle_spec
 
 
@@ -92,6 +92,11 @@ def test_out_of_range_parameters_report_range(capsys):
     rc, _, err = run(capsys, ["hilbert", "--module", "M(7)", "--n", "3"])
     assert rc == 2
     assert "range" in err
+    # L(k) names its own parameter, not that of the omega bundle it is
+    # built from
+    for k in ("-1", "3"):
+        rc, out, err = run(capsys, ["hilbert", "--module", f"L({k})", "--n", "3"])
+        assert (rc, out, err) == (2, "", f"error: k={k} out of range [0, 2]\n")
     # a negative length or degree cap has nothing to check, so it must
     # not pass vacuously
     for argv in (
@@ -344,7 +349,20 @@ def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch, fresh_engin
     # without one off-diagonal mixed generator the set is not S_n-stable,
     # so the engine raises ValueError for every n >= 3; criterion 1 fails
     # with that message, criteria 2-10 still run, and the exit is a check
-    # failure, not a usage error
+    # failure, not a usage error.  Criteria 1 and 10 are real, as they
+    # share the engine registry the raise passes through; 2-9 are stubs
+    # that record their run (test_acceptance runs the real ones)
+    ran = []
+
+    def stub(number):
+        def criterion():
+            ran.append(number)
+            return acceptance.CriterionResult(number, f"stub {number}", True)
+        return criterion
+
+    criteria = acceptance.ALL_CRITERIA
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [criteria[0], *map(stub, range(2, 10)), criteria[9]])
     real = quiveralg.relation_generators
 
     def one_mixed_dropped(n):
@@ -359,8 +377,9 @@ def test_accept_reports_a_criterion_that_raises(capsys, monkeypatch, fresh_engin
     lines = out.splitlines()
     assert lines[0] == "FAIL criterion 1: raised ValueError"
     assert lines[1].strip().startswith("generator mixed (1 -> 1) is not S_n-stable")
-    assert [line.split(":")[0] for line in lines[2:]] == [
-        f"PASS criterion {c}" for c in range(2, 11)]
+    assert lines[2:-1] == [f"PASS criterion {c}: stub {c}" for c in range(2, 10)]
+    assert lines[-1].startswith("PASS criterion 10: ") and len(lines) == 11
+    assert ran == list(range(2, 10))
 
 
 def test_determinism(capsys):

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -175,6 +176,41 @@ def test_kclass_side_mismatch_raises():
 def test_cone_profile_ambiguity_guard():
     with pytest.raises(AmbiguousConnectingMap):
         _cone_profile({0: 2}, {0: 2})
+
+
+def _cone_reference(x, y):
+    """RHom(A, Cone(X -> Y)) degree by degree: the cokernel of the map in
+    degree k plus the kernel of the map in degree k + 1, every map of
+    maximal rank; None where a map of two nonzero dims, one above 1, is
+    not forced."""
+    lo = min([*x, *y], default=0) - 1
+    hi = max([*x, *y], default=0) + 1
+    rank = {}
+    for k in range(lo, hi + 1):
+        xk, yk = x.get(k, 0), y.get(k, 0)
+        if xk and yk and max(xk, yk) > 1:
+            return None
+        rank[k] = min(xk, yk)
+    cone = {k: y.get(k, 0) - rank[k] + x.get(k + 1, 0) - rank.get(k + 1, 0)
+            for k in range(lo, hi)}
+    return {k: v for k, v in cone.items() if v}
+
+
+def test_cone_profile_matches_the_per_degree_reference():
+    rng = random.Random(0)
+    raised = 0
+    for _ in range(3000):
+        x, y = ({rng.randint(-3, 4): rng.choice((0, 1, 1, 2, 3))
+                 for _ in range(rng.randint(0, 5))} for _ in range(2))
+        want = _cone_reference(x, y)
+        if want is None:
+            raised += 1
+            with pytest.raises(AmbiguousConnectingMap):
+                _cone_profile(x, y)
+        else:
+            got = _cone_profile(x, y)
+            assert got == want and list(got) == sorted(got), (x, y)
+    assert 0 < raised < 3000
 
 
 def test_oe_pushforward_facts():
