@@ -1,5 +1,5 @@
-"""Time and memory of the quiver engine, criterion 1, the symbolic criteria
-and criterion 9's battery.
+"""Time and memory of the quiver engine, criterion 1, the symbolic criteria,
+criterion 9's battery and the package's imports.
 
     python3 bench/measure.py --out FILE [--src LABEL=DIR ...] \\
         [--repeats K] [--case CASE ...]
@@ -30,18 +30,26 @@ the runs alternate and their order flips on every repeat.  A case is
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
-  grid `minorbit accept` runs).
+  grid `minorbit accept` runs);
+- startup: the seconds a fresh interpreter takes to import the
+  benchmark's symbolic set (`minorbit.acceptance, minorbit.mutation`)
+  and its battery set (`minorbit.repmoduli`), from a copy of the tree:
+  cold, compiling the copy from source and writing no bytecode (as a
+  perfbench child, whose checkout has no __pycache__, runs under
+  PYTHONDONTWRITEBYTECODE=1), then warm, reading the bytecode an
+  untimed import wrote.  The standard library and numpy load from their
+  installed bytecode in both.
 
 Every lru_cache of the tree's modules and its engines are cleared
 before each run of every case, so every run starts cold, as a perfbench
 child does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
-quiver, criterion1, symbolic and battery.  Each tree's entry holds every
-timing's median over the repeats and the median total; with two trees,
-each case also records the per-pair ratio of totals (second tree /
-first tree), its median and quartiles, and the number of pairs the
-second tree won.
+quiver, criterion1, symbolic, battery and startup.  Each tree's entry
+holds every timing's median over the repeats and the median total; with
+two trees, each case also records the per-pair ratio of totals (second
+tree / first tree), its median and quartiles, the number of pairs the
+second tree won, and each timing's median per-pair ratio.
 The run stops on an uncertified cell, a failed comparison or criterion,
 or a failed battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
 other entries in that file are kept.  Timings are wall clock on a
@@ -56,7 +64,10 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -66,12 +77,22 @@ import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "quiver", "criterion1", "symbolic",
-                 "battery")
+                 "battery", "startup")
 QUIVER = ((4, 5), (5, 4))
 SYMBOLIC = (2, 3, 4, 5, 6, 7, 8, 10)
 ORBIT_N = 6
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
 BATTERY_NS = range(2, 7)
+# the import sets of perfbench's symbolic and battery set-up
+STARTUP = {"symbolic": ("minorbit.acceptance", "minorbit.mutation"),
+           "battery": ("minorbit.repmoduli",)}
+IMPORT_CHILD = """\
+import json, sys, time
+t0 = time.perf_counter()
+import {modules}
+seconds = time.perf_counter() - t0
+print(json.dumps([seconds, sys.modules["minorbit"].__file__]))
+"""
 
 
 def load(label: str, src) -> object:
@@ -213,6 +234,41 @@ def battery_seconds(tree) -> dict[str, float]:
     return out
 
 
+def import_seconds(path: Path, modules, cached: bool) -> float:
+    """Seconds a fresh interpreter takes to import `modules` from the
+    minorbit package under `path`; it writes bytecode only if `cached`."""
+    env = {"PYTHONPATH": str(path), "PYTHONHASHSEED": "0"}
+    if not cached:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = IMPORT_CHILD.format(modules=", ".join(modules))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    if proc.returncode:
+        raise SystemExit(f"import {', '.join(modules)} failed: {proc.stderr.strip()}")
+    seconds, file = json.loads(proc.stdout)
+    if not Path(file).is_relative_to(path):
+        raise SystemExit(f"minorbit imported from {file}, not {path}")
+    return seconds
+
+
+def startup_seconds(tree) -> dict[str, float]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pkg = Path(tmp) / "minorbit"
+        shutil.copytree(Path(tree.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for name, modules in STARTUP.items():
+            out[f"{name}.cold"] = import_seconds(Path(tmp), modules, cached=False)
+        if (pkg / "__pycache__").exists():
+            raise SystemExit("a cold import wrote bytecode")
+        for name, modules in STARTUP.items():
+            import_seconds(Path(tmp), modules, cached=True)  # writes the bytecode
+            out[f"{name}.warm"] = import_seconds(Path(tmp), modules, cached=True)
+        if not (pkg / "__pycache__").exists():
+            raise SystemExit("a warm import wrote no bytecode")
+    return out
+
+
 def timer(case: str):
     """The function timing one run of `case` on a tree."""
     if case == "quiver":
@@ -223,6 +279,8 @@ def timer(case: str):
         return symbolic_seconds
     if case == "battery":
         return battery_seconds
+    if case == "startup":
+        return startup_seconds
     n, max_len = map(int, case.split(":"))
     return lambda tree: level_seconds(tree, n, max_len)
 
@@ -249,13 +307,16 @@ def summary(runs: list[dict]) -> dict:
 
 
 def compare(first: list[dict], second: list[dict]) -> dict:
-    """Per-pair ratio of totals, second / first."""
+    """Per-pair ratio of totals, second / first, and each timing's median
+    per-pair ratio."""
     ratios = [sum(b.values()) / sum(a.values()) for a, b in zip(first, second)]
     q1, _, q3 = quantiles(ratios, n=4, method="inclusive")
     return {"ratios": [round(r, 4) for r in ratios],
             "median": round(median(ratios), 4),
             "q1": round(q1, 4), "q3": round(q3, 4),
-            "second_won": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+            "second_won": sum(r < 1 for r in ratios), "pairs": len(ratios),
+            "timings": {k: round(median(b[k] / a[k] for a, b in zip(first, second)), 4)
+                        for k in first[0]}}
 
 
 def cpu_model() -> str:
@@ -290,7 +351,7 @@ def main(argv=None) -> None:
     ap.add_argument("--out", required=True, help="the JSON file to record in")
     ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
     ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
-                    help=f"N:L, quiver, criterion1, symbolic or battery "
+                    help=f"N:L, quiver, criterion1, symbolic, battery or startup "
                          f"(default {' '.join(DEFAULT_CASES)})")
     args = ap.parse_args(argv)
     pairs = args.src or [("change", DEFAULT_SRC)]

@@ -1,0 +1,8 @@
+"""`python -m minorbit`: the `minorbit` command."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

@@ -16,17 +16,14 @@ twist, and nothing stronger is claimed anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bwb, cohengine, kfunctor, mutation, quiveralg, repmoduli
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str = ""
+class CriterionResult(namedtuple("CriterionResult", "number title passed detail",
+                                 defaults=("",))):
+    __slots__ = ()
 
 
 def criterion_1() -> CriterionResult:

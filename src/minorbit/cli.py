@@ -301,8 +301,6 @@ def cmd_kflop(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    if not args.orbit:
-        raise SystemExit("mutate needs --orbit")
     return _report(args, mutation.orbit_check(args.n, args.cap),
                    "the mutation orbit closes after exactly 2n-2 steps with exact "
                    "splices throughout")
@@ -378,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="mutation orbit trace")
     common(p)
     p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
-    p.add_argument("--orbit", action="store_true")
+    p.add_argument("--orbit", action="store_true",
+                   help="no effect: the orbit trace is mutate's only report")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

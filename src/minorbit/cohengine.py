@@ -22,7 +22,7 @@ equality checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -30,18 +30,18 @@ from . import bwb
 from .combinat import dim_sym
 
 
-@dataclass(frozen=True)
-class GradedDims:
-    """Truncated Hilbert function: dims[k] for 0 <= k <= cap."""
+class GradedDims(namedtuple("GradedDims", "cap dims")):
+    """Truncated Hilbert function: dims[k] for 0 <= k <= cap.  Indexing
+    reads a degree, not a field."""
 
-    cap: int
-    dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cap < 0:
-            raise ValueError(f"cap={self.cap} out of range: must be at least 0")
-        if len(self.dims) != self.cap + 1:
+    def __new__(cls, cap: int, dims: tuple[int, ...]):
+        if cap < 0:
+            raise ValueError(f"cap={cap} out of range: must be at least 0")
+        if len(dims) != cap + 1:
             raise ValueError("dims must have cap+1 entries")
+        return tuple.__new__(cls, (cap, dims))
 
     def __getitem__(self, k: int) -> int:
         if k < 0:
@@ -83,8 +83,7 @@ def _bump(e: tuple[int, ...], i: int) -> tuple[int, ...]:
     return e[:i] + (e[i] + 1,) + e[i + 1 :]
 
 
-@dataclass(frozen=True)
-class TraceMultMatrix:
+class TraceMultMatrix(namedtuple("TraceMultMatrix", "n k a")):
     """Multiplication by t = sum_i v_i (x) f_i from
     Sym^k V (x) Sym^{k+a} V* to Sym^{k+1} V (x) Sym^{k+a+1} V*.
 
@@ -94,9 +93,7 @@ class TraceMultMatrix:
     `sym_pair_corank`; no product path builds it.
     """
 
-    n: int
-    k: int
-    a: int
+    __slots__ = ()
 
     @property
     def ncols(self) -> int:
@@ -231,23 +228,21 @@ def pushforward_graded(expr: bwb.BundleExpr, cap: int) -> GradedDims:
 # tilting verification
 
 
-@dataclass(frozen=True)
-class TiltingFamily:
+class TiltingFamily(namedtuple("TiltingFamily", "name n k")):
     """One of the verified bundle families on Y (or its mirror on the
     other resolution): Tk / TkPlus are windows of line bundles, TPrime
     the twisted cotangent powers, Sk / SkDual the mixed family."""
 
-    name: str
-    n: int
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in ("Tk", "TkPlus", "TPrime", "Sk", "SkDual"):
-            raise ValueError(f"unknown family {self.name}")
-        if self.name in ("Sk", "SkDual") and not 0 <= self.k <= self.n - 1:
-            raise ValueError(f"k={self.k} out of range [0, {self.n - 1}]")
-        if self.name == "TPrime" and self.k != 0:
-            raise ValueError(f"k={self.k} out of range [0, 0]: TPrime has no k")
+    def __new__(cls, name: str, n: int, k: int = 0):
+        if name not in ("Tk", "TkPlus", "TPrime", "Sk", "SkDual"):
+            raise ValueError(f"unknown family {name}")
+        if name in ("Sk", "SkDual") and not 0 <= k <= n - 1:
+            raise ValueError(f"k={k} out of range [0, {n - 1}]")
+        if name == "TPrime" and k != 0:
+            raise ValueError(f"k={k} out of range [0, 0]: TPrime has no k")
+        return tuple.__new__(cls, (name, n, k))
 
 
 def family_summands(fam: TiltingFamily) -> list[bwb.BundleExpr]:
@@ -264,15 +259,11 @@ def family_summands(fam: TiltingFamily) -> list[bwb.BundleExpr]:
     return summands
 
 
-@dataclass(frozen=True)
-class TiltingReport:
-    family: str
-    n: int
-    k: int
-    passed: bool
-    witness: tuple | None
-    stabilization_bound: int
-    pairs_checked: int
+class TiltingReport(namedtuple("TiltingReport", "family n k passed witness "
+                                             "stabilization_bound pairs_checked")):
+    """witness is the first failing (i, j, deg, m), or None."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ anything more ambiguous raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -38,17 +38,18 @@ ExtProfile = dict
 # window reduction and classes
 
 
-@dataclass(frozen=True)
-class KClass:
-    n: int
-    side: str  # "Y" or "Yplus"
-    coords: tuple[int, ...]
+class KClass(namedtuple("KClass", "n side coords")):
+    """A K-class on side "Y" or "Yplus", by its n window coordinates;
+    + adds classes."""
 
-    def __post_init__(self):
-        if self.side not in ("Y", "Yplus"):
-            raise ValueError(f"side must be Y or Yplus, got {self.side}")
-        if len(self.coords) != self.n:
+    __slots__ = ()
+
+    def __new__(cls, n: int, side: str, coords: tuple[int, ...]):
+        if side not in ("Y", "Yplus"):
+            raise ValueError(f"side must be Y or Yplus, got {side}")
+        if len(coords) != n:
             raise ValueError("coords must have length n")
+        return tuple.__new__(cls, (n, side, coords))
 
     def __add__(self, other: "KClass") -> "KClass":
         self._compat(other)
@@ -154,28 +155,44 @@ def kn_matrix(n: int) -> list[list[int]]:
 # ledger objects
 
 
-@dataclass(frozen=True)
-class OY:
-    a: int
+class _Ledger(tuple):
+    """A ledger object equals and hashes with its own type only: as plain
+    tuples OY(1) would equal JP(1), and FSheaf() would equal ConeH()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self).__name__, *self))
 
 
-@dataclass(frozen=True)
-class JP:
+class OY(_Ledger, namedtuple("OY", "a")):
+    __slots__ = ()
+
+
+class JP(_Ledger, namedtuple("JP", "b")):
     """j_* O_P(b): the zero section pushforward."""
 
-    b: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FSheaf:
+class FSheaf(_Ledger, namedtuple("FSheaf", "")):
     """The sheaf F = (flop-back of O(1)) sitting in
     0 -> j_*O_P(-1) -> F -> O_Y(-1) -> j_*O_P(-1) -> 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ConeH:
+
+class ConeH(_Ledger, namedtuple("ConeH", "")):
     """C(h), the cone of the degree-2 generator
     h : j_*O_P(-1)[-2] -> j_*O_P(-1)."""
+
+    __slots__ = ()
 
 
 F = FSheaf()
@@ -329,11 +346,8 @@ def oe_pushforward_class(k: int, n: int) -> KClass | None:
     return kclass_jpdual(-n, n).scale((-1) ** (n - 2))
 
 
-@dataclass(frozen=True)
-class KNZeroRow:
-    a: int
-    correction: tuple[int, ...]
-    ok: bool
+class KNZeroRow(namedtuple("KNZeroRow", "a correction ok")):
+    __slots__ = ()
 
 
 def kn0_image_table(n: int) -> list[KNZeroRow]:
@@ -375,13 +389,8 @@ def kn0_image_table(n: int) -> list[KNZeroRow]:
 # the twist ledger
 
 
-@dataclass(frozen=True)
-class LedgerStep:
-    name: str
-    claim: str
-    value: object
-    expected: object
-    ok: bool
+class LedgerStep(namedtuple("LedgerStep", "name claim value expected ok")):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -401,12 +410,8 @@ def _jsonable(v):
     return v
 
 
-@dataclass(frozen=True)
-class LedgerReport:
-    n: int
-    passed: bool
-    steps: tuple[LedgerStep, ...]
-    failing_step: str | None
+class LedgerReport(namedtuple("LedgerReport", "n passed steps failing_step")):
+    __slots__ = ()
 
     def as_dict(self):
         return {

@@ -30,7 +30,7 @@ degree-preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bwb
 from .cohengine import (
@@ -112,16 +112,11 @@ def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
 # Euler sequences and splices
 
 
-@dataclass(frozen=True)
-class Splice:
+class Splice(namedtuple("Splice", "side sub mult mid quot")):
     """0 -> sub -> mult (x) mid -> quot -> 0 with degree-preserving maps
     in the fiber grading of `side`."""
 
-    side: str
-    sub: Label
-    mult: int
-    mid: Label
-    quot: Label
+    __slots__ = ()
 
 
 def splices(n: int, side: str) -> list[Splice]:
@@ -153,12 +148,10 @@ def splice_exact(sp: Splice, n: int, cap: int) -> bool:
 # mutation states and orbits
 
 
-@dataclass(frozen=True)
-class MutationState:
+class MutationState(namedtuple("MutationState", "n moving")):
     """W plus one moving summand."""
 
-    n: int
-    moving: Label
+    __slots__ = ()
 
     @property
     def summands(self) -> tuple[Label, ...]:
@@ -170,22 +163,15 @@ def initial_state(n: int) -> MutationState:
     return MutationState(n, L(n - 1))
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    index: int
-    state: MutationState
-    approximation: tuple[int, Label] | None
-    splice_ok: bool | None
+class StepRecord(namedtuple("StepRecord", "index state approximation splice_ok")):
+    """approximation is (mult, mid) or None; the field `index` shadows
+    tuple.index."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    n: int
-    cap: int
-    passed: bool
-    steps: tuple[StepRecord, ...]
-    closed_after: int | None
-    ends_agree: bool
+class OrbitReport(namedtuple("OrbitReport", "n cap passed steps closed_after ends_agree")):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

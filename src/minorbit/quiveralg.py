@@ -78,7 +78,7 @@ disagree raises `CertificationError` and is reported, never patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -91,13 +91,13 @@ from .linalg import MODP, quotient_maps, rank_exact, rref_stack
 from .relations import relation_generators
 
 
-@dataclass(frozen=True)
-class Quiver:
-    n: int
+class Quiver(namedtuple("Quiver", "n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int):
+        if n < 2:
             raise ValueError("n must be at least 2")
+        return tuple.__new__(cls, (n,))
 
     def arrows_from(self, s: int) -> list[tuple[str, int]]:
         out = []
@@ -114,20 +114,19 @@ def _step_target(n: int, s: int, step: tuple[str, int]) -> int | None:
     return t if 0 <= t <= n - 1 else None
 
 
-@dataclass(frozen=True)
-class QuiverWord:
-    """A composable path: steps in application order."""
+class QuiverWord(namedtuple("QuiverWord", "n source steps")):
+    """A composable path: steps in application order.  Its len is the
+    number of steps."""
 
-    n: int
-    source: int
-    steps: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cur = self.source
-        for step in self.steps:
-            cur = _step_target(self.n, cur, step)
+    def __new__(cls, n: int, source: int, steps: tuple[tuple[str, int], ...]):
+        cur = source
+        for step in steps:
+            cur = _step_target(n, cur, step)
             if cur is None:
-                raise ValueError(f"word leaves the quiver: {self.steps}")
+                raise ValueError(f"word leaves the quiver: {steps}")
+        return tuple.__new__(cls, (n, source, steps))
 
     @property
     def target(self) -> int:
@@ -771,21 +770,15 @@ def _parity_cells(n: int, max_len: int):
 # comparison against the graded Hom dimensions
 
 
-@dataclass(frozen=True)
-class CellResult:
-    a: int
-    b: int
-    length: int
-    dim: int
+class CellResult(namedtuple("CellResult", "a b length dim")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    n: int
-    max_len: int
-    cells: tuple[CellResult, ...]  # the certified cells
-    # the (a, b, length, dim, target) entries of the uncertified cells
-    mismatches: tuple[tuple[int, int, int, int, int], ...]
+class CompareReport(namedtuple("CompareReport", "n max_len cells mismatches")):
+    """cells are the certified CellResults, mismatches the
+    (a, b, length, dim, target) entries of the uncertified cells."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

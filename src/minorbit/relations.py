@@ -52,19 +52,16 @@ library, so that importing `repmoduli` loads no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
-@dataclass(frozen=True, slots=True)
-class RelationGen:
+class RelationGen(namedtuple("RelationGen", "source target terms name")):
     """One vertex-instantiated generating relation: a formal combination
-    of same-source, same-target two-arrow words."""
+    of same-source, same-target two-arrow words.  terms holds
+    (coeff, word) pairs."""
 
-    source: int
-    target: int
-    terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
-    name: str
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

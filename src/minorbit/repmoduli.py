@@ -44,7 +44,7 @@ all nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -109,47 +109,41 @@ class GF:
         return f"GF({self.p},{self.v})"
 
 
-@dataclass(frozen=True)
-class RepTriple:
+class RepTriple(namedtuple("RepTriple", "n alpha beta")):
     """A nonzero vector alpha and a covector beta with zero pairing.  The
     lift `_lift_scalars((*alpha, *beta))` that tests the pairing is kept
-    as `_lifted`."""
+    as `_lifted`, in the instance __dict__ (so no __slots__)."""
 
-    n: int
-    alpha: tuple
-    beta: tuple
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, alpha: tuple, beta: tuple):
+        if n < 2:
             raise ValueError("n must be at least 2")
-        if len(self.alpha) != self.n or len(self.beta) != self.n:
+        if len(alpha) != n or len(beta) != n:
             raise ValueError("alpha and beta must have length n")
-        if not any(self.alpha):
+        if not any(alpha):
             raise ValueError("alpha must be nonzero")
-        vals, d, p = lifted = _lift_scalars((*self.alpha, *self.beta))
-        n = self.n
+        vals, d, p = lifted = _lift_scalars((*alpha, *beta))
         total = sum(a * b for a, b in zip(vals[:n], vals[n:]))
         if (total % p) if p else total:
             raise ValueError(f"pairing <beta, alpha> = {_quotient(total, d * d, p)} must vanish")
+        self = tuple.__new__(cls, (n, alpha, beta))
         # kept for `to_point`; not a field, so eq, hash and repr ignore it
-        object.__setattr__(self, "_lifted", lifted)
+        self._lifted = lifted
+        return self
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(namedtuple("Rep", "n f_scalars v_scalars")):
     """Scalars of every arrow: f_scalars[k][i] is f_{i+1} on W_k -> W_{k+1}
     (0 <= k <= n-2), v_scalars[k][j] is v_{j+1} on W_{k+1} -> W_k."""
 
-    n: int
-    f_scalars: tuple
-    v_scalars: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.f_scalars) != self.n - 1 or len(self.v_scalars) != self.n - 1:
+    def __new__(cls, n: int, f_scalars: tuple, v_scalars: tuple):
+        if len(f_scalars) != n - 1 or len(v_scalars) != n - 1:
             raise ValueError("need n-1 layers of arrow scalars")
-        for layer in self.f_scalars + self.v_scalars:
-            if len(layer) != self.n:
+        for layer in f_scalars + v_scalars:
+            if len(layer) != n:
                 raise ValueError("each layer needs n scalars")
+        return tuple.__new__(cls, (n, f_scalars, v_scalars))
 
 
 def rep_from_triple(t: RepTriple) -> Rep:
@@ -162,11 +156,9 @@ def rep_from_triple(t: RepTriple) -> Rep:
     )
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    passed: bool
-    relation: str | None = None
-    vertex: int | None = None
+class RelationCheck(namedtuple("RelationCheck", "passed relation vertex",
+                               defaults=(None, None))):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -277,13 +269,11 @@ def is_simple(r: Rep) -> bool:
     return generated_by(r, r.n - 1)
 
 
-@dataclass(frozen=True)
-class YPoint:
+class YPoint(namedtuple("YPoint", "line X")):
     """A point of the resolution: the line [alpha] and the square-zero
     matrix X = alpha beta^T of rank at most one."""
 
-    line: tuple
-    X: tuple
+    __slots__ = ()
 
 
 def _quotient(num: int, den: int, p: int):
@@ -428,12 +418,8 @@ def random_triple(n: int, rng: Random) -> RepTriple:
     return RepTriple(n, alpha, tuple(beta))
 
 
-@dataclass(frozen=True)
-class BatteryReport:
-    n: int
-    samples: int
-    passed: bool
-    failures: tuple
+class BatteryReport(namedtuple("BatteryReport", "n samples passed failures")):
+    __slots__ = ()
 
 
 def run_battery(n: int, samples: int, seed: int) -> BatteryReport:

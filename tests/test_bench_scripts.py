@@ -240,3 +240,24 @@ def test_engine_cases_outside_the_range_are_usage_errors(measure, capsys, tmp_pa
         assert "N >= 2 and L >= 1" in capsys.readouterr().err, case
     assert not out.exists()
     assert measure.case_name("2:1") == "2:1"
+
+
+def test_startup_case_imports_each_tree_in_fresh_interpreters(measure, trees, monkeypatch):
+    monkeypatch.setattr(measure, "STARTUP", {"tiny": ("minorbit.combinat",)})
+    copies = []
+    real = measure.import_seconds
+    monkeypatch.setattr(measure, "import_seconds", lambda path, modules, cached: (
+        copies.append(path) or real(path, modules, cached)))
+    runs = {label: measure.timer("startup")(tree) for label, tree in trees.items()}
+    assert all(list(r) == ["tiny.cold", "tiny.warm"] and min(r.values()) > 0
+               for r in runs.values())
+    # one cold, one untimed and one timed warm import per run, each run
+    # in its own copy of the tree, removed afterwards
+    assert len(copies) == 6 and len(set(copies)) == 2
+    assert not any(path.exists() for path in copies)
+    pair = measure.compare([runs["a"]] * 2, [runs["b"]] * 2)
+    assert pair["timings"] == {k: round(runs["b"][k] / runs["a"][k], 4) for k in runs["a"]}
+    # a failed import stops the run
+    monkeypatch.setattr(measure, "STARTUP", {"tiny": ("minorbit.nosuchmodule",)})
+    with pytest.raises(SystemExit, match="import minorbit.nosuchmodule failed"):
+        measure.startup_seconds(trees["a"])

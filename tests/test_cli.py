@@ -182,6 +182,8 @@ def test_mutate_orbit(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["closed_after"] == 4
+    # the orbit trace is mutate's only report, so --orbit selects nothing
+    assert run(capsys, ["mutate", "--n", "3"]) == (0, out, "")
 
 
 def test_tilting_subcommand(capsys):
@@ -323,6 +325,15 @@ def test_missing_config_or_out_directory_is_a_usage_error(tmp_path, capsys, monk
     assert_usage_error(capsys, ["coh", "--n", "2", "--bundle", "O(1)",
                                 "--out", "nodir/x.json"])
     assert not any(tmp_path.iterdir())
+
+
+def test_python_m_minorbit_runs_the_cli():
+    src = str(Path(bwb.__file__).resolve().parents[1])
+    for argv, code in ((["--help"], 0), (["nosuchcommand"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "minorbit", *argv],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "usage: minorbit" in proc.stdout + proc.stderr
 
 
 def test_reader_closing_the_pipe_early_exits_1_quietly():

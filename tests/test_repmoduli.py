@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import operator
 import re
 import signal
@@ -245,15 +244,17 @@ def test_table_rejects_a_term_that_is_not_a_two_arrow_word(patch_generators, ste
 
 
 def test_import_loads_no_numpy():
-    # the battery imports only repmoduli; numpy would raise its set-up
-    # time and peak memory
+    # the battery imports only repmoduli; numpy, or dataclasses (which
+    # loads inspect), would raise its set-up time and peak memory.  -S
+    # keeps site-packages' start-up hooks out of the count
     src = str(Path(repmoduli.__file__).resolve().parents[1])
-    code = "import sys, minorbit.repmoduli; print('numpy' in sys.modules)"
+    code = ("import sys, minorbit.repmoduli; "
+            "print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))")
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_generated_by_closure():
@@ -540,8 +541,14 @@ def test_a_triple_keeps_its_lift_and_to_point_lifts_once(kind, monkeypatch):
     for r in reps:
         t = triple_from_rep(r)
         assert t._lifted == lift((*t.alpha, *t.beta))
-        # the kept lift is no field: eq and repr see n, alpha and beta only
-        assert [f.name for f in dataclasses.fields(t)] == ["n", "alpha", "beta"]
+        # the kept lift is no field: eq, hash and repr see n, alpha and
+        # beta only
+        assert t._fields == ("n", "alpha", "beta") and vars(t) == {"_lifted": t._lifted}
+        relifted = RepTriple(*t)
+        relifted._lifted = None
+        assert relifted == t
+        if kind != "gf10007":  # GF elements have no hash
+            assert hash(relifted) == hash(t)
         assert repr(t) == f"RepTriple(n={t.n!r}, alpha={t.alpha!r}, beta={t.beta!r})"
         calls = []
         monkeypatch.setattr(repmoduli, "_lift_scalars", lambda s: calls.append(s) or lift(s))
