@@ -25,7 +25,7 @@ the runs alternate and their order flips on every repeat.  A case is
   (5, 4), perfbench's quiver workload, each timed with its engine's
   construction (the relation checks of the constructor) included;
 - criterion1: `acceptance.criterion_1()`;
-- symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6, 6)`,
+- symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6)`,
   each timed, as perfbench's symbolic workload runs them;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
@@ -214,10 +214,10 @@ def symbolic_seconds(tree) -> dict[str, float]:
         if not res.passed:
             raise SystemExit(f"criterion {c} failed: {res.detail}")
     t0 = time.perf_counter()
-    rep = tree.mutation.orbit_check(ORBIT_N, 6)
+    rep = tree.mutation.orbit_check(ORBIT_N)
     out[f"orbit{ORBIT_N}"] = time.perf_counter() - t0
     if not (rep.passed and rep.closed_after == 2 * ORBIT_N - 2):
-        raise SystemExit(f"orbit_check({ORBIT_N}, 6) failed")
+        raise SystemExit(f"orbit_check({ORBIT_N}) failed")
     return out
 
 

@@ -19,7 +19,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import acceptance, bwb, cohengine, kfunctor, mutation, quiveralg, repmoduli
+# acceptance and quiveralg load numpy, so only the commands that run the
+# quiver engine import them
+from . import bwb, cohengine, kfunctor, mutation, repmoduli
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -225,9 +227,11 @@ def cmd_hilbert(args) -> int:
     m = _MODULE_RE.match(args.module.strip())
     if not m:
         raise SystemExit(f"cannot parse module {args.module!r}; expected M(a) or L(k)")
+    if args.cap < 0:
+        raise ValueError(f"cap={args.cap} out of range: must be at least 0")
     kind, v = m.group(1), int(m.group(2))
     label = mutation.M(v) if kind == "M" else mutation.L(v)
-    dims = mutation.hilbert_of_label(label, args.n, args.cap)
+    dims = mutation.hilbert_of_label(label, args.n)
     payload = {
         "n": args.n,
         "module": args.module,
@@ -240,13 +244,16 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from . import quiveralg
+
     rep = quiveralg.compare_with_nccr(args.n, args.max_len)
     if args.compare:
         return _report(args, rep,
                        "path-algebra graded dimensions equal the graded Hom dimensions "
                        "of the line-bundle window on the cone")
     if rep.mismatches:
-        raise quiveralg.CertificationError(rep.mismatches[0])
+        print(f"error: {quiveralg.CertificationError(rep.mismatches[0])}", file=sys.stderr)
+        return CHECK_FAILURE
     rows = []
     for c in rep.cells:
         paths = quiveralg.path_count(args.n, c.a, c.b, c.length)
@@ -301,12 +308,14 @@ def cmd_kflop(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    return _report(args, mutation.orbit_check(args.n, args.cap),
+    return _report(args, mutation.orbit_check(args.n),
                    "the mutation orbit closes after exactly 2n-2 steps with exact "
                    "splices throughout")
 
 
 def cmd_accept(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all()
     worst = 0
     for res in results:
@@ -347,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function of a module")
     common(p)
-    p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
+    p.add_argument("--cap", type=int, default=None,
+                   help="print degrees 0..cap (default 6); the series is exact in every degree")
     p.add_argument("--module", required=True, help="M(a) or L(k)")
     p.set_defaults(func=cmd_hilbert)
 
@@ -375,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutation orbit trace")
     common(p)
-    p.add_argument("--cap", type=int, default=None, help="degree truncation (default 6)")
     p.add_argument("--orbit", action="store_true",
                    help="no effect: the orbit trace is mutate's only report")
     p.set_defaults(func=cmd_mutate)
@@ -436,9 +445,6 @@ def main(argv=None) -> int:
         # the reader closed the pipe: send the rest of stdout, and the
         # interpreter's flush at exit, to devnull, which cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return CHECK_FAILURE
-    except quiveralg.CertificationError as e:
-        print(f"error: {e}", file=sys.stderr)
         return CHECK_FAILURE
     except (ValueError, SystemExit) as e:
         # constructors report the valid parameter range in the message,

@@ -25,39 +25,75 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
+from math import comb
 
 from . import bwb
 from .combinat import dim_sym
 
 
-class GradedDims(namedtuple("GradedDims", "cap dims")):
-    """Truncated Hilbert function: dims[k] for 0 <= k <= cap.  Indexing
-    reads a degree, not a field."""
+class HilbertSeries(namedtuple("HilbertSeries", "n values")):
+    """The exact Hilbert function of a graded module over the cone of
+    n x n matrices: a polynomial of degree at most 2n-3 in the degree k
+    from k = 0 on, kept as its values at k = 0..2n-3.
+
+    Why every series of the package is one.  dim Sym^p = C(p+n-1, n-1)
+    is a polynomial of degree n-1 in p for p >= -(n-1), and 0 at
+    p = -1.  `hom_y_graded` reads `sym_pair_corank` = dim Sym^p *
+    dim Sym^q - dim Sym^{p-1} * dim Sym^{q-1} with p - q fixed and
+    p, q >= k, so it is a difference of two polynomials of degree 2n-2
+    in k with the same leading term.  A piece of `pushforward_graded`
+    is f(m) - f(m-1) for f(m) = dim Sym^m * h^0(E(m)).  Once E(m) has
+    no higher cohomology for every m >= 0, h^0(E(m)) = chi(E(m)), a
+    polynomial of degree <= n-1 in m (Weyl's dimension formula), so f
+    has degree <= 2n-2 and f(m) - f(m-1) degree <= 2n-3; at m = 0 the
+    polynomial dim Sym^{-1} is 0, as the piece's second term is.  That
+    vanishing is the premise, and `pushforward_graded` checks it.  A
+    series read from degree s on is again such a polynomial.  So the
+    2n-2 kept values decide the series in every degree.
+
+    The constructor takes the values at degrees 0..2n-2, one more than
+    it keeps, and refuses them unless their (2n-2)-th difference is 0.
+    `series[k]` reads any degree: 0 below degree 0, and past the kept
+    values by Newton's forward differences, in integers.  Two series are
+    equal when they agree in every degree, that is, on the kept values.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, cap: int, dims: tuple[int, ...]):
-        if cap < 0:
-            raise ValueError(f"cap={cap} out of range: must be at least 0")
-        if len(dims) != cap + 1:
-            raise ValueError("dims must have cap+1 entries")
-        return tuple.__new__(cls, (cap, dims))
+    def __new__(cls, n: int, values: tuple[int, ...]):
+        if n < 2:
+            raise ValueError(f"n={n} out of range: must be at least 2")
+        e = 2 * n - 2
+        if len(values) != e + 1:
+            raise ValueError(f"a series on P^{n - 1} takes the values at degrees "
+                             f"0..{e}, got {len(values)}")
+        diff = sum((-1) ** (e - j) * comb(e, j) * v for j, v in enumerate(values))
+        if diff:
+            raise ValueError(f"not a polynomial of degree <= {e - 1}: the {e}-th "
+                             f"difference of {tuple(values)} is {diff}")
+        return tuple.__new__(cls, (n, tuple(values[:e])))
 
     def __getitem__(self, k: int) -> int:
         if k < 0:
             return 0
-        if k > self.cap:
-            raise IndexError(f"degree {k} beyond cap {self.cap}")
-        return self.dims[k]
+        values = self.values
+        if k < len(values):
+            return values[k]
+        # f(k) = sum_j C(k, j) * (the j-th difference of f at 0)
+        total, diffs = 0, values
+        for j in range(len(values)):
+            total += comb(k, j) * diffs[0]
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        return total
 
-    def shifted(self, s: int, cap: int | None = None) -> "GradedDims":
-        """Reindex degree k -> k + s (s may be negative)."""
-        cap = self.cap if cap is None else cap
-        out = []
-        for k in range(cap + 1):
-            j = k - s
-            out.append(self.dims[j] if 0 <= j <= self.cap else 0)
-        return GradedDims(cap, tuple(out))
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes one value
+        # more than the series keeps
+        return self.n, tuple(self[k] for k in range(2 * self.n - 1))
+
+    def shifted_down(self, s: int) -> "HilbertSeries":
+        """The series whose degree k is this one's degree k + s, s >= 0."""
+        return HilbertSeries(self.n, tuple(self[s + k] for k in range(2 * self.n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +200,7 @@ def sym_pair_corank(n: int, p: int, q: int) -> int:
     return dim_sym(n, p) * dim_sym(n, q) - dim_sym(n, p - 1) * dim_sym(n, q - 1)
 
 
-def hom_y_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
+def hom_y_graded(a: int, b: int, n: int) -> HilbertSeries:
     """Graded dimensions of Hom_Y(O(a), O(b)) via trace coranks.
 
     Requires b - a >= -n+1, the range in which pushforward to the cone
@@ -177,51 +213,53 @@ def hom_y_graded(a: int, b: int, n: int, cap: int) -> GradedDims:
         )
     d = b - a
     dims = tuple(
-        sym_pair_corank(n, k + max(0, -d), k + max(0, d)) for k in range(cap + 1)
+        sym_pair_corank(n, k + max(0, -d), k + max(0, d)) for k in range(2 * n - 1)
     )
-    return GradedDims(cap, dims)
+    return HilbertSeries(n, dims)
 
 
-def hilbert_M(a: int, n: int, cap: int) -> GradedDims:
+def hilbert_M(a: int, n: int) -> HilbertSeries:
     """Hilbert function of the module of sections of O_Y(a)."""
     if not -n + 1 <= a <= n - 1:
         raise ValueError(f"a={a} out of range [{-n + 1}, {n - 1}]")
-    return hom_y_graded(0, a, n, cap)
+    return hom_y_graded(0, a, n)
 
 
-def pushforward_graded(expr: bwb.BundleExpr, cap: int) -> GradedDims:
+def _dominance_bound(e: bwb.BundleExpr) -> int:
+    """The least m >= 0 from which every term of E(m) has a dominant
+    weight, so that, by Bott's theorem, E(m) has cohomology in degree 0
+    only."""
+    return max([0] + [w.rest[0] - w.first for w in e.terms])
+
+
+def pushforward_graded(expr: bwb.BundleExpr) -> HilbertSeries:
     """Fiber-degree Hilbert function of the pushforward to the cone of
     the pullback of a bundle E on P^{n-1}:
 
         piece_m = dim Sym^m (x) h^0(E(m)) - dim Sym^{m-1} (x) h^0(E(m-1)).
 
     Valid when E(m) has no higher cohomology for all m >= 0 (multiplication
-    by the trace section is then injective on sections); the vanishing is
-    asserted degree by degree up to cap+1 and the dominance chamber covers
-    the rest.
+    by the trace section is then injective on sections).  The vanishing
+    is checked for every m below the dominance bound, and Bott's theorem
+    gives it from the bound on; it is the premise of `HilbertSeries`.
     """
     n = expr.n
-
-    def h0(m: int) -> int:
+    h0 = []
+    for m in range(max(2 * n - 1, _dominance_bound(expr))):
         table = bwb.cohomology(expr.twist(m))
         higher = {d: v for d, v in table.items() if d > 0}
         if higher:
             raise ValueError(
                 f"higher cohomology {higher} at twist {m}; pushforward grading invalid"
             )
-        return table.get(0, 0)
-
+        h0.append(table.get(0, 0))
     dims = []
-    prev_h0 = 0
-    for m in range(cap + 2):
-        cur = h0(m)
-        if m <= cap:
-            val = dim_sym(n, m) * cur - dim_sym(n, m - 1) * prev_h0
-            if val < 0:
-                raise ValueError("negative graded piece; invalid input bundle")
-            dims.append(val)
-        prev_h0 = cur
-    return GradedDims(cap, tuple(dims))
+    for m in range(2 * n - 1):
+        val = dim_sym(n, m) * h0[m] - (dim_sym(n, m - 1) * h0[m - 1] if m else 0)
+        if val < 0:
+            raise ValueError("negative graded piece; invalid input bundle")
+        dims.append(val)
+    return HilbertSeries(n, tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +354,7 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
     """
     summands = family_summands(fam)
     pairs = [_pair_bundle(si, sj) for si in summands for sj in summands]
-    k_min = max([0] + [w.rest[0] - w.first for e in pairs for w in e.terms])
-    bound = 2 * k_min
+    bound = 2 * max(_dominance_bound(e) for e in pairs)
     witness = None
     for idx, e in enumerate(pairs):
         hit = _first_higher(e, bound)

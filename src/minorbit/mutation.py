@@ -22,19 +22,20 @@ of the raw chain ends to M-labels is checked on its own, by comparing
 their pushforward Hilbert data with the exact corank data of the
 M-label.
 
-Hilbert data: every label reports a Hilbert function normalized to
-start in degree 0; exactness of each splice is checked degreewise in
-the raw fiber grading of the relevant side, where the splice maps are
-degree-preserving.
+Hilbert data: every label reports an exact `HilbertSeries` normalized
+to start in degree 0; exactness of each splice is checked in every
+degree in the raw fiber grading of the relevant side, where the splice
+maps are degree-preserving.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import bwb
 from .cohengine import (
-    GradedDims,
+    HilbertSeries,
     hilbert_M,
     pushforward_graded,
 )
@@ -64,9 +65,15 @@ def normalize_label(label: Label, n: int) -> Label:
     return label
 
 
-def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
+@lru_cache(maxsize=None)
+def _fiber_dims(label: Label, n: int, side: str) -> HilbertSeries:
     """Raw fiber-degree Hilbert data of the label's sheaf pushforward on
-    the given side ('minus' = descending chain, 'plus' = ascending)."""
+    the given side ('minus' = descending chain, 'plus' = ascending).
+
+    Memoized: an orbit reads each splice module twice, as the sub of
+    one splice and the quotient of the next, and the chain ends a third
+    time.  A test that sabotages the pushforward must call `cache_clear`
+    before and after, or the memo answers for it."""
     kind, v = label
     if kind == "M":
         expr = bwb.line_bundle(n, -v if side == "minus" else v)
@@ -78,7 +85,7 @@ def _fiber_dims(label: Label, n: int, cap: int, side: str) -> GradedDims:
         if side != "plus":
             raise ValueError("WedgeT-labels live on the ascending side")
         expr = bwb.wedge_tangent(n, v, -1)
-    return pushforward_graded(expr, cap)
+    return pushforward_graded(expr)
 
 
 def _generation_offset(label: Label) -> int:
@@ -90,7 +97,7 @@ def _generation_offset(label: Label) -> int:
     return 1 if v == 0 else 0
 
 
-def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
+def hilbert_of_label(label: Label, n: int) -> HilbertSeries:
     """Hilbert data of a summand label, normalized to start in degree 0.
 
     M-labels delegate to the exact corank computation `hilbert_M`;
@@ -100,12 +107,11 @@ def hilbert_of_label(label: Label, n: int, cap: int) -> GradedDims:
     """
     kind, v = label
     if kind == "M":
-        return hilbert_M(v, n, cap)
+        return hilbert_M(v, n)
     if not 0 <= v < n:
         raise ValueError(f"k={v} out of range [0, {n - 1}]")
     side = "minus" if kind == "L" else "plus"
-    off = _generation_offset(label)
-    return _fiber_dims(label, n, cap + off, side).shifted(-off, cap)
+    return _fiber_dims(label, n, side).shifted_down(_generation_offset(label))
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +139,17 @@ def splices(n: int, side: str) -> list[Splice]:
     raise ValueError(f"unknown side {side!r}: expected minus or plus")
 
 
-def splice_exact(sp: Splice, n: int, cap: int) -> bool:
-    """Degreewise alternating-sum check of a splice in raw fiber
-    grading: dims(sub) - mult * dims(mid) + dims(quot) = 0."""
-    sub = _fiber_dims(sp.sub, n, cap, sp.side)
-    mid = _fiber_dims(sp.mid, n, cap, sp.side)
-    quot = _fiber_dims(sp.quot, n, cap, sp.side)
+def splice_exact(sp: Splice, n: int) -> bool:
+    """Alternating-sum check of a splice in raw fiber grading, in every
+    degree: dims(sub) - mult * dims(mid) + dims(quot) = 0.  The sum is a
+    polynomial of degree <= 2n-3 in the degree, so the 2n-2 values each
+    `HilbertSeries` keeps decide it."""
+    sub = _fiber_dims(sp.sub, n, sp.side)
+    mid = _fiber_dims(sp.mid, n, sp.side)
+    quot = _fiber_dims(sp.quot, n, sp.side)
     return all(
-        sub[d] - sp.mult * mid[d] + quot[d] == 0 for d in range(cap + 1)
+        s - sp.mult * m + q == 0
+        for s, m, q in zip(sub.values, mid.values, quot.values)
     )
 
 
@@ -170,13 +179,12 @@ class StepRecord(namedtuple("StepRecord", "index state approximation splice_ok")
     __slots__ = ()
 
 
-class OrbitReport(namedtuple("OrbitReport", "n cap passed steps closed_after ends_agree")):
+class OrbitReport(namedtuple("OrbitReport", "n passed steps closed_after ends_agree")):
     __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
             "n": self.n,
-            "cap": self.cap,
             "pass": self.passed,
             "closed_after": self.closed_after,
             "end_identifications": self.ends_agree,
@@ -198,19 +206,21 @@ class OrbitReport(namedtuple("OrbitReport", "n cap passed steps closed_after end
         }
 
 
-def orbit_check(n: int, cap: int = 6) -> OrbitReport:
-    """Run 2n-2 mutation steps and verify: every splice is degreewise
-    exact up to `cap`, each raw chain end (L(n-1), L(0), WedgeT(0),
-    WedgeT(n-1)) has the Hilbert data of the M-label it is renamed to,
-    the summand multiset returns to the start after exactly 2n-2 steps
-    and not earlier."""
+def orbit_check(n: int, cap=None) -> OrbitReport:
+    """Run 2n-2 mutation steps and verify: every splice is exact in
+    every degree, each raw chain end (L(n-1), L(0), WedgeT(0),
+    WedgeT(n-1)) has the Hilbert data of the M-label it is renamed to in
+    every degree, the summand multiset returns to the start after
+    exactly 2n-2 steps and not earlier.
+
+    `cap` is accepted only because the benchmark's symbolic workload
+    calls `orbit_check(n, 6)`; it changes nothing."""
     if n < 3:
         raise ValueError("orbits need n >= 3")
     # the renaming by normalize_label is sound only if the pushforward
     # route and the corank route give the same Hilbert data
     ends_agree = all(
-        hilbert_of_label(raw, n, cap)
-        == hilbert_of_label(normalize_label(raw, n), n, cap)
+        hilbert_of_label(raw, n) == hilbert_of_label(normalize_label(raw, n), n)
         for raw in (L(n - 1), L(0), WedgeT(0), WedgeT(n - 1))
     )
     state = initial_state(n)
@@ -223,7 +233,7 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
     # splice: down the descending chain, then up the ascending one
     for i, sp in enumerate(splices(n, "minus") + splices(n, "plus"), 1):
         state = MutationState(n, sp.quot)
-        ok = splice_exact(sp, n, cap)
+        ok = splice_exact(sp, n)
         passed = passed and ok
         records.append(StepRecord(i, state, (sp.mult, sp.mid), ok))
         if closed_after is None and sorted(state.summands) == start:
@@ -232,7 +242,6 @@ def orbit_check(n: int, cap: int = 6) -> OrbitReport:
         passed = False
     return OrbitReport(
         n=n,
-        cap=cap,
         passed=passed,
         steps=tuple(records),
         closed_after=closed_after,

@@ -3,10 +3,11 @@ one PASS/FAIL line."""
 
 import ast
 from functools import lru_cache
+from math import comb
 
 import pytest
 
-from minorbit import acceptance, bwb, cohengine, kfunctor, quiveralg
+from minorbit import acceptance, bwb, cohengine, kfunctor, mutation, quiveralg
 from minorbit.relations import RelationGen
 
 
@@ -221,6 +222,43 @@ def test_criterion_7_checks_the_ledger_profiles(monkeypatch):
             res = acceptance.criterion_7()
         assert not res.passed, name
         assert res.detail == detail, name
+
+
+def test_criterion_8_checks_every_degree(monkeypatch):
+    # at n=5 each splice series is a polynomial of degree 7, so degrees
+    # 0..6 do not decide it; the fiber data of L(2) (the sub of one
+    # splice and the quotient of the next) off by 1 in degree 7 must fail
+    # the criterion.  Added as C(k, 7), the data stay a polynomial of
+    # degree 7 and differ from the true data in degree 7 alone among the
+    # degrees 0..7 that decide it; added to degree 7 alone, they are no
+    # polynomial, and the series refuses them
+    real = mutation.pushforward_graded
+    target = bwb.omega(5, 2, 1)
+
+    def off_in_degree_7(bump):
+        def pushforward(expr):
+            series = real(expr)
+            if expr != target:
+                return series
+            return cohengine.HilbertSeries(5, tuple(series[k] + bump(k) for k in range(9)))
+        return pushforward
+
+    def criterion_8_with(bump):
+        # _fiber_dims memoizes the data, so each run starts and ends
+        # with the memo empty
+        mutation._fiber_dims.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(mutation, "pushforward_graded", off_in_degree_7(bump))
+                return acceptance.criterion_8()
+        finally:
+            mutation._fiber_dims.cache_clear()
+
+    res = criterion_8_with(lambda k: comb(k, 7))
+    assert not res.passed
+    assert res.detail == "failures: [(5, 8, True)]"
+    with pytest.raises(ValueError, match="not a polynomial of degree <= 7"):
+        criterion_8_with(lambda k: k == 7)
 
 
 def test_criterion_4_checks_the_width_bound(monkeypatch):

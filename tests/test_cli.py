@@ -75,6 +75,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["coh", "--n", "3", "--bundle", "O(1)", "--cap", "4"],
         ["quiver", "--dims", "--n", "2", "--cap", "4"],
         ["mutate", "--orbit", "--n", "3", "--max-len", "4"],
+        ["mutate", "--orbit", "--n", "3", "--cap", "-1"],
         ["accept", "--output", "json"],
         ["kflop", "--matrix", "--n", "3", "--direction", "KN"],
         ["kflop", "--matrix", "--k", "0", "--n", "3"],
@@ -102,7 +103,6 @@ def test_out_of_range_parameters_report_range(capsys):
     for argv in (
         ["quiver", "--compare", "--n", "3", "--max-len", "-1"],
         ["quiver", "--dims", "--max-len", "-2"],
-        ["mutate", "--orbit", "--n", "3", "--cap", "-1"],
         ["hilbert", "--module", "M(0)", "--n", "3", "--cap", "-1"],
     ):
         rc, out, err = run(capsys, argv)
@@ -295,7 +295,7 @@ def test_csv_without_a_table_is_rejected_before_computing(tmp_path, capsys, monk
     def never(*args, **kwargs):
         raise AssertionError("computed a report that --output csv cannot print")
 
-    for mod, name in ((cli.cohengine, "tilting_check"), (cli.quiveralg, "compare_with_nccr"),
+    for mod, name in ((cli.cohengine, "tilting_check"), (quiveralg, "compare_with_nccr"),
                       (cli.repmoduli, "rep_from_triple"), (cli.kfunctor, "kn_matrix"),
                       (cli.mutation, "orbit_check")):
         monkeypatch.setattr(mod, name, never)
@@ -334,6 +334,20 @@ def test_python_m_minorbit_runs_the_cli():
                               capture_output=True, text=True, env={"PYTHONPATH": src})
         assert proc.returncode == code, (argv, proc.stderr)
         assert "usage: minorbit" in proc.stdout + proc.stderr
+
+
+def test_commands_off_the_quiver_engine_load_no_numpy():
+    # numpy is most of a CLI call's start-up, and only quiver and accept
+    # run the engine that needs it
+    src = str(Path(bwb.__file__).resolve().parents[1])
+    code = ("import sys, minorbit.cli as c; "
+            "c.main(['hilbert', '--n', '4', '--module', 'L(2)']); "
+            "c.main(['mutate', '--n', '4']); "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert '"pass": true' in proc.stdout
 
 
 def test_reader_closing_the_pipe_early_exits_1_quietly():

@@ -2,7 +2,7 @@ import pytest
 
 from minorbit import bwb, cohengine
 from minorbit.cohengine import (
-    GradedDims,
+    HilbertSeries,
     TiltingFamily,
     TraceMultMatrix,
     hilbert_M,
@@ -57,53 +57,73 @@ def test_trace_matrix_injectivity():
 
 
 def test_hom_y_examples():
-    assert hom_y_graded(0, 0, 2, 1)[1] == 3
+    assert hom_y_graded(0, 0, 2)[1] == 3
     for n in (2, 3, 4):
-        assert hom_y_graded(0, 0, n, 0)[0] == 1
-    assert hom_y_graded(0, 1, 3, 1)[1] == 15
+        assert hom_y_graded(0, 0, n)[0] == 1
+    assert hom_y_graded(0, 1, 3)[1] == 15
 
 
 def test_hom_y_range_check():
     with pytest.raises(ValueError):
-        hom_y_graded(0, -2, 2, 3)
+        hom_y_graded(0, -2, 2)
     with pytest.raises(ValueError):
-        hilbert_M(3, 3, 2)
+        hilbert_M(3, 3)
 
 
 def test_hom_y_twist_invariance():
     for n in (2, 3):
         for a in (-1, 0, 2):
             for b in range(a - n + 1, a + n):
-                assert (
-                    hom_y_graded(a, b, n, 5).dims
-                    == hom_y_graded(0, b - a, n, 5).dims
-                )
+                assert hom_y_graded(a, b, n) == hom_y_graded(0, b - a, n)
 
 
 def test_hilbert_examples():
-    assert hilbert_M(0, 2, 4).dims == (1, 3, 5, 7, 9)
+    assert [hilbert_M(0, 2)[k] for k in range(5)] == [1, 3, 5, 7, 9]
     for n in (2, 3, 4):
-        assert hilbert_M(0, n, 0)[0] == 1
-    assert hilbert_M(1, 2, 0)[0] == 2
+        assert hilbert_M(0, n)[0] == 1
+    assert hilbert_M(1, 2)[0] == 2
 
 
 def test_hilbert_flop_symmetry():
     for n in range(2, 5):
         for a in range(-(n - 1), n):
-            assert hilbert_M(a, n, 6).dims == hilbert_M(-a, n, 6).dims
+            assert hilbert_M(a, n) == hilbert_M(-a, n)
 
 
 def test_hilbert_weakly_increasing():
     for n in range(2, 5):
         for a in range(0, n):
-            dims = hilbert_M(a, n, 6).dims
+            dims = hilbert_M(a, n)
             assert all(dims[k] <= dims[k + 1] for k in range(6))
 
 
-def test_graded_dims_shift():
-    g = GradedDims(3, (1, 2, 3, 4))
-    assert g.shifted(1).dims == (0, 1, 2, 3)
-    assert g.shifted(-1, cap=2).dims == (2, 3, 4)
+def test_hilbert_series_shift():
+    g = HilbertSeries(2, (1, 2, 3))
+    assert [g.shifted_down(1)[k] for k in range(3)] == [2, 3, 4]
+
+
+def test_hilbert_series_refuses_a_non_polynomial_list():
+    # one of the 2n-1 values changed by 1 breaks the (2n-2)-th
+    # difference, wherever it sits
+    for n in (2, 3, 4, 5):
+        values = [hilbert_M(1, n)[k] for k in range(2 * n - 1)]
+        assert HilbertSeries(n, tuple(values)) == hilbert_M(1, n)
+        for k in range(2 * n - 1):
+            broken = values[:k] + [values[k] + 1] + values[k + 1:]
+            with pytest.raises(ValueError, match=f"not a polynomial of degree <= {2 * n - 3}"):
+                HilbertSeries(n, tuple(broken))
+        with pytest.raises(ValueError, match=f"values at degrees 0..{2 * n - 2}, got {2 * n - 2}"):
+            HilbertSeries(n, tuple(values[:-1]))
+
+
+def test_hilbert_series_reads_every_degree_in_integers():
+    # C(k+2, 2), the Hilbert function of a polynomial ring in three
+    # variables, far past the kept values; a float would lose the last
+    # digits
+    g = HilbertSeries(3, (1, 3, 6, 10, 15))
+    assert g.values == (1, 3, 6, 10)
+    for k in (-5, -1, 0, 4, 40, 10 ** 20):
+        assert g[k] == (dim_sym(3, k) if k >= 0 else 0), k
 
 
 def test_pushforward_matches_corank_for_lines():
@@ -111,9 +131,9 @@ def test_pushforward_matches_corank_for_lines():
     # up to the generation-degree shift max(a, 0)
     for n in (2, 3):
         for a in range(-(n - 1), n):
-            fibered = pushforward_graded(bwb.line_bundle(n, -a), 6)
+            fibered = pushforward_graded(bwb.line_bundle(n, -a))
             shift = max(a, 0)
-            direct = hilbert_M(a, n, 6)
+            direct = hilbert_M(a, n)
             for m in range(6 + 1):
                 expect = direct[m - shift] if m - shift >= 0 else 0
                 assert fibered[m] == expect, (n, a, m)
@@ -121,7 +141,20 @@ def test_pushforward_matches_corank_for_lines():
 
 def test_pushforward_rejects_bad_bundles():
     with pytest.raises(ValueError):
-        pushforward_graded(bwb.line_bundle(3, -3), 4)
+        pushforward_graded(bwb.line_bundle(3, -3))
+
+
+def test_pushforward_checks_vanishing_up_to_the_dominance_bound(monkeypatch):
+    # O(-9) on P^1 becomes dominant at twist 9; a higher cohomology group
+    # at twist 8, past the 2n-1 = 3 twists the series' values read, is
+    # still refused
+    def stray_h1_at_twist_8(expr):
+        (w,) = expr.terms
+        return {1: 1} if w.first == -1 else {0: 1}
+
+    monkeypatch.setattr(bwb, "cohomology", stray_h1_at_twist_8)
+    with pytest.raises(ValueError, match="higher cohomology {1: 1} at twist 8"):
+        pushforward_graded(bwb.line_bundle(2, -9))
 
 
 def test_monomials_basis():

@@ -2,15 +2,17 @@
 cost a tenth of a frozen dataclass to define at import.  These tests pin
 what the tuple form must not change."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 
 import pytest
 
 import minorbit
 from minorbit.acceptance import CriterionResult
-from minorbit.cohengine import GradedDims, TiltingFamily
+from minorbit.cohengine import HilbertSeries, TiltingFamily
 from minorbit.kfunctor import F, JP, OY, Ch, ConeH, FSheaf, KClass
 from minorbit.mutation import StepRecord, initial_state
 from minorbit.quiveralg import QuiverWord
@@ -27,7 +29,7 @@ def _classes():
 
 def test_no_class_is_a_dataclass():
     classes = list(_classes())
-    assert {"CriterionResult", "GradedDims", "KClass", "RelationGen", "RepTriple"} <= {
+    assert {"CriterionResult", "HilbertSeries", "KClass", "RelationGen", "RepTriple"} <= {
         c.__name__ for c in classes}
     assert [c for c in classes if dataclasses.is_dataclass(c)] == []
 
@@ -56,10 +58,10 @@ def test_ledger_markers_equal_only_their_own_type():
 
 def test_records_keep_their_own_operators():
     # each of these overrides what the tuple would do
-    gd = GradedDims(2, (1, 3, 6))
+    gd = HilbertSeries(3, (1, 3, 6, 10, 15))
     assert [gd[k] for k in (-1, 0, 2)] == [0, 1, 6]
-    with pytest.raises(IndexError, match="degree 3 beyond cap 2"):
-        gd[3]
+    # its constructor takes one value more than it keeps
+    assert copy.deepcopy(gd) == gd == pickle.loads(pickle.dumps(gd))
     assert len(QuiverWord(3, 0, (("f", 1), ("f", 2), ("v", 2)))) == 3
     assert KClass(2, "Y", (1, 0)) + KClass(2, "Y", (2, 5)) == KClass(2, "Y", (3, 5))
     assert StepRecord(4, initial_state(3), None, None).index == 4
