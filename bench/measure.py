@@ -26,7 +26,10 @@ the runs alternate and their order flips on every repeat.  A case is
   construction (the relation checks of the constructor) included;
 - criterion1: `acceptance.criterion_1()`;
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6)`,
-  each timed, as perfbench's symbolic workload runs them;
+  each timed, as perfbench's symbolic workload runs them.  One more cold
+  run per tree records, under the key bwb, the calls of the tree's
+  `bwb.cohomology` (read by wrapping it) and the hits and misses of its
+  per-weight cache `bwb._bwb_single`;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
@@ -221,6 +224,27 @@ def symbolic_seconds(tree) -> dict[str, float]:
     return out
 
 
+def symbolic_counts(tree) -> dict[str, int]:
+    """cohomology_calls, single_hits and single_misses of one cold run
+    of the symbolic case."""
+    bwb = tree.bwb
+    cohomology = bwb.cohomology
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cohomology(*args)
+
+    bwb.cohomology = counted
+    try:
+        symbolic_seconds(tree)
+    finally:
+        bwb.cohomology = cohomology
+    info = bwb._bwb_single.cache_info()
+    return {"cohomology_calls": calls[0], "single_hits": info.hits,
+            "single_misses": info.misses}
+
+
 def battery_seconds(tree) -> dict[str, float]:
     cold(tree)
     out = {}
@@ -372,6 +396,8 @@ def main(argv=None) -> None:
             entry = summary(runs[label])
             if ":" in case:
                 entry["levels"] = level_memory(tree, *map(int, case.split(":")))
+            if case == "symbolic":
+                entry["bwb"] = symbolic_counts(tree)
             doc.setdefault("runs", {}).setdefault(label, {})[case] = entry
             print(f"{label} {case}: {entry['total_s']:.3f} s", flush=True)
         if len(trees) == 2:

@@ -58,8 +58,9 @@ def criterion_2() -> CriterionResult:
     bad = []
     for n in range(2, 7):
         for p in range(n):
+            e = bwb.omega(n, p, 0)
             for t in range(-2 * n, 2 * n + 1):
-                if bwb.cohomology(bwb.omega(n, p, t)) != bwb.bott_closed_form(n, p, t):
+                if bwb.cohomology(e, t) != bwb.bott_closed_form(n, p, t):
                     bad.append((n, p, t))
         if bwb.cohomology(bwb.line_bundle(n, 1)) != {0: n}:
             bad.append((n, "O(1)"))
@@ -75,7 +76,7 @@ def criterion_2() -> CriterionResult:
                 bad.append(failure)
     return CriterionResult(
         2,
-        "dominance-shift cohomology equals the closed form (n<=6, |t|<=2n); "
+        "Bott cohomology in product form equals the closed form (n<=6, |t|<=2n); "
         "Serre duality; h^0(O(1)) = n",
         not bad,
         f"failures: {bad[:5]}" if bad else "",
@@ -87,8 +88,9 @@ def criterion_3() -> CriterionResult:
     for n in range(2, 6):
         for a in range(1, n + 1):
             for b in range(1, n + 1):
+                e = bwb.hom_bundle(a, b, 0, n)
                 for c in range(-2 * n, 2 * n + 1):
-                    table = bwb.cohomology(bwb.hom_bundle(a, b, c, n))
+                    table = bwb.cohomology(e, -c)
                     for d, v in table.items():
                         if v and bwb.blv_classify(a, b, c, d, n) == bwb.VANISHES:
                             bad.append((n, a, b, c, d))

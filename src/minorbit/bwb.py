@@ -15,22 +15,32 @@ constructor returns a :class:`BundleExpr`, a formal sum of such weights:
   determinant twist of V and does not change the bundle; weights are
   normalized so that ``rest`` ends in 0.
 
-Cohomology is computed by the dominance shift: add rho = (n-1, ..., 1, 0)
-to the full n-entry weight vector; a repeated entry contributes nothing,
-otherwise sort strictly decreasing by a permutation with l inversions and
-put the Weyl dimension of (sorted - rho) in degree l.  The classical
-closed form for Omega^p(t) is implemented separately as an independent
-oracle, and the orientation of every convention is pinned by anchor
-identities in the test suite (H^0(O(1)) has dimension n, the top
-exterior power of the cotangent bundle is O(-n), and the wedge powers of
-T(-1) match complementary twisted cotangent powers).
+Cohomology is Bott's theorem in product form.  Add rho = (n-1, ..., 0)
+to (first; rest): the entries r_j = rest_j + n-2-j (j < n-1) strictly
+decrease and do not involve `first`; put v0 = first + n-1.  The weight
+is singular iff v0 is some r_j; otherwise its cohomology has degree
+#{j : r_j > v0} and dimension rank * prod_j |v0 - r_j| / (n-1)!, where
+rank = weyl_dim(n-1, rest).  Proof: Bott's theorem gives nothing if
+v = w + rho repeats an entry, else the Weyl dimension of (v sorted) - rho
+in the degree counting v's inversions.  The r_j are distinct and in
+order, so only v0 can repeat one, and the inversions are the r_j > v0.
+Weyl's product is prod |v_a - v_b| over all pairs over prod_{k<n} k!;
+the pairs without v0 give rank * prod_{k<n-1} k!.  So one record per
+(n, rest) serves every twist E(t), which moves only v0, and
+`cohomology(e, t)` reads H^*(E(t)) without building E(t).
+
+The classical closed form for Omega^p(t) is implemented separately as
+an independent oracle, and the orientation of every convention is
+pinned by anchor identities in the test suite (H^0(O(1)) has dimension
+n, the top exterior power of the cotangent bundle is O(-n), and the
+wedge powers of T(-1) match complementary twisted cotangent powers).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .combinat import lr_product, normalize_partition, weyl_dim
 
@@ -194,31 +204,45 @@ def wedge_tangent(n: int, p: int, t: int) -> BundleExpr:
 
 
 @lru_cache(maxsize=None)
+def _rest_record(n: int, rest: tuple[int, ...]):
+    """What every twist of the weights (first; rest) shares: the entries
+    r_j of rest + rho, the rank of the bundle and (n-1)!."""
+    return (tuple(x + n - 2 - j for j, x in enumerate(rest)),
+            weyl_dim(n - 1, rest), factorial(n - 1))
+
+
+@lru_cache(maxsize=None)
 def _bwb_single(n: int, first: int, rest: tuple[int, ...]):
     """Cohomology of one irreducible weight: None if singular, else
-    (degree, dimension)."""
-    w = (first,) + rest
-    rho = tuple(range(n - 1, -1, -1))
-    v = [w[i] + rho[i] for i in range(n)]
-    if len(set(v)) < n:
-        return None
-    inversions = sum(
-        1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j]
-    )
-    s = sorted(v, reverse=True)
-    lam = tuple(s[i] - rho[i] for i in range(n))
-    return inversions, weyl_dim(n, lam)
+    (degree, dimension), by the product form of the module docstring."""
+    r, dim, den = _rest_record(n, rest)
+    v0 = first + n - 1
+    degree = 0
+    for x in r:
+        if x > v0:
+            degree += 1
+            dim *= x - v0
+        elif x < v0:
+            dim *= v0 - x
+        else:
+            return None
+    return degree, dim // den
 
 
-def cohomology(e: BundleExpr) -> CohTable:
-    """Cohomology table {degree: dimension} of a bundle expression.
+def cohomology(e: BundleExpr, t: int = 0) -> CohTable:
+    """Cohomology table {degree: dimension} of E(t) for the bundle
+    expression E; the twist moves only `first`, so E(t) is not built.
 
     Dimensions can be negative for virtual inputs; zero entries are
     omitted.
     """
+    if len(e.terms) == 1:
+        ((w, c),) = e.terms.items()
+        res = _bwb_single(w.n, w.first + t, w.rest)
+        return {res[0]: c * res[1]} if res else {}
     table: dict[int, int] = {}
     for w, c in e.terms.items():
-        res = _bwb_single(w.n, w.first, w.rest)
+        res = _bwb_single(w.n, w.first + t, w.rest)
         if res is None:
             continue
         deg, dim = res
@@ -230,7 +254,7 @@ def bott_closed_form(n: int, p: int, t: int) -> CohTable:
     """Classical closed form for H^*(P^{n'}, Omega^p(t)), n' = n-1.
 
     Independent oracle for :func:`cohomology`; computed directly from
-    binomials, not through the dominance shift.
+    binomials, not through Bott's theorem or its product form.
     """
     if not 0 <= p <= n - 1:
         raise ValueError(f"p={p} out of range [0, {n - 1}]")

@@ -246,7 +246,7 @@ def pushforward_graded(expr: bwb.BundleExpr) -> HilbertSeries:
     n = expr.n
     h0 = []
     for m in range(max(2 * n - 1, _dominance_bound(expr))):
-        table = bwb.cohomology(expr.twist(m))
+        table = bwb.cohomology(expr, m)
         higher = {d: v for d, v in table.items() if d > 0}
         if higher:
             raise ValueError(
@@ -325,7 +325,7 @@ def _first_higher(e: bwb.BundleExpr, bound: int) -> tuple | None:
     """The first (deg, m), m = 0..bound, with H^deg(E(m)) != 0 and deg > 0,
     or None."""
     for m in range(bound + 1):
-        for deg, v in bwb.cohomology(e.twist(m)).items():
+        for deg, v in bwb.cohomology(e, m).items():
             if deg > 0 and v != 0:
                 return deg, m
     return None

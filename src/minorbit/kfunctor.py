@@ -228,7 +228,7 @@ def _cone_profile(x: ExtProfile, y: ExtProfile) -> ExtProfile:
 
 
 def _p_coh(n: int, t: int) -> ExtProfile:
-    return bwb.cohomology(bwb.line_bundle(n, t))
+    return bwb.cohomology(bwb.line_bundle(n, 0), t)
 
 
 def _profile_jp_oy(c: int, b: int, n: int) -> ExtProfile:
@@ -259,10 +259,11 @@ def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
 @lru_cache(maxsize=None)
 def _omega_profile(t: int, n: int) -> tuple[tuple[int, int], ...]:
     """The (degree, dim) items of sum_q H^{*-q}(P, Omega^q(t)), degree
-    ascending; cached, as each (t, n) builds n `bwb.omega` bundles."""
+    ascending, read as the twists by t of the n bundles Omega^q; cached,
+    as each (t, n) builds those n bundles and reads n tables."""
     out: dict[int, int] = {}
     for q in range(n):
-        for p, v in bwb.cohomology(bwb.omega(n, q, t)).items():
+        for p, v in bwb.cohomology(bwb.omega(n, q, 0), t).items():
             out[p + q] = out.get(p + q, 0) + v
     return tuple(sorted(out.items()))
 

@@ -87,6 +87,29 @@ def test_criterion_2_checks_the_closed_form(monkeypatch):
         "failures: [(2, 0, -4), (2, 0, -3), (2, 0, -2), (2, 0, 0), (2, 0, 1)]")
 
 
+@pytest.mark.parametrize("corrupt, first_failures", [
+    (lambda n, r, rank, den: (tuple(x + 1 for x in r), rank, den),
+     "(2, 0, -4), (2, 0, -3), (2, 0, -2), (2, 0, -1), (2, 0, 0)"),
+    # (n-2)! = (n-1)! at n = 2, so the first failures are at n = 3
+    (lambda n, r, rank, den: (r, rank, den // (n - 1)),
+     "(3, 0, -6), (3, 0, -5), (3, 0, -4), (3, 0, -3), (3, 0, 0)"),
+], ids=["rho-shifted", "divides-by-(n-2)!"])
+def test_criterion_2_checks_the_product_form(monkeypatch, corrupt, first_failures):
+    # the closed form is the one independent check of `bwb` on the
+    # Omega^p(t) family, so a wrong per-(n, rest) record must fail its
+    # closed-form loop; the per-weight cache must neither answer for the
+    # corrupt record nor keep what it gave
+    real = bwb._rest_record
+    monkeypatch.setattr(bwb, "_rest_record", lambda n, rest: corrupt(n, *real(n, rest)))
+    bwb._bwb_single.cache_clear()
+    try:
+        res = acceptance.criterion_2()
+    finally:
+        bwb._bwb_single.cache_clear()
+    assert not res.passed
+    assert res.detail == f"failures: [{first_failures}]"
+
+
 def test_criterion_2_checks_serre_duality_on_omega_and_hom_bundles(monkeypatch):
     # one Serre check runs over the omega bundles, then the Hom bundles:
     # a dual off by one twist fails it on the omega bundles first, and a
@@ -264,13 +287,14 @@ def test_criterion_8_checks_every_degree(monkeypatch):
 def test_criterion_4_checks_the_width_bound(monkeypatch):
     # no window pair of Tk, TPrime or Sk is O(-n), so reading O(-n) as
     # acyclic leaves every tilting check green and fails only the
-    # sharpness step
+    # sharpness step; the fake judges E(t), so the tilting scans, which
+    # walk twist lines through `cohomology(e, t)`, see it too
     real = bwb.cohomology
 
-    def acyclic_minus_n(e):
-        if e == bwb.line_bundle(e.n, -e.n):
+    def acyclic_minus_n(e, t=0):
+        if e.twist(t) == bwb.line_bundle(e.n, -e.n):
             return {}
-        return real(e)
+        return real(e, t)
 
     monkeypatch.setattr(bwb, "cohomology", acyclic_minus_n)
     # the scan memo must neither answer for the patched cohomology nor

@@ -192,6 +192,12 @@ def test_symbolic_case_starts_cold(measure, trees, monkeypatch):
     assert not any(_cache_sizes(a).values()) and not a.quiveralg._engines
     # the other tree keeps its own caches
     assert _cache_sizes(trees["b"])["minorbit_b.bwb._bwb_single"] > 0
+    # the counts of one cold run: each miss is one weight the run computed
+    counts = measure.symbolic_counts(a)
+    assert set(counts) == {"cohomology_calls", "single_hits", "single_misses"}
+    assert counts["cohomology_calls"] > 0 and counts["single_hits"] > 0
+    assert counts["single_misses"] == _cache_sizes(a)["minorbit_a.bwb._bwb_single"] > 0
+    assert a.bwb.cohomology.__name__ == "cohomology"
 
 
 def test_cold_clears_the_tilting_memo(measure, trees):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -6,6 +7,7 @@ from minorbit.bwb import (
     VANISHES,
     BundleExpr,
     LeviWeight,
+    _bwb_single,
     blv_classify,
     bott_closed_form,
     cohomology,
@@ -17,6 +19,7 @@ from minorbit.bwb import (
     serre_dual,
     wedge_tangent,
 )
+from minorbit.combinat import weyl_dim
 
 
 def binom_poly(t, n):
@@ -79,6 +82,39 @@ def test_cohomology_examples():
 def test_sections_of_o1_have_dimension_n():
     for n in range(2, 7):
         assert cohomology(line_bundle(n, 1)) == {0: n}
+
+
+def dominance_shift(n, first, rest):
+    # Bott's theorem as stated: add rho, sort strictly decreasing, count
+    # the inversions and take the Weyl dimension of sorted - rho
+    rho = range(n - 1, -1, -1)
+    v = [x + r for x, r in zip((first,) + rest, rho)]
+    if len(set(v)) < n:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    s = sorted(v, reverse=True)
+    return inversions, weyl_dim(n, [x - r for x, r in zip(s, rho)])
+
+
+def test_product_form_matches_the_dominance_shift():
+    singular = 0
+    for n in range(2, 8):
+        for rest in combinations_with_replacement(range(4, -1, -1), n - 1):
+            for first in range(-3 * n, 3 * n + 1):
+                expected = dominance_shift(n, first, rest)
+                assert _bwb_single(n, first, rest) == expected, (n, first, rest)
+                singular += expected is None
+    assert singular > 0
+
+
+def test_cohomology_reads_twists_without_building_them():
+    for n in range(2, 6):
+        exprs = [hom_bundle(a, b, 0, n) for a in range(1, n + 1) for b in range(1, n + 1)]
+        exprs += [omega(n, p, 0) for p in range(n)] + [BundleExpr(n)]
+        exprs.append(omega(n, 1, 0) - line_bundle(n, -1))
+        for e in exprs:
+            for t in range(-2 * n, 2 * n + 1):
+                assert cohomology(e, t) == cohomology(e.twist(t)), (e, t)
 
 
 def test_bott_examples():

@@ -147,9 +147,10 @@ def test_pushforward_rejects_bad_bundles():
 def test_pushforward_checks_vanishing_up_to_the_dominance_bound(monkeypatch):
     # O(-9) on P^1 becomes dominant at twist 9; a higher cohomology group
     # at twist 8, past the 2n-1 = 3 twists the series' values read, is
-    # still refused
-    def stray_h1_at_twist_8(expr):
-        (w,) = expr.terms
+    # still refused; the fake judges E(t), as `pushforward_graded` reads
+    # each twist through `cohomology(expr, t)`
+    def stray_h1_at_twist_8(expr, t=0):
+        (w,) = expr.twist(t).terms
         return {1: 1} if w.first == -1 else {0: 1}
 
     monkeypatch.setattr(bwb, "cohomology", stray_h1_at_twist_8)
