@@ -28,8 +28,10 @@ the runs alternate and their order flips on every repeat.  A case is
 - symbolic: criteria 2-8 and 10, then `mutation.orbit_check(6)`,
   each timed, as perfbench's symbolic workload runs them.  One more cold
   run per tree records, under the key bwb, the calls of the tree's
-  `bwb.cohomology` (read by wrapping it) and the hits and misses of its
-  per-weight cache `bwb._bwb_single`;
+  `bwb.cohomology`, `BundleExpr.tensor` and `bwb.lr_product` (read by
+  wrapping them; `bwb` calls `lr_product` once per miss of its LR
+  cache) and the hits and misses of its per-weight cache
+  `bwb._bwb_single`;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
@@ -225,24 +227,30 @@ def symbolic_seconds(tree) -> dict[str, float]:
 
 
 def symbolic_counts(tree) -> dict[str, int]:
-    """cohomology_calls, single_hits and single_misses of one cold run
-    of the symbolic case."""
+    """cohomology_calls, tensor_calls, lr_calls, single_hits and
+    single_misses of one cold run of the symbolic case."""
     bwb = tree.bwb
-    cohomology = bwb.cohomology
-    calls = [0]
+    wrapped = {"cohomology_calls": (bwb, "cohomology"),
+               "tensor_calls": (bwb.BundleExpr, "tensor"),
+               "lr_calls": (bwb, "lr_product")}
+    calls = dict.fromkeys(wrapped, 0)
+    real = {key: getattr(owner, attr) for key, (owner, attr) in wrapped.items()}
 
-    def counted(*args):
-        calls[0] += 1
-        return cohomology(*args)
+    def counted(key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return real[key](*args, **kwargs)
+        return call
 
-    bwb.cohomology = counted
+    for key, (owner, attr) in wrapped.items():
+        setattr(owner, attr, counted(key))
     try:
         symbolic_seconds(tree)
     finally:
-        bwb.cohomology = cohomology
+        for key, (owner, attr) in wrapped.items():
+            setattr(owner, attr, real[key])
     info = bwb._bwb_single.cache_info()
-    return {"cohomology_calls": calls[0], "single_hits": info.hits,
-            "single_misses": info.misses}
+    return {**calls, "single_hits": info.hits, "single_misses": info.misses}
 
 
 def battery_seconds(tree) -> dict[str, float]:

@@ -29,6 +29,12 @@ the pairs without v0 give rank * prod_{k<n-1} k!.  So one record per
 (n, rest) serves every twist E(t), which moves only v0, and
 `cohomology(e, t)` reads H^*(E(t)) without building E(t).
 
+A BundleExpr's terms are normalized, distinct and nonzero.  Operations
+build terms that already are (a twist moves `first` alone; the dual is
+an involution on normalized weights) and skip the constructor's pass.
+A tensor reads LR once per (n, rest1, rest2) and twists by first1 +
+first2: LR sees only the rests, and normalizing commutes with a twist.
+
 The classical closed form for Omega^p(t) is implemented separately as
 an independent oracle, and the orientation of every convention is
 pinned by anchor identities in the test suite (H^0(O(1)) has dimension
@@ -43,8 +49,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .combinat import lr_product, normalize_partition, weyl_dim
-
-CohTable = dict
 
 
 class LeviWeight(namedtuple("LeviWeight", "n first rest")):
@@ -66,20 +70,20 @@ class LeviWeight(namedtuple("LeviWeight", "n first rest")):
                 raise ValueError(f"rest not weakly decreasing: {rest}")
         return tuple.__new__(cls, (n, first, rest))
 
+    # a shift, dual or twist of a valid weight is valid: none re-validates
     def normalized(self) -> "LeviWeight":
-        c = self.rest[-1]
+        n, first, rest = self
+        c = rest[-1]
         if c == 0:
             return self
-        return LeviWeight(
-            self.n, self.first - c, tuple(r - c for r in self.rest)
-        )
+        return tuple.__new__(LeviWeight, (n, first - c, tuple(r - c for r in rest)))
 
     def dual(self) -> "LeviWeight":
-        rest = tuple(-r for r in reversed(self.rest))
-        return LeviWeight(self.n, -self.first, rest).normalized()
+        n, first, rest = self  # (-first; -rest reversed), normalized
+        c = rest[0]
+        return tuple.__new__(LeviWeight, (n, c - first, tuple(c - r for r in reversed(rest))))
 
     def twist(self, t: int) -> "LeviWeight":
-        # a twist of a valid weight is valid, so it skips the validation
         n, first, rest = self
         return tuple.__new__(LeviWeight, (n, first + t, rest))
 
@@ -89,23 +93,27 @@ class BundleExpr:
     all on the same P^{n-1}.  Supports +, -, integer scaling, tensor
     product (via Littlewood-Richardson), dual and twisting."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[LeviWeight, int] = {}
-        if terms:
-            for w, c in dict(terms).items():
-                if w.n != n:
-                    raise ValueError("mixed projective spaces in one expression")
-                if c:
-                    w = w.normalized()
-                    self.terms[w] = self.terms.get(w, 0) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+        merged: dict[LeviWeight, int] = {}
+        for w, c in dict(terms or {}).items():
+            if w.n != n:
+                raise ValueError("mixed projective spaces in one expression")
+            w = w.normalized()
+            merged[w] = merged.get(w, 0) + c
+        self.n, self.terms, self._hash = n, {w: c for w, c in merged.items() if c}, None
+
+    @classmethod
+    def _made(cls, n: int, terms: dict) -> "BundleExpr":
+        """The expression of terms that are normalized, distinct and nonzero."""
+        out = object.__new__(cls)
+        out.n, out.terms, out._hash = n, terms, None
+        return out
 
     @classmethod
     def of(cls, w: LeviWeight) -> "BundleExpr":
-        return cls(w.n, {w: 1})
+        return cls._made(w.n, {w.normalized(): 1})
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
         if other.n != self.n:
@@ -113,25 +121,19 @@ class BundleExpr:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
-        return BundleExpr(self.n, out)
+        return BundleExpr._made(self.n, {w: c for w, c in out.items() if c})
 
     def __sub__(self, other: "BundleExpr") -> "BundleExpr":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "BundleExpr":
-        return BundleExpr(self.n, {w: c * v for w, v in self.terms.items()})
+        return BundleExpr._made(self.n, {w: c * v for w, v in self.terms.items()} if c else {})
 
     def twist(self, t: int) -> "BundleExpr":
-        # O(t) moves `first` alone, so it sends the normalized, distinct
-        # weights of `terms` one-to-one onto normalized weights: nothing
-        # to normalize or merge
-        out = BundleExpr.__new__(BundleExpr)
-        out.n = self.n
-        out.terms = {w.twist(t): c for w, c in self.terms.items()}
-        return out
+        return BundleExpr._made(self.n, {w.twist(t): c for w, c in self.terms.items()})
 
     def dual(self) -> "BundleExpr":
-        return BundleExpr(self.n, {w.dual(): c for w, c in self.terms.items()})
+        return BundleExpr._made(self.n, {w.dual(): c for w, c in self.terms.items()})
 
     def tensor(self, other: "BundleExpr") -> "BundleExpr":
         if other.n != self.n:
@@ -139,9 +141,11 @@ class BundleExpr:
         out: dict[LeviWeight, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                for w, m in _tensor_weights(w1, w2):
+                first = w1.first + w2.first
+                for w, m in _tensor_weights(self.n, w1.rest, w2.rest):
+                    w = w.twist(first)
                     out[w] = out.get(w, 0) + c1 * c2 * m
-        return BundleExpr(self.n, out)
+        return BundleExpr._made(self.n, {w: c for w, c in out.items() if c})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BundleExpr) and self.n == other.n and self.terms == other.terms
@@ -149,28 +153,24 @@ class BundleExpr:
     def __hash__(self) -> int:
         """Memos key on the bundle itself.  Sound because no method
         mutates a BundleExpr: every method returns a new one, so `terms`
-        never changes once built."""
-        return hash(frozenset(self.terms.items()))
+        never changes once built; the hash is computed on the first call."""
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self):
         if not self.terms:
             return "BundleExpr(0)"
-        bits = [f"{c}*({w.first};{w.rest})" for w, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].first, t[0].rest))]
+        bits = [f"{c}*({w.first};{w.rest})" for w, c in sorted(self.terms.items())]
         return "BundleExpr(" + " + ".join(bits) + ")"
 
 
 @lru_cache(maxsize=None)
-def _tensor_weights(w1: LeviWeight, w2: LeviWeight):
-    """((weight, multiplicity), ...) of w1 (x) w2, for normalized weights
-    (as every BundleExpr keeps them): their rests are partitions, so
-    plain LR applies."""
-    n = w1.n
-    out = []
-    for nu, c in lr_product(w1.rest, w2.rest, max_rows=n - 1).items():
-        rest = tuple(nu) + (0,) * (n - 1 - len(nu))
-        out.append((LeviWeight(n, w1.first + w2.first, rest).normalized(), c))
-    return tuple(out)
+def _tensor_weights(n: int, rest1: tuple[int, ...], rest2: tuple[int, ...]):
+    """((weight, multiplicity), ...) of (0; rest1) (x) (0; rest2), by LR;
+    `tensor` twists them by first1 + first2."""
+    return tuple((LeviWeight(n, 0, nu + (0,) * (n - 1 - len(nu))).normalized(), c)
+                 for nu, c in lr_product(rest1, rest2, max_rows=n - 1).items())
 
 
 def line_bundle(n: int, t: int) -> BundleExpr:
@@ -229,7 +229,7 @@ def _bwb_single(n: int, first: int, rest: tuple[int, ...]):
     return degree, dim // den
 
 
-def cohomology(e: BundleExpr, t: int = 0) -> CohTable:
+def cohomology(e: BundleExpr, t: int = 0) -> dict[int, int]:
     """Cohomology table {degree: dimension} of E(t) for the bundle
     expression E; the twist moves only `first`, so E(t) is not built.
 
@@ -250,7 +250,7 @@ def cohomology(e: BundleExpr, t: int = 0) -> CohTable:
     return {d: v for d, v in sorted(table.items()) if v}
 
 
-def bott_closed_form(n: int, p: int, t: int) -> CohTable:
+def bott_closed_form(n: int, p: int, t: int) -> dict[int, int]:
     """Classical closed form for H^*(P^{n'}, Omega^p(t)), n' = n-1.
 
     Independent oracle for :func:`cohomology`; computed directly from
@@ -299,8 +299,7 @@ def hom_bundle(a: int, b: int, c: int, n: int) -> BundleExpr:
 
 @lru_cache(maxsize=None)
 def _hom_product(a: int, b: int, n: int) -> BundleExpr:
-    # the c-independent part of `hom_bundle`, formed once per (a, b, n);
-    # callers only twist it, which builds a new expression
+    # the c-independent part of `hom_bundle`, formed once per (a, b, n)
     return omega(n, n - b, n - b).tensor(omega(n, a - 1, a))
 
 

@@ -343,12 +343,12 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
     the stabilization bound.
 
     The pairs are walked in order, but each distinct pair bundle is
-    scanned once per process: the scan is memoized on (the bundle,
-    bound), not on its terms, and its result depends on nothing else, so
-    families sharing a pair bundle share the scan (SkDual's pair (i, j)
-    is Sk's pair (j, i), and line-bundle pairs recur across families and
-    k).  The pair bundles are memoized on the two summand bundles in the
-    same way.
+    built and scanned once per process: the memos key on the summand
+    bundles and on (the pair bundle, bound), on which alone the results
+    depend, and families share pair bundles (SkDual's pair (i, j) is
+    Sk's pair (j, i); line-bundle pairs recur across families and k).
+    Pairs whose summands differ only by twists share one LR read per
+    rest pair in `bwb`.
     A test that sabotages `bwb` must call `cache_clear` on
     `_pair_bundle` and `_first_higher` first, or the memo answers for it.
     """

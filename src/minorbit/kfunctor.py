@@ -260,12 +260,19 @@ def _profile_jp_jp(b: int, c: int, n: int) -> ExtProfile:
 def _omega_profile(t: int, n: int) -> tuple[tuple[int, int], ...]:
     """The (degree, dim) items of sum_q H^{*-q}(P, Omega^q(t)), degree
     ascending, read as the twists by t of the n bundles Omega^q; cached,
-    as each (t, n) builds those n bundles and reads n tables."""
+    as each (t, n) reads n tables.  The bundles depend on n alone, so
+    they are built once per n (`_omegas`)."""
     out: dict[int, int] = {}
-    for q in range(n):
-        for p, v in bwb.cohomology(bwb.omega(n, q, 0), t).items():
+    for q, e in enumerate(_omegas(n)):
+        for p, v in bwb.cohomology(e, t).items():
             out[p + q] = out.get(p + q, 0) + v
     return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _omegas(n: int) -> tuple[bwb.BundleExpr, ...]:
+    """Omega^q for q = 0..n-1, untwisted."""
+    return tuple(bwb.omega(n, q, 0) for q in range(n))
 
 
 def _profile_jp_ch(n: int) -> ExtProfile:

@@ -140,6 +140,84 @@ def test_criterion_3_checks_the_classification(monkeypatch):
     assert res.detail.startswith("failures: [(2, 1, 1, -4, 0), ")
 
 
+def _clear_bundle_memos():
+    # every memo that holds a bundle, an LR product or a table read off one
+    for module in (bwb, cohengine, kfunctor, mutation):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _last_term_dropped(product):
+    return dict(list(product.items())[:-1])
+
+
+def _last_multiplicity_raised(product):
+    *_, nu = product
+    return {**product, nu: product[nu] + 1}
+
+
+@pytest.mark.parametrize("sabotage", [_last_term_dropped, _last_multiplicity_raised],
+                         ids=["term-dropped", "multiplicity-raised"])
+def test_criterion_3_checks_the_hom_bundle_ranks(monkeypatch, sabotage):
+    # a wrong LR product of two or more terms changes a Hom bundle's rank;
+    # the products with two or more terms are those of 2 <= a, b <= n-1,
+    # 14 bundles in all
+    real = bwb.lr_product
+
+    def wrong(lam, mu, max_rows=None):
+        product = real(lam, mu, max_rows=max_rows)
+        return sabotage(product) if len(product) > 1 else product
+
+    monkeypatch.setattr(bwb, "lr_product", wrong)
+    _clear_bundle_memos()
+    try:
+        res = acceptance.criterion_3()
+    finally:
+        _clear_bundle_memos()
+    assert not res.passed
+    assert res.detail == (
+        "failures: [(3, 2, 2, 'rank'), (4, 2, 2, 'rank'), (4, 2, 3, 'rank'), "
+        "(4, 3, 2, 'rank'), (4, 3, 3, 'rank')]")
+
+
+def _tensor_twisted_by(first):
+    # BundleExpr.tensor, with each rest pair's LR weights twisted by
+    # first(w1, w2) in place of w1.first + w2.first
+    def tensor(self, other):
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                for w, m in bwb._tensor_weights(self.n, w1.rest, w2.rest):
+                    w = w.twist(first(w1, w2))
+                    out[w] = out.get(w, 0) + c1 * c2 * m
+        return bwb.BundleExpr(self.n, out)
+    return tensor
+
+
+@pytest.mark.parametrize("first, first_failures", [
+    (lambda w1, w2: w1.first + w2.first, None),
+    (lambda w1, w2: w1.first + w2.first + 1, "(2, 1, 2, 2, 0), (2, 2, 1, 0, 0), (2, 2, 2, 1, 0)"),
+    (lambda w1, w2: w1.first + w2.first - 1, "(2, 1, 1, 1, 1), (2, 1, 2, 2, 1), (2, 2, 1, 0, 1)"),
+    (lambda w1, w2: 0, "(2, 1, 2, 2, 1), (2, 2, 1, 0, 0), (3, 1, 2, 1, 1)"),
+], ids=["first-sum", "first-plus-1", "first-minus-1", "first-missing"])
+def test_criterion_3_checks_the_tensor_twist(monkeypatch, first, first_failures):
+    # the tensor twists its rest pair's LR weights by first1 + first2; a
+    # twist off by one, or none, moves cohomology out of the classified
+    # degrees, while the true sum keeps criterion 3 green
+    monkeypatch.setattr(bwb.BundleExpr, "tensor", _tensor_twisted_by(first))
+    _clear_bundle_memos()
+    try:
+        res = acceptance.criterion_3()
+    finally:
+        _clear_bundle_memos()
+    if first_failures is None:
+        assert res.passed, res.detail
+    else:
+        assert not res.passed
+        assert res.detail.startswith(f"failures: [{first_failures}, ")
+
+
 def test_criterion_5_cross_checks_unequal_twists(monkeypatch):
     # a profile between different twists that gains one odd-degree line
     # keeps every self-profile but breaks the K-class pairing

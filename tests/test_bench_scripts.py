@@ -192,12 +192,18 @@ def test_symbolic_case_starts_cold(measure, trees, monkeypatch):
     assert not any(_cache_sizes(a).values()) and not a.quiveralg._engines
     # the other tree keeps its own caches
     assert _cache_sizes(trees["b"])["minorbit_b.bwb._bwb_single"] > 0
-    # the counts of one cold run: each miss is one weight the run computed
+    # the counts of one cold run: each miss is one weight the run computed,
+    # and each LR call one rest pair it multiplied
     counts = measure.symbolic_counts(a)
-    assert set(counts) == {"cohomology_calls", "single_hits", "single_misses"}
+    assert set(counts) == {"cohomology_calls", "tensor_calls", "lr_calls", "single_hits",
+                           "single_misses"}
     assert counts["cohomology_calls"] > 0 and counts["single_hits"] > 0
     assert counts["single_misses"] == _cache_sizes(a)["minorbit_a.bwb._bwb_single"] > 0
+    assert counts["tensor_calls"] > 0
+    assert counts["lr_calls"] == _cache_sizes(a)["minorbit_a.bwb._tensor_weights"] > 0
     assert a.bwb.cohomology.__name__ == "cohomology"
+    assert a.bwb.BundleExpr.tensor.__name__ == "tensor"
+    assert a.bwb.lr_product.__name__ == "lr_product"
 
 
 def test_cold_clears_the_tilting_memo(measure, trees):

@@ -19,7 +19,7 @@ from minorbit.bwb import (
     serre_dual,
     wedge_tangent,
 )
-from minorbit.combinat import weyl_dim
+from minorbit.combinat import lr_product, weyl_dim
 
 
 def binom_poly(t, n):
@@ -230,10 +230,10 @@ def test_cohomology_degrees_stay_in_range():
                     assert 0 <= d <= n - 1
 
 
-def _random_weight(rng, n):
+def _random_weight(rng, n, box=3):
     # any weakly decreasing rest, negative entries and a nonzero last
     # entry included, so the constructor has to normalize
-    rest = tuple(sorted((rng.randint(-3, 3) for _ in range(n - 1)), reverse=True))
+    rest = tuple(sorted((rng.randint(-box, box) for _ in range(n - 1)), reverse=True))
     return LeviWeight(n, rng.randint(-4, 4), rest)
 
 
@@ -258,6 +258,62 @@ def test_twist_equals_the_rebuilt_expression():
                 assert v == w and hash(v) == hash(w) and v.normalized() == w
     assert omega(3, 1, 0).twist(2) == omega(3, 1, 2)
     assert BundleExpr(3).twist(1) == BundleExpr(3)
+
+
+OPERATIONS = {
+    "of": lambda rng, e, f: BundleExpr.of(_random_weight(rng, e.n)),
+    "dual": lambda rng, e, f: e.dual(),
+    "scale": lambda rng, e, f: e.scale(rng.randint(-3, 3)),
+    "tensor": lambda rng, e, f: e.tensor(f),
+    "twist": lambda rng, e, f: e.twist(rng.randint(-2 * e.n, 2 * e.n)),
+    "add": lambda rng, e, f: e + f,
+    "sub": lambda rng, e, f: e - f,
+}
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_operations_build_what_the_constructor_builds(op):
+    # every operation builds its terms normalized, distinct and nonzero
+    # and skips the constructor's pass, so the constructor, which
+    # normalizes and merges, must give back the same terms and hash
+    rng = random.Random(39)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        e = BundleExpr(n, {_random_weight(rng, n, box=2): rng.randint(-3, 3) for _ in range(4)})
+        # f is -e or e a fifth of the time, so sums cancel; else its
+        # rests come from a small box, so tensors stay small
+        f = e.scale(rng.choice((1, -1))) if rng.random() < 0.2 else BundleExpr(
+            n, {_random_weight(rng, n, box=1): rng.randint(-3, 3) for _ in range(2)})
+        out = OPERATIONS[op](rng, e, f)
+        rebuilt = BundleExpr(n, dict(out.terms))
+        assert out.n == n and out.terms == rebuilt.terms and hash(out) == hash(rebuilt)
+        assert all(LeviWeight(*w) == w for w in out.terms)
+
+
+def per_weight_tensor_weights(w1, w2):
+    # the per-weight form: LR of the rests with first1 + first2 in each
+    # weight before it is normalized
+    n = w1.n
+    out = []
+    for nu, c in lr_product(w1.rest, w2.rest, max_rows=n - 1).items():
+        rest = tuple(nu) + (0,) * (n - 1 - len(nu))
+        out.append((LeviWeight(n, w1.first + w2.first, rest).normalized(), c))
+    return out
+
+
+def test_tensor_matches_the_per_weight_form():
+    # LR is read once per rest pair and twisted by first1 + first2 on read
+    for n in range(2, 7):
+        rests = [r + (0,) for r in combinations_with_replacement(range(2, -1, -1), n - 2)]
+        for r1 in rests:
+            for r2 in rests:
+                # every first1 and every first2 in [-2n, 2n], paired by a
+                # permutation of that range
+                for f1 in range(-2 * n, 2 * n + 1):
+                    f2 = 2 * f1 % (4 * n + 1) - 2 * n
+                    w1, w2 = LeviWeight(n, f1, r1), LeviWeight(n, f2, r2)
+                    product = BundleExpr.of(w1).tensor(BundleExpr.of(w2))
+                    assert product.terms == dict(per_weight_tensor_weights(w1, w2))
 
 
 def test_hom_bundle_equals_the_rebuilt_product():
