@@ -35,7 +35,10 @@ the runs alternate and their order flips on every repeat.  A case is
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
-  grid `minorbit accept` runs);
+  grid `minorbit accept` runs).  One more run per tree, each grid
+  starting cold, records under the key repmoduli the hits and misses
+  per grid of the tree's memo `repmoduli._quotient` (none for a tree
+  whose `_quotient` keeps no memo);
 - startup: the seconds a fresh interpreter takes to import the
   benchmark's symbolic set (`minorbit.acceptance, minorbit.mutation`)
   and its battery set (`minorbit.repmoduli`), from a copy of the tree:
@@ -266,6 +269,22 @@ def battery_seconds(tree) -> dict[str, float]:
     return out
 
 
+def battery_counts(tree) -> dict[str, dict[str, int]]:
+    """quotient_hits and quotient_misses per grid of the battery case,
+    each grid run cold; empty when the tree's `_quotient` keeps no memo."""
+    quotient = tree.repmoduli._quotient
+    if not hasattr(quotient, "cache_info"):
+        return {}
+    out = {}
+    for grid, (samples, seed0) in GRIDS.items():
+        cold(tree)
+        for n in BATTERY_NS:
+            tree.repmoduli.run_battery(n, samples, seed0 + n)
+        info = quotient.cache_info()
+        out[grid] = {"quotient_hits": info.hits, "quotient_misses": info.misses}
+    return out
+
+
 def import_seconds(path: Path, modules, cached: bool) -> float:
     """Seconds a fresh interpreter takes to import `modules` from the
     minorbit package under `path`; it writes bytecode only if `cached`."""
@@ -406,6 +425,8 @@ def main(argv=None) -> None:
                 entry["levels"] = level_memory(tree, *map(int, case.split(":")))
             if case == "symbolic":
                 entry["bwb"] = symbolic_counts(tree)
+            if case == "battery":
+                entry["repmoduli"] = battery_counts(tree)
             doc.setdefault("runs", {}).setdefault(label, {})[case] = entry
             print(f"{label} {case}: {entry['total_s']:.3f} s", flush=True)
         if len(trees) == 2:

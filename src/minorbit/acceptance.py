@@ -20,7 +20,6 @@ from collections import namedtuple
 from math import comb
 
 from . import bwb, cohengine, kfunctor, mutation, quiveralg, repmoduli
-from .combinat import weyl_dim
 
 
 class CriterionResult(namedtuple("CriterionResult", "number title passed detail",
@@ -108,7 +107,8 @@ def criterion_3() -> CriterionResult:
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 e = bwb.hom_bundle(a, b, 0, n)
-                rank = sum(c * weyl_dim(n - 1, w.rest) for w, c in e.terms.items())
+                # each rest's rank, kept in the record its cohomology reads share
+                rank = sum(c * bwb._rest_record(n, w.rest)[1] for w, c in e.terms.items())
                 if rank != comb(n - 1, b - 1) * comb(n - 1, a - 1):
                     bad.append((n, a, b, "rank"))
                 for c in range(-2 * n, 2 * n + 1):

@@ -18,13 +18,14 @@ other scalar, and scalars from two fields, raise.  Every exact step
 works on one integer lift of the scalars: rationals become numerators N
 over their common denominator d, GF(p) elements their values in 0..p-1
 (d = 1), and an equation between scalars becomes one between integers,
-taken modulo p over GF(p).  `check_relations` sums each relation
-generator in the lift, `RepTriple` tests the pairing there and keeps
-that lift, `rescale` and `to_point` build each entry as one quotient of
-lifted numbers (`to_point` from the kept lift of its triple), and
-`reps_isomorphic` cross-multiplies.  Every result is therefore a
-Fraction over Q and a GF(p) element over GF(p), whatever mix of int and
-Fraction the input was.
+taken modulo p over GF(p).  Each step lifts once: `check_relations` the
+rep, to sum each relation generator; `RepTriple` alpha and beta, to test
+the pairing, keeping that lift for `to_point`; `rescale` the rep and c
+together; `reps_isomorphic` both reps, to cross-multiply.  `rescale` and
+`to_point` build each entry as one quotient of lifted numbers, in the
+memoized `_quotient`: a battery meets a few hundred distinct quotients.
+Every result is thus a Fraction over Q and a GF(p) element over GF(p),
+whatever mix of int and Fraction the input was.
 
 The isomorphism test.  r1 = rescale(r2, c) with c_0 = 1 says, in layer
 k, f1_i = rho f2_i for every label i and v1_j rho = v2_j for every j,
@@ -112,7 +113,8 @@ class GF:
 class RepTriple(namedtuple("RepTriple", "n alpha beta")):
     """A nonzero vector alpha and a covector beta with zero pairing.  The
     lift `_lift_scalars((*alpha, *beta))` that tests the pairing is kept
-    as `_lifted`, in the instance __dict__ (so no __slots__)."""
+    for `to_point` as `_lifted`, in the instance __dict__ (so no
+    __slots__); not a field, so eq, hash and repr ignore it."""
 
     def __new__(cls, n: int, alpha: tuple, beta: tuple):
         if n < 2:
@@ -126,7 +128,6 @@ class RepTriple(namedtuple("RepTriple", "n alpha beta")):
         if (total % p) if p else total:
             raise ValueError(f"pairing <beta, alpha> = {_quotient(total, d * d, p)} must vanish")
         self = tuple.__new__(cls, (n, alpha, beta))
-        # kept for `to_point`; not a field, so eq, hash and repr ignore it
         self._lifted = lifted
         return self
 
@@ -196,13 +197,16 @@ _RATIONAL = {Fraction, int}
 def _lift_scalars(s) -> tuple[list, int, int]:
     """The field of the scalars s, and s as integers (vals, d, p).  Over Q
     (Fraction and int scalars, p = 0) vals are the numerators N_i of
-    s_i = N_i / d over the common denominator d; over GF(p) (GF elements,
-    and ints x standing for GF(p, x)) they are the values in 0..p-1, with
-    d = 1.  Equalities of homogeneous scalar polynomials become equalities
-    of integers, taken modulo p when p is nonzero.  Raises TypeError for
-    any other scalar, a float say, and ValueError naming the fields for a
-    Fraction among GF elements or GF elements of two primes."""
+    s_i = N_i / d over the common denominator d (ints alone: s, d = 1);
+    over GF(p) (GF elements, and ints x standing for GF(p, x)) they are
+    the values in 0..p-1, with d = 1.  Equalities of homogeneous scalar
+    polynomials become equalities of integers, taken modulo p when p is
+    nonzero.  Raises TypeError for any other scalar, a float say, and
+    ValueError naming the fields for a Fraction among GF elements or GF
+    elements of two primes."""
     kinds = set(map(type, s))
+    if kinds == {int}:
+        return list(s), 1, 0
     if kinds <= _RATIONAL:
         # Fraction.denominator is a Python property: read it once
         dens = [x.denominator for x in s]
@@ -230,12 +234,10 @@ def check_relations(r: Rep) -> RelationCheck:
     scalars, and the terms of each generator must sum to zero.  Reports
     the first generator that does not, with its source vertex.
 
-    The sums are taken in integers.  Rational scalars are lifted to
-    numerators N over their common denominator D.  Every term of every
-    generator is an integer times a two-arrow word, which acts by
-    (N_a / D)(N_b / D), so a generator's sum is D^-2 times the integer
-    sum coeff * N_a * N_b, and it is zero exactly when that integer is.
-    Over GF(p) the integer sum is tested modulo p."""
+    The sums are taken in the lift N / D: every term is an integer times
+    a two-arrow word, acting by (N_a / D)(N_b / D), so a generator's sum
+    is D^-2 times the integer sum of coeff * N_a * N_b.  Over GF(p) it is
+    tested modulo p."""
     vals, _, p = _lift_scalars(_scalars(r))
     for name, source, terms in _relation_table(r.n):
         total = 0
@@ -247,25 +249,20 @@ def check_relations(r: Rep) -> RelationCheck:
 
 
 def generated_by(r: Rep, vertex: int) -> bool:
-    """Whether the subrepresentation generated by W_vertex is everything:
-    reachability from `vertex` through arrows acting by nonzero scalars."""
-    n = r.n
-    reached = {vertex}
-    frontier = [vertex]
-    while frontier:
-        k = frontier.pop()
-        if k + 1 < n and k + 1 not in reached and any(r.f_scalars[k]):
-            reached.add(k + 1)
-            frontier.append(k + 1)
-        if k - 1 >= 0 and k - 1 not in reached and any(r.v_scalars[k - 1]):
-            reached.add(k - 1)
-            frontier.append(k - 1)
-    return len(reached) == n
+    """Whether the subrepresentation generated by W_vertex is everything.
+    f arrows only go up and v arrows only go down, so W_vertex reaches
+    W_k exactly when each f layer from vertex to k - 1 (k > vertex), or
+    each v layer from k to vertex - 1 (k < vertex), has a nonzero scalar.
+    A vertex outside 0..n-1 raises ValueError."""
+    if not 0 <= vertex < r.n:
+        raise ValueError(f"vertex {vertex} out of range [0, {r.n - 1}]")
+    return all(map(any, r.f_scalars[vertex:])) and all(map(any, r.v_scalars[:vertex]))
 
 
 def is_simple(r: Rep) -> bool:
     """Simplicity for rank-one representations satisfying the relations:
-    equivalent to being generated by the last space."""
+    equivalent to being generated by the last space, that is, to every
+    v layer having a nonzero scalar."""
     return generated_by(r, r.n - 1)
 
 
@@ -276,10 +273,13 @@ class YPoint(namedtuple("YPoint", "line X")):
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
 def _quotient(num: int, den: int, p: int):
     """num / den in the field of `_lift_scalars`: a GF(p) element when p
     is nonzero, else a Fraction.  A den of zero (mod p) raises
-    ZeroDivisionError in both."""
+    ZeroDivisionError in both, on every call: lru_cache keeps no
+    exception.  No Fraction or GF changes in place, so results are
+    shared."""
     if p and not den % p:
         raise ZeroDivisionError(f"division by zero in GF({p})")
     return GF(p, num * pow(den, p - 2, p)) if p else Fraction(num, den)
@@ -289,9 +289,8 @@ def to_point(r: Rep) -> YPoint:
     """The point ([alpha], X = alpha beta^T) read off W_0's arrows.  X is
     square-zero because `RepTriple` rejects a nonzero pairing, and both
     the line and X are unchanged by a rescaling of the bases.  Built from
-    the lift alpha_i = N_i / d, beta_j = M_j / d that `triple_from_rep`'s
-    RepTriple keeps from its pairing test: X_ij = N_i M_j / d^2, and the
-    line's entries are N_i / N_pivot."""
+    the lift alpha_i = N_i / d, beta_j = M_j / d kept by the RepTriple
+    of `triple_from_rep`: X_ij = N_i M_j / d^2, the line N_i / N_pivot."""
     t = triple_from_rep(r)
     n = t.n
     vals, d, p = t._lifted
@@ -344,13 +343,12 @@ def rescale(r: Rep, c) -> Rep:
 def reps_isomorphic(r1: Rep, r2: Rep) -> bool:
     """Isomorphism = a rescaling c_k of each basis vector (c_0 = 1) that
     matches all arrow scalars: r1 == rescale(r2, c).  Reps of different n
-    are not isomorphic.  Both reps are lifted together, so they lie in one
-    field: an int rep compares with a GF(p) rep in GF(p), and reps over
-    different fields (Q and GF(p), or GF(p) for two primes p) raise
-    ValueError.  The gauge is read off the f layers, so a rep with an f
-    layer that is all zero, one not generated by W_0, is isomorphic to
-    nothing, itself included.  The layer equations are cross-multiplied
-    in the lift, as the module docstring proves."""
+    are not isomorphic.  Both reps are lifted together: an int rep compares
+    with a GF(p) rep in GF(p), and reps over two fields raise ValueError.
+    The gauge is read off the f layers, so a rep with an f layer that is
+    all zero, one not generated by W_0, is isomorphic to nothing, itself
+    included.  The layer equations are cross-multiplied in the lift, as
+    the module docstring proves."""
     if r1.n != r2.n:
         return False
     n = r1.n
@@ -423,20 +421,18 @@ class BatteryReport(namedtuple("BatteryReport", "n samples passed failures")):
 
 
 def run_battery(n: int, samples: int, seed: int) -> BatteryReport:
-    """Seeded property battery.  Each triple comes from `random_triple`
-    (alpha uniform over the nonzero points of the box, beta uniform over
-    its solutions there), and its rep is written in a random basis
-    c = (1, c_1, ..., c_{n-1}), c_k drawn from 1..BOX, so its layers
-    differ; then the relations hold, simplicity <=> beta != 0 <=> rank
-    X = 1, the point ([alpha], alpha beta^T) does not depend on the
-    basis, and the round trip through (alpha, beta) gives the rep back up
-    to isomorphism.
+    """Seeded property battery.  Each triple comes from `random_triple`,
+    and its rep is written in a random basis c = (1, c_1, ..., c_{n-1}),
+    c_k drawn from 1..BOX, so its layers differ; then the relations hold,
+    simplicity <=> beta != 0 <=> rank X = 1, the point ([alpha],
+    alpha beta^T) does not depend on the basis, and the round trip
+    through (alpha, beta) gives the rep back up to isomorphism.
 
     The triple is drawn over Z, and `rescale` writes the rep under test
     in Fractions.  The expected point is built from the triple's
     integers alone, never from that rep: X_ij = alpha_i beta_j as ints,
-    and the line alpha_i / alpha_pivot, so that the point step checks
-    `to_point` against data it does not read."""
+    and the line Fraction(alpha_i, alpha_pivot), not `_quotient`, so the
+    point step checks `to_point` against code and data it does not use."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if samples < 0:

@@ -218,20 +218,38 @@ def test_cold_clears_the_tilting_memo(measure, trees):
 
 
 def test_battery_case_starts_cold(measure, trees, monkeypatch):
-    # the relation tables are a cache keyed on n, so `cold` empties them
-    # and repeated runs compile one table per n
+    # the relation tables and the quotients are caches, so `cold` empties
+    # them and repeated runs compile one table per n
     monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0)})
     a = trees["a"]
-    tables = a.repmoduli._relation_table
+    tables, quotients = a.repmoduli._relation_table, a.repmoduli._quotient
     measure.battery_seconds(a)
     assert tables.cache_info().currsize == len(measure.BATTERY_NS)
+    assert quotients.cache_info().currsize
     measure.cold(a)
-    assert not tables.cache_info().currsize
+    assert not tables.cache_info().currsize and not quotients.cache_info().currsize
     for _ in range(3):
         measure.battery_seconds(a)
     assert tables.cache_info().currsize == len(measure.BATTERY_NS)
     # the other tree keeps its own tables
     assert trees["b"].repmoduli._relation_table is not tables
+
+
+def test_battery_counts_read_each_grid_cold(measure, trees, monkeypatch):
+    monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0), "small": (5, 1)})
+    a = trees["a"]
+    counts = measure.battery_counts(a)
+    assert list(counts) == ["tiny", "small"]
+    # the last grid's misses are the quotients it left in the memo
+    assert counts["small"]["quotient_misses"] == a.repmoduli._quotient.cache_info().currsize
+    assert all(c["quotient_hits"] > c["quotient_misses"] > 0 for c in counts.values())
+    # each grid starts cold, so a grid that repeats counts the same
+    monkeypatch.setattr(measure, "GRIDS", {"tiny": (3, 0), "again": (3, 0)})
+    again = measure.battery_counts(a)
+    assert again["tiny"] == again["again"] == counts["tiny"]
+    # a tree whose `_quotient` keeps no memo records none
+    monkeypatch.setattr(a.repmoduli, "_quotient", a.repmoduli._quotient.__wrapped__)
+    assert measure.battery_counts(a) == {}
 
 
 def test_failed_symbolic_criterion_stops_the_run(measure, trees, monkeypatch):

@@ -264,6 +264,47 @@ def test_generated_by_closure():
     assert not generated_by(r, 2)
 
 
+def _searched_generated_by(r, vertex):
+    """The reference: W_vertex generates r when a search through arrows
+    acting by nonzero scalars reaches every vertex."""
+    n = r.n
+    reached = {vertex}
+    frontier = [vertex]
+    while frontier:
+        k = frontier.pop()
+        if k + 1 < n and k + 1 not in reached and any(r.f_scalars[k]):
+            reached.add(k + 1)
+            frontier.append(k + 1)
+        if k - 1 >= 0 and k - 1 not in reached and any(r.v_scalars[k - 1]):
+            reached.add(k - 1)
+            frontier.append(k - 1)
+    return len(reached) == n
+
+
+def test_generated_by_agrees_with_the_search_on_every_layer_pattern():
+    cases = 0
+    for n in range(2, 7):
+        for pattern in product((False, True), repeat=2 * (n - 1)):
+            # a nonzero layer has one nonzero scalar, at a varying label
+            layers = tuple(tuple(Q(i + 1) if on and i == j % n else Q(0) for i in range(n))
+                           for j, on in enumerate(pattern))
+            r = Rep(n, layers[:n - 1], layers[n - 1:])
+            for vertex in range(n):
+                assert generated_by(r, vertex) == _searched_generated_by(r, vertex), (
+                    pattern, vertex)
+                cases += 1
+            assert is_simple(r) == _searched_generated_by(r, n - 1)
+    assert cases == 7736
+
+
+@pytest.mark.parametrize("vertex", [-1, 3, 4])
+def test_generated_by_refuses_a_vertex_outside_the_quiver(vertex):
+    # vertex -1 would read the last f layer through a negative index
+    r = rep_from_triple(RepTriple(3, q(1, 0, 0), q(0, 1, 0)))
+    with pytest.raises(ValueError, match=rf"vertex {vertex} out of range \[0, 2\]"):
+        generated_by(r, vertex)
+
+
 def test_round_trip_exact():
     rng = Random(7)
     for n in range(2, 6):
@@ -732,6 +773,25 @@ def test_division_by_zero_raises_in_every_field():
             rescale(r, c)
     with pytest.raises(ZeroDivisionError):
         rescale(_TRIPLE_REP, (1, Q(5, 3), 0, 2))
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_a_zero_quotient_raises_on_every_call(p):
+    # lru_cache keeps no exception, so a repeated zero den raises again
+    for _ in range(3):
+        for den in (0, 7 * (p > 0)):
+            with pytest.raises(ZeroDivisionError):
+                repmoduli._quotient(3, den, p)
+
+
+def test_memoized_quotients_equal_fresh_ones():
+    fresh = [((3, 6, 0), Q(3, 6)), ((-4, 2, 0), Q(-2)), ((0, 5, 0), Q(0)),
+             ((3, 5, 7), GF(7, 2)), ((-1, 10, 7), GF(7, 2)), ((0, 3, 7), GF(7, 0))]
+    for key, value in fresh:
+        got = repmoduli._quotient(*key)
+        assert got == value and type(got) is type(value) and str(got) == str(value)
+        # a repeated call shares the first call's value
+        assert repmoduli._quotient(*key) is got
 
 
 _GF7_REP = rep_from_triple(RepTriple(2, (GF(7, 1), GF(7, 1)), (GF(7, 1), GF(7, 6))))
