@@ -32,6 +32,9 @@ the runs alternate and their order flips on every repeat.  A case is
   wrapping them; `bwb` calls `lr_product` once per miss of its LR
   cache) and the hits and misses of its per-weight cache
   `bwb._bwb_single`;
+- hom10: `bwb.hom_bundle(a, b, 0, n)` for every 1 <= a, b <= n, timed
+  per n = 2..10: the Littlewood-Richardson products of column shapes that
+  the Hom bundles of criteria 2-4 read, past the criteria's grids;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
@@ -53,7 +56,7 @@ before each run of every case, so every run starts cold, as a perfbench
 child does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
-quiver, criterion1, symbolic, battery and startup.  Each tree's entry
+quiver, criterion1, symbolic, hom10, battery and startup.  Each tree's entry
 holds every timing's median over the repeats and the median total; with
 two trees, each case also records the per-pair ratio of totals (second
 tree / first tree), its median and quartiles, the number of pairs the
@@ -85,10 +88,11 @@ import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "quiver", "criterion1", "symbolic",
-                 "battery", "startup")
+                 "hom10", "battery", "startup")
 QUIVER = ((4, 5), (5, 4))
 SYMBOLIC = (2, 3, 4, 5, 6, 7, 8, 10)
 ORBIT_N = 6
+HOM_NS = range(2, 11)
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
 BATTERY_NS = range(2, 7)
 # the import sets of perfbench's symbolic and battery set-up
@@ -256,6 +260,18 @@ def symbolic_counts(tree) -> dict[str, int]:
     return {**calls, "single_hits": info.hits, "single_misses": info.misses}
 
 
+def hom_seconds(tree) -> dict[str, float]:
+    cold(tree)
+    out = {}
+    for n in HOM_NS:
+        t0 = time.perf_counter()
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                tree.bwb.hom_bundle(a, b, 0, n)
+        out[f"n{n}"] = time.perf_counter() - t0
+    return out
+
+
 def battery_seconds(tree) -> dict[str, float]:
     cold(tree)
     out = {}
@@ -328,6 +344,8 @@ def timer(case: str):
         return criterion1_seconds
     if case == "symbolic":
         return symbolic_seconds
+    if case == "hom10":
+        return hom_seconds
     if case == "battery":
         return battery_seconds
     if case == "startup":
@@ -402,8 +420,8 @@ def main(argv=None) -> None:
     ap.add_argument("--out", required=True, help="the JSON file to record in")
     ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
     ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
-                    help=f"N:L, quiver, criterion1, symbolic, battery or startup "
-                         f"(default {' '.join(DEFAULT_CASES)})")
+                    help=f"N:L, quiver, criterion1, symbolic, hom10, battery or "
+                         f"startup (default {' '.join(DEFAULT_CASES)})")
     args = ap.parse_args(argv)
     pairs = args.src or [("change", DEFAULT_SRC)]
     sources = dict(pairs)

@@ -2,20 +2,25 @@
 
 Partitions are stored as tuples of weakly decreasing positive integers
 with trailing zeros stripped; the empty tuple is the empty partition.
-All functions return exact integers.
+All functions return exact integers; entries are read with
+`operator.index`, so a float or a string raises TypeError.
+Littlewood-Richardson products are chains of horizontal strips, each
+cut by the lattice condition as it is placed (see `lr_product`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add, index
 
 Partition = tuple
 
 
 def normalize_partition(parts) -> tuple[int, ...]:
     """Canonical form: validate weak decrease / nonnegativity, strip zeros."""
-    out = tuple(int(x) for x in parts)
+    out = tuple(map(index, parts))
     for i in range(len(out) - 1):
         if out[i] < out[i + 1]:
             raise ValueError(f"not weakly decreasing: {out}")
@@ -52,7 +57,7 @@ def weyl_dim(m: int, weights) -> int:
     is evaluated with exact integer division.  The value is invariant under
     adding a constant to all entries (a determinant twist).
     """
-    w = list(int(x) for x in weights)
+    w = list(map(index, weights))
     if len(w) > m:
         raise ValueError(f"weight has more than {m} entries: {w}")
     w += [0] * (m - len(w))
@@ -69,70 +74,63 @@ def weyl_dim(m: int, weights) -> int:
     return num // den
 
 
-def _horizontal_strips(shape: tuple[int, ...], size: int):
-    """All partitions obtained from `shape` by adding `size` boxes with no
-    two added boxes in the same column (a horizontal strip)."""
-    rows = len(shape) + 1
-    padded = tuple(shape) + (0,)
+def _horizontal_strips(shape: tuple[int, ...], size: int, above: tuple[int, ...]):
+    """Horizontal strips of `size` boxes on `shape` (no two boxes in one
+    column), each as its box count per row, one more row than `shape`,
+    whose boxes in rows 0..r number at most above[r] for every r."""
+    padded = shape + (0,)
 
-    def rec(i, remaining):
-        if i == rows:
-            if remaining == 0:
+    def rec(r, left):
+        if r == len(padded):
+            if not left:
                 yield ()
             return
-        old = padded[i]
-        # strip condition: the new row i may not pass the old row i-1
-        hi = old + remaining if i == 0 else min(old + remaining, padded[i - 1])
-        for new in range(old, hi + 1):
-            for tail in rec(i + 1, remaining - (new - old)):
-                yield (new,) + tail
+        # row r may not pass the old row r-1, nor the bound of rows 0..r
+        room = left if r == 0 else min(left, padded[r - 1] - padded[r])
+        for k in range(min(room, above[r] - size + left) + 1):
+            for tail in rec(r + 1, left - k):
+                yield (k,) + tail
 
-    for cand in rec(0, size):
-        yield normalize_partition(cand)
+    return rec(0, size)
 
 
 @lru_cache(maxsize=None)
 def _lr_cached(lam: tuple, mu: tuple) -> tuple:
     results: dict[tuple, int] = {}
-    # chains of horizontal strips, letter i filling the i-th strip;
-    # keep the explicit filling to test the lattice-word condition at the end
-    def rec(i, shape, rows_letters):
+
+    # letter i fills the i-th strip; `prev` is the strip of letter i-1
+    def rec(i, shape, prev):
         if i == len(mu):
-            if _is_lattice(rows_letters):
-                results[shape] = results.get(shape, 0) + 1
+            results[shape] = results.get(shape, 0) + 1
             return
-        for new in _horizontal_strips(shape, mu[i]):
-            padded_old = tuple(shape) + (0,) * (len(new) - len(shape))
-            filling = [
-                list(r) + [i] * (new[j] - padded_old[j])
-                for j, r in enumerate(
-                    list(rows_letters) + [[]] * (len(new) - len(rows_letters))
-                )
-            ]
-            rec(i + 1, new, filling)
+        above = (0, *accumulate(prev)) if i else (mu[0],) * (len(shape) + 1)
+        for strip in _horizontal_strips(shape, mu[i], above):
+            new = tuple(map(add, shape + (0,), strip))
+            rec(i + 1, new if new[-1] else new[:-1], strip)
 
-    rec(0, lam, [[] for _ in lam])
+    rec(0, lam, ())
     return tuple(sorted(results.items()))
-
-
-def _is_lattice(rows_letters) -> bool:
-    # reverse reading word: rows top to bottom, each row right to left
-    counts: dict[int, int] = {}
-    for row in rows_letters:
-        for letter in reversed(row):
-            counts[letter] = counts.get(letter, 0) + 1
-            if letter > 0 and counts.get(letter - 1, 0) < counts[letter]:
-                return False
-    return True
 
 
 def lr_product(lam, mu, max_rows: int | None = None) -> dict[tuple, int]:
     """Littlewood-Richardson decomposition of the product of Schur
     functors ``S_lam . S_mu`` as a multiset {nu: c^nu_{lam,mu}}.
 
-    Computed by enumerating chains of horizontal strips and keeping the
-    fillings whose reverse reading word is a lattice word.  `max_rows`
-    drops terms with more rows (GL_m truncation).
+    c^nu_{lam,mu} counts the semistandard fillings of nu/lam with content
+    mu whose reverse reading word (rows top to bottom, each right to
+    left) is a lattice word.  They are built as chains of horizontal
+    strips, letter i filling the i-th strip on the shape of the smaller
+    letters: a strip puts its boxes right of the smaller letters in a
+    row and below them in a column, at most one per column, which makes
+    the filling semistandard.  Read right to left, each row's letters
+    decrease, so the i's of row r are read together, after rows 0..r-1
+    and before the (i-1)'s of row r.  Only reading an i raises the
+    count of i against that of i-1, so the word is a lattice word
+    exactly when, for each letter i > 0 and row r, the i's in rows 0..r
+    number at most the (i-1)'s in rows 0..r-1.  That bound reads only
+    the strip of letter i-1, so each strip is cut by it as it is
+    placed, and no filling is kept.  `max_rows` drops terms with more
+    rows (GL_m truncation).
     """
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)

@@ -206,6 +206,36 @@ def test_symbolic_case_starts_cold(measure, trees, monkeypatch):
     assert a.bwb.lr_product.__name__ == "lr_product"
 
 
+def test_hom_case_starts_cold(measure, trees, monkeypatch):
+    # every LR product of the Hom bundles is cached, so a run that did not
+    # clear the caches would time only lookups; the first clock read of
+    # each run must find the running tree's LR, tensor and Hom caches empty
+    monkeypatch.setattr(measure, "HOM_NS", range(2, 5))
+    running, starts = [], []
+
+    def clock():
+        if len(starts) < len(running):
+            tree = trees[running[-1]]
+            starts.append((tree.combinat._lr_cached.cache_info().currsize,
+                           tree.bwb._tensor_weights.cache_info().currsize,
+                           tree.bwb._hom_product.cache_info().currsize))
+        return time.perf_counter()
+
+    monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=clock))
+    timer = measure.timer("hom10")
+
+    def logged(tree):
+        running.append(tree.__name__.removeprefix("minorbit_"))
+        return timer(tree)
+
+    runs = measure.alternate(trees, logged, 2)
+    assert list(runs["a"][0]) == ["n2", "n3", "n4"]
+    assert len(starts) == len(running) == 6 and set(starts) == {(0, 0, 0)}, starts
+    # each run builds all n^2 Hom bundles of every n
+    hom = trees["a"].bwb._hom_product.cache_info()
+    assert hom.currsize == 4 + 9 + 16 and hom.hits == 0
+
+
 def test_cold_clears_the_tilting_memo(measure, trees):
     a = trees["a"]
     assert a.acceptance.criterion_4().passed

@@ -1,7 +1,9 @@
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from minorbit import bwb
 from minorbit.combinat import (
     dim_sym,
     dim_wedge,
@@ -117,3 +119,99 @@ def test_dimension_additivity_exhaustive():
                             for nu, c in lr_product(lam, mu, max_rows=m).items()
                         )
                         assert lhs == rhs, (m, lam, mu)
+
+
+def reference_lr(lam, mu):
+    """Littlewood-Richardson coefficients from explicit fillings: every
+    chain of horizontal strips, kept when its reverse reading word (rows
+    top to bottom, each right to left) is a lattice word."""
+    results = {}
+
+    def strips(shape, size):
+        padded = shape + (0,)
+
+        def rec(i, left):
+            if i == len(padded):
+                if left == 0:
+                    yield ()
+                return
+            hi = padded[i] + left if i == 0 else min(padded[i] + left, padded[i - 1])
+            for new in range(padded[i], hi + 1):
+                for tail in rec(i + 1, left - (new - padded[i])):
+                    yield (new,) + tail
+
+        for cand in rec(0, size):
+            yield normalize_partition(cand)
+
+    def is_lattice(rows):
+        counts = {}
+        for row in rows:
+            for letter in reversed(row):
+                counts[letter] = counts.get(letter, 0) + 1
+                if letter > 0 and counts.get(letter - 1, 0) < counts[letter]:
+                    return False
+        return True
+
+    def rec(i, shape, rows):
+        if i == len(mu):
+            if is_lattice(rows):
+                results[shape] = results.get(shape, 0) + 1
+            return
+        for new in strips(shape, mu[i]):
+            old = shape + (0,) * (len(new) - len(shape))
+            grown = rows + [[] for _ in range(len(new) - len(rows))]
+            rec(i + 1, new, [r + [i] * (new[j] - old[j]) for j, r in enumerate(grown)])
+
+    rec(0, tuple(lam), [[] for _ in lam])
+    return results
+
+
+def test_lr_matches_the_filling_reference():
+    # every pair with |lam| + |mu| <= 8, with and without a row cap
+    for total in range(9):
+        for s1 in range(total + 1):
+            for lam in all_partitions(s1):
+                for mu in all_partitions(total - s1):
+                    ref = reference_lr(lam, mu)
+                    assert lr_product(lam, mu) == ref, (lam, mu)
+                    for m in (1, 2, 3):
+                        assert lr_product(lam, mu, max_rows=m) == {
+                            nu: c for nu, c in ref.items() if len(nu) <= m}, (lam, mu, m)
+
+
+def test_lr_vertical_pieri_rule():
+    # multiplying by a single column gives every vertical strip, each once
+    for lam in [(), (1,), (2, 1), (3, 1, 1), (2, 2), (4, 2, 2, 1)]:
+        for k in range(11):
+            rows = len(lam) + k
+            padded = lam + (0,) * k
+            strips = set()
+            for added in combinations(range(rows), k):
+                nu = tuple(p + (i in added) for i, p in enumerate(padded))
+                if all(nu[i] >= nu[i + 1] for i in range(rows - 1)):
+                    strips.add(normalize_partition(nu))
+            prod = lr_product(lam, (1,) * k)
+            assert set(prod) == strips, (lam, k)
+            assert set(prod.values()) == {1}, (lam, k)
+
+
+def test_dimension_additivity_for_two_columns():
+    # GL_10: dim(Lambda^h1) * dim(Lambda^h2) for columns of height <= 10
+    m = 10
+    for h1 in range(m + 1):
+        for h2 in range(m + 1):
+            rhs = sum(c * weyl_dim(m, nu)
+                      for nu, c in lr_product((1,) * h1, (1,) * h2, max_rows=m).items())
+            assert dim_wedge(m, h1) * dim_wedge(m, h2) == rhs, (h1, h2)
+
+
+def test_entries_must_be_integers():
+    # int() used to truncate: weyl_dim(3, (2.9, 0.5)) returned dim (2, 0)
+    for call in (lambda: weyl_dim(3, (2.9, 0.5)),
+                 lambda: normalize_partition(("2", "1")),
+                 lambda: lr_product((1.9,), (1,)),
+                 lambda: bwb.schur_of_omega1(3, (1.5,))):
+        with pytest.raises(TypeError):
+            call()
+    assert weyl_dim(3, np.array([2, 1, 0])) == weyl_dim(3, (2, 1)) == 8
+    assert normalize_partition((np.int64(2), np.int32(1), 0)) == (2, 1)
