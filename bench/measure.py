@@ -35,6 +35,12 @@ the runs alternate and their order flips on every repeat.  A case is
 - hom10: `bwb.hom_bundle(a, b, 0, n)` for every 1 <= a, b <= n, timed
   per n = 2..10: the Littlewood-Richardson products of column shapes that
   the Hom bundles of criteria 2-4 read, past the criteria's grids;
+- pieri5: `combinat.lr_product(w, f, max_rows=5)` for every GL_5 weight
+  w with first part <= 4 (126) and every factor f of three families,
+  timed per family: row (m), rect4 (m^4) and column (1^k), m <= 8,
+  k <= 5.  These are the Pieri products of Sym^m and Lambda^k of V and
+  V* that SL(V)-characters of the mutation splices read.  After the
+  timing each product is checked by GL_5 dimension additivity;
 - battery: `repmoduli.run_battery(n, samples, seed)` for n = 2..6 on
   two grids, perfbench (100 samples, seed n: the benchmark's battery
   workload at seed 0) and criterion9 (1000 samples, seed 1000 + n: the
@@ -56,14 +62,15 @@ before each run of every case, so every run starts cold, as a perfbench
 child does.
 
 The default cases are 4:8, 5:6, 6:5, the reach points 6:7 and 7:6,
-quiver, criterion1, symbolic, hom10, battery and startup.  Each tree's entry
-holds every timing's median over the repeats and the median total; with
-two trees, each case also records the per-pair ratio of totals (second
-tree / first tree), its median and quartiles, the number of pairs the
-second tree won, and each timing's median per-pair ratio.
+quiver, criterion1, symbolic, hom10, pieri5, battery and startup.  Each
+tree's entry holds every timing's median over the repeats and the median
+total; with two trees, each case also records the per-pair ratio of
+totals (second tree / first tree), its median and quartiles, the number
+of pairs the second tree won, and each timing's median per-pair ratio.
 The run stops on an uncertified cell, a failed comparison or criterion,
-or a failed battery.  Results go under runs.LABEL and pairs.SECOND/FIRST in --out;
-other entries in that file are kept.  Timings are wall clock on a
+a product of the wrong dimension, or a failed battery.  Results go under
+runs.LABEL and pairs.SECOND/FIRST in --out; other entries in that file
+are kept.  Timings are wall clock on a
 possibly shared machine, which is why the two trees alternate.
 """
 
@@ -81,6 +88,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -88,11 +96,16 @@ import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 DEFAULT_CASES = ("4:8", "5:6", "6:5", "6:7", "7:6", "quiver", "criterion1", "symbolic",
-                 "hom10", "battery", "startup")
+                 "hom10", "pieri5", "battery", "startup")
 QUIVER = ((4, 5), (5, 4))
 SYMBOLIC = (2, 3, 4, 5, 6, 7, 8, 10)
 ORBIT_N = 6
 HOM_NS = range(2, 11)
+# every weight with at most 5 rows and first part at most 4
+PIERI_WEIGHTS = [tuple(p for p in w if p)
+                 for w in combinations_with_replacement(range(4, -1, -1), 5)]
+PIERI = {"row": [(m,) for m in range(1, 9)], "rect4": [(m,) * 4 for m in range(1, 9)],
+         "column": [(1,) * k for k in range(1, 6)]}
 GRIDS = {"perfbench": (100, 0), "criterion9": (1000, 1000)}
 BATTERY_NS = range(2, 7)
 # the import sets of perfbench's symbolic and battery set-up
@@ -272,6 +285,21 @@ def hom_seconds(tree) -> dict[str, float]:
     return out
 
 
+def pieri_seconds(tree) -> dict[str, float]:
+    cold(tree)
+    out, products = {}, []
+    for family, factors in PIERI.items():
+        t0 = time.perf_counter()
+        products += [(w, f, tree.combinat.lr_product(w, f, max_rows=5))
+                     for w in PIERI_WEIGHTS for f in factors]
+        out[family] = time.perf_counter() - t0
+    dim = tree.combinat.weyl_dim
+    for w, f, prod in products:
+        if dim(5, w) * dim(5, f) != sum(c * dim(5, nu) for nu, c in prod.items()):
+            raise SystemExit(f"lr_product({w}, {f}, max_rows=5) has the wrong dimension")
+    return out
+
+
 def battery_seconds(tree) -> dict[str, float]:
     cold(tree)
     out = {}
@@ -346,6 +374,8 @@ def timer(case: str):
         return symbolic_seconds
     if case == "hom10":
         return hom_seconds
+    if case == "pieri5":
+        return pieri_seconds
     if case == "battery":
         return battery_seconds
     if case == "startup":
@@ -420,7 +450,7 @@ def main(argv=None) -> None:
     ap.add_argument("--out", required=True, help="the JSON file to record in")
     ap.add_argument("--repeats", type=int, default=10, help="timed runs per tree")
     ap.add_argument("--case", action="append", type=case_name, metavar="CASE",
-                    help=f"N:L, quiver, criterion1, symbolic, hom10, battery or "
+                    help=f"N:L, quiver, criterion1, symbolic, hom10, pieri5, battery or "
                          f"startup (default {' '.join(DEFAULT_CASES)})")
     args = ap.parse_args(argv)
     pairs = args.src or [("change", DEFAULT_SRC)]

@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutation orbit trace")
     common(p)
-    p.add_argument("--orbit", action="store_true",
-                   help="no effect: the orbit trace is mutate's only report")
     p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

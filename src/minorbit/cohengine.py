@@ -299,7 +299,8 @@ def family_summands(fam: TiltingFamily) -> list[bwb.BundleExpr]:
 
 class TiltingReport(namedtuple("TiltingReport", "family n k passed witness "
                                              "stabilization_bound pairs_checked")):
-    """witness is the first failing (i, j, deg, m), or None."""
+    """witness is the first failing (i, j, deg, m), or None;
+    stabilization_bound is the pairs' largest dominance bound."""
 
     __slots__ = ()
 
@@ -321,10 +322,11 @@ def _pair_bundle(si: bwb.BundleExpr, sj: bwb.BundleExpr) -> bwb.BundleExpr:
 
 
 @lru_cache(maxsize=None)
-def _first_higher(e: bwb.BundleExpr, bound: int) -> tuple | None:
-    """The first (deg, m), m = 0..bound, with H^deg(E(m)) != 0 and deg > 0,
-    or None."""
-    for m in range(bound + 1):
+def _first_higher(e: bwb.BundleExpr) -> tuple | None:
+    """The first (deg, m) with H^deg(E(m)) != 0 and deg > 0, or None.
+    m runs below `_dominance_bound(e)`, from which on E(m) has
+    cohomology in degree 0 only."""
+    for m in range(_dominance_bound(e)):
         for deg, v in bwb.cohomology(e, m).items():
             if deg > 0 and v != 0:
                 return deg, m
@@ -337,27 +339,21 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
     For every ordered pair of summands (S_i, S_j) the bundle
     E = S_i^v (x) S_j must satisfy H^{>0}(P^{n-1}, E(m)) = 0 for all
     m >= 0; higher cohomology on the total space is then zero.  Only
-    finitely many m need checking: once m exceeds the dominance deficit
-    of every irreducible constituent, every weight is dominant and has
-    cohomology in degree 0 only.  The deficit is doubled and recorded as
-    the stabilization bound.
+    the m below E's dominance bound need checking (`_first_higher`);
+    the largest bound of the family is the stabilization bound.
 
     The pairs are walked in order, but each distinct pair bundle is
     built and scanned once per process: the memos key on the summand
-    bundles and on (the pair bundle, bound), on which alone the results
-    depend, and families share pair bundles (SkDual's pair (i, j) is
-    Sk's pair (j, i); line-bundle pairs recur across families and k).
-    Pairs whose summands differ only by twists share one LR read per
-    rest pair in `bwb`.
+    bundles and on the pair bundle, and families share pair bundles
+    (SkDual's pair (i, j) is Sk's pair (j, i)).
     A test that sabotages `bwb` must call `cache_clear` on
     `_pair_bundle` and `_first_higher` first, or the memo answers for it.
     """
     summands = family_summands(fam)
     pairs = [_pair_bundle(si, sj) for si in summands for sj in summands]
-    bound = 2 * max(_dominance_bound(e) for e in pairs)
     witness = None
     for idx, e in enumerate(pairs):
-        hit = _first_higher(e, bound)
+        hit = _first_higher(e)
         if hit:
             witness = divmod(idx, len(summands)) + hit
             break
@@ -367,6 +363,6 @@ def tilting_check(fam: TiltingFamily) -> TiltingReport:
         k=fam.k,
         passed=witness is None,
         witness=witness,
-        stabilization_bound=bound,
+        stabilization_bound=max(map(_dominance_bound, pairs)),
         pairs_checked=len(pairs),
     )

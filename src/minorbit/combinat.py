@@ -5,7 +5,7 @@ with trailing zeros stripped; the empty tuple is the empty partition.
 All functions return exact integers; entries are read with
 `operator.index`, so a float or a string raises TypeError.
 Littlewood-Richardson products are chains of horizontal strips, each
-cut by the lattice condition as it is placed (see `lr_product`).
+cut as it is placed (see `lr_product`).
 """
 
 from __future__ import annotations
@@ -74,11 +74,12 @@ def weyl_dim(m: int, weights) -> int:
     return num // den
 
 
-def _horizontal_strips(shape: tuple[int, ...], size: int, above: tuple[int, ...]):
+def _horizontal_strips(shape: tuple[int, ...], size: int, above: tuple[int, ...],
+                       rows: int):
     """Horizontal strips of `size` boxes on `shape` (no two boxes in one
-    column), each as its box count per row, one more row than `shape`,
-    whose boxes in rows 0..r number at most above[r] for every r."""
-    padded = shape + (0,)
+    column) in rows below `rows`, each as its box count per row, whose
+    boxes in rows 0..r number at most above[r] for every r."""
+    padded = (shape + (0,))[:rows]
 
     def rec(r, left):
         if r == len(padded):
@@ -95,7 +96,7 @@ def _horizontal_strips(shape: tuple[int, ...], size: int, above: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _lr_cached(lam: tuple, mu: tuple) -> tuple:
+def _lr_cached(lam: tuple, mu: tuple, rows: int) -> tuple:
     results: dict[tuple, int] = {}
 
     # letter i fills the i-th strip; `prev` is the strip of letter i-1
@@ -104,7 +105,7 @@ def _lr_cached(lam: tuple, mu: tuple) -> tuple:
             results[shape] = results.get(shape, 0) + 1
             return
         above = (0, *accumulate(prev)) if i else (mu[0],) * (len(shape) + 1)
-        for strip in _horizontal_strips(shape, mu[i], above):
+        for strip in _horizontal_strips(shape, mu[i], above, rows):
             new = tuple(map(add, shape + (0,), strip))
             rec(i + 1, new if new[-1] else new[:-1], strip)
 
@@ -114,27 +115,29 @@ def _lr_cached(lam: tuple, mu: tuple) -> tuple:
 
 def lr_product(lam, mu, max_rows: int | None = None) -> dict[tuple, int]:
     """Littlewood-Richardson decomposition of the product of Schur
-    functors ``S_lam . S_mu`` as a multiset {nu: c^nu_{lam,mu}}.
+    functors ``S_lam . S_mu`` as a multiset {nu: c^nu_{lam,mu}}, without
+    the nu of more than `max_rows` rows (GL_m truncation).
 
     c^nu_{lam,mu} counts the semistandard fillings of nu/lam with content
     mu whose reverse reading word (rows top to bottom, each right to
     left) is a lattice word.  They are built as chains of horizontal
     strips, letter i filling the i-th strip on the shape of the smaller
     letters: a strip puts its boxes right of the smaller letters in a
-    row and below them in a column, at most one per column, which makes
-    the filling semistandard.  Read right to left, each row's letters
+    row and below them in a column, at most one per column, so the
+    filling is semistandard.  Read right to left, each row's letters
     decrease, so the i's of row r are read together, after rows 0..r-1
     and before the (i-1)'s of row r.  Only reading an i raises the
     count of i against that of i-1, so the word is a lattice word
     exactly when, for each letter i > 0 and row r, the i's in rows 0..r
-    number at most the (i-1)'s in rows 0..r-1.  That bound reads only
-    the strip of letter i-1, so each strip is cut by it as it is
-    placed, and no filling is kept.  `max_rows` drops terms with more
-    rows (GL_m truncation).
+    number at most the (i-1)'s in rows 0..r-1; each strip is cut by
+    that bound as it is placed.  Strips only add boxes, so a shape past
+    the cap never comes back under it: no strip puts a box there.  As
+    c^nu_{lam,mu} = c^nu_{mu,lam}, the factor with fewer boxes fills
+    the strips.
     """
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
-    out = dict(_lr_cached(lam, mu))
-    if max_rows is not None:
-        out = {nu: c for nu, c in out.items() if len(nu) <= max_rows}
-    return out
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    rows = len(lam) + len(mu) if max_rows is None else max_rows
+    return dict(_lr_cached(lam, mu, rows)) if len(lam) <= rows else {}

@@ -321,3 +321,30 @@ def test_startup_case_imports_each_tree_in_fresh_interpreters(measure, trees, mo
     monkeypatch.setattr(measure, "STARTUP", {"tiny": ("minorbit.nosuchmodule",)})
     with pytest.raises(SystemExit, match="import minorbit.nosuchmodule failed"):
         measure.startup_seconds(trees["a"])
+
+
+def test_pieri_case_starts_cold(measure, trees, monkeypatch):
+    # the products are cached, so the first clock read of each run must
+    # find the running tree's LR cache empty
+    monkeypatch.setattr(measure, "PIERI_WEIGHTS", measure.PIERI_WEIGHTS[:20])
+    running, starts = [], []
+
+    def clock():
+        if len(starts) < len(running):
+            starts.append(trees[running[-1]].combinat._lr_cached.cache_info().currsize)
+        return time.perf_counter()
+
+    monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=clock))
+    timer = measure.timer("pieri5")
+
+    def logged(tree):
+        running.append(tree.__name__.removeprefix("minorbit_"))
+        return timer(tree)
+
+    runs = measure.alternate(trees, logged, 2)
+    assert list(runs["a"][0]) == ["row", "rect4", "column"]
+    assert len(starts) == len(running) == 6 and set(starts) == {0}, starts
+    # a product of the wrong dimension stops the run
+    monkeypatch.setattr(trees["a"].combinat, "lr_product", lambda lam, mu, max_rows: {})
+    with pytest.raises(SystemExit, match="wrong dimension"):
+        measure.pieri_seconds(trees["a"])

@@ -74,8 +74,9 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ["coh", "--n", "3", "--bundle", "O(1)", "--seed", "5"],
         ["coh", "--n", "3", "--bundle", "O(1)", "--cap", "4"],
         ["quiver", "--dims", "--n", "2", "--cap", "4"],
-        ["mutate", "--orbit", "--n", "3", "--max-len", "4"],
-        ["mutate", "--orbit", "--n", "3", "--cap", "-1"],
+        ["mutate", "--n", "3", "--max-len", "4"],
+        ["mutate", "--n", "3", "--cap", "-1"],
+        ["mutate", "--orbit", "--n", "3"],
         ["accept", "--output", "json"],
         ["kflop", "--matrix", "--n", "3", "--direction", "KN"],
         ["kflop", "--matrix", "--k", "0", "--n", "3"],
@@ -178,12 +179,10 @@ def test_hilbert_subcommand(capsys):
 
 
 def test_mutate_orbit(capsys):
-    rc, out, _ = run(capsys, ["mutate", "--orbit", "--n", "3"])
+    rc, out, _ = run(capsys, ["mutate", "--n", "3"])
     assert rc == 0
     payload = json.loads(out)
     assert payload["closed_after"] == 4
-    # the orbit trace is mutate's only report, so --orbit selects nothing
-    assert run(capsys, ["mutate", "--n", "3"]) == (0, out, "")
 
 
 def test_tilting_subcommand(capsys):
@@ -282,7 +281,7 @@ def test_csv_needs_a_table(capsys):
         ["quiver", "--compare", "--n", "2", "--max-len", "2"],
         ["rep", "--alpha", "0,0,1", "--beta", "1/2,0,0"],
         ["kflop", "--matrix", "--n", "3"],
-        ["mutate", "--orbit", "--n", "3"],
+        ["mutate", "--n", "3"],
     ):
         assert_usage_error(capsys, argv + ["--output", "csv"])
 
@@ -306,7 +305,7 @@ def test_csv_without_a_table_is_rejected_before_computing(tmp_path, capsys, monk
         ["quiver", "--compare", "--n", "6", "--max-len", "5"],
         ["rep", "--alpha", "0,0,1", "--beta", "1/2,0,0"],
         ["kflop", "--matrix", "--n", "3"],
-        ["mutate", "--orbit", "--n", "3"],
+        ["mutate", "--n", "3"],
     ):
         assert_usage_error(capsys, argv + ["--output", "csv"])
         assert_usage_error(capsys, ["--config", str(cfg)] + argv)

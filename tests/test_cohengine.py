@@ -192,8 +192,10 @@ def test_tilting_examples():
 
 
 def test_tilting_reports_bound():
+    # the window's widest pair is O(-(n-1)), dominant from twist n-1 on
+    for n in range(2, 7):
+        assert tilting_check(TiltingFamily("Tk", n, 0)).stabilization_bound == n - 1
     rep = tilting_check(TiltingFamily("Tk", 3, 0))
-    assert rep.stabilization_bound >= 0
     assert rep.pairs_checked == 9
     d = rep.as_dict()
     assert d["pass"] is True and "stabilization_bound" in d
@@ -207,7 +209,8 @@ def test_tilting_k_independence():
 
 def _reference_tilting(fam):
     """tilting_check without the memo: every pair bundle is built and
-    scanned afresh, in the same order."""
+    scanned afresh, in the same order, up to twice the family's largest
+    dominance bound, which checks the proof that the bound suffices."""
     summands = cohengine.family_summands(fam)
     pair_exprs = []
     k_min = 0
@@ -217,10 +220,10 @@ def _reference_tilting(fam):
             pair_exprs.append(e)
             for w in e.terms:
                 k_min = max(k_min, w.rest[0] - w.first)
-    bound = 2 * max(k_min, 0)
+    bound = max(k_min, 0)
     witness = None
     for idx, e in enumerate(pair_exprs):
-        for m in range(bound + 1):
+        for m in range(2 * bound + 1):
             table = bwb.cohomology(e.twist(m))
             for deg, v in table.items():
                 if deg > 0 and v != 0:
@@ -269,3 +272,49 @@ def test_memoized_tilting_check_finds_the_reference_witness(monkeypatch):
             rep = tilting_check(fam)
             assert _verdict(rep) == _reference_tilting(fam), fam
             assert fam.name != "Tk" or not rep.passed
+
+
+def test_cold_criterion_4_scans_each_pair_bundle_once(monkeypatch):
+    from minorbit import acceptance
+
+    families = []
+    real = cohengine.tilting_check
+
+    def logged(fam):
+        families.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(cohengine, "tilting_check", logged)
+    cohengine._pair_bundle.cache_clear()
+    cohengine._first_higher.cache_clear()
+    assert acceptance.criterion_4().passed
+    distinct = {si.dual().tensor(sj) for fam in families
+                for si in cohengine.family_summands(fam)
+                for sj in cohengine.family_summands(fam)}
+    info = cohengine._first_higher.cache_info()
+    assert info.currsize == info.misses == len(distinct)
+
+
+def test_scan_reaches_the_last_twist_below_the_dominance_bound(monkeypatch):
+    # a stray H^1 at twist bound - 1 of the family's widest pair bundle,
+    # the last twist the scan reads, is caught with that witness
+    real = bwb.cohomology
+    for fam in (TiltingFamily("Tk", 4, 0), TiltingFamily("Sk", 4, 1),
+                TiltingFamily("TPrime", 4)):
+        summands = cohengine.family_summands(fam)
+        pairs = [si.dual().tensor(sj) for si in summands for sj in summands]
+        bound = max(map(cohengine._dominance_bound, pairs))
+        idx = next(i for i, e in enumerate(pairs)
+                   if cohengine._dominance_bound(e) == bound)
+
+        def stray_h1(e, t=0, target=pairs[idx], at=bound - 1):
+            return {1: 1} if (e, t) == (target, at) else real(e, t)
+
+        monkeypatch.setattr(bwb, "cohomology", stray_h1)
+        cohengine._first_higher.cache_clear()
+        try:
+            rep = tilting_check(fam)
+        finally:
+            cohengine._first_higher.cache_clear()
+        assert not rep.passed, fam
+        assert rep.witness == divmod(idx, len(summands)) + (1, bound - 1), fam

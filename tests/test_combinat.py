@@ -3,7 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from minorbit import bwb
+from minorbit import bwb, combinat
 from minorbit.combinat import (
     dim_sym,
     dim_wedge,
@@ -78,10 +78,24 @@ def test_lr_examples():
     assert lr_product((), (3, 1)) == {(3, 1): 1}
 
 
+def _pairs_up_to(size):
+    """Every pair of partitions with |lam| + |mu| <= size."""
+    for total in range(size + 1):
+        for s1 in range(total + 1):
+            for lam in all_partitions(s1):
+                for mu in all_partitions(total - s1):
+                    yield lam, mu
+
+
 def test_lr_symmetric():
-    shapes = [(), (1,), (2,), (1, 1), (2, 1), (3,)]
-    for lam, mu in product(shapes, repeat=2):
-        assert lr_product(lam, mu) == lr_product(mu, lam)
+    # the factor with fewer boxes fills the strips; the product is
+    # symmetric, and empty when a factor has more rows than the cap
+    for lam, mu in _pairs_up_to(8):
+        for r in (None, 0, 1, 2, 3, 4, 5):
+            prod = lr_product(lam, mu, max_rows=r)
+            assert prod == lr_product(mu, lam, max_rows=r), (lam, mu, r)
+            if r is not None and max(len(lam), len(mu)) > r:
+                assert prod == {}, (lam, mu, r)
 
 
 def test_lr_sizes_add_up():
@@ -168,15 +182,12 @@ def reference_lr(lam, mu):
 
 def test_lr_matches_the_filling_reference():
     # every pair with |lam| + |mu| <= 8, with and without a row cap
-    for total in range(9):
-        for s1 in range(total + 1):
-            for lam in all_partitions(s1):
-                for mu in all_partitions(total - s1):
-                    ref = reference_lr(lam, mu)
-                    assert lr_product(lam, mu) == ref, (lam, mu)
-                    for m in (1, 2, 3):
-                        assert lr_product(lam, mu, max_rows=m) == {
-                            nu: c for nu, c in ref.items() if len(nu) <= m}, (lam, mu, m)
+    for lam, mu in _pairs_up_to(8):
+        ref = reference_lr(lam, mu)
+        assert lr_product(lam, mu) == ref, (lam, mu)
+        for m in (1, 2, 3):
+            assert lr_product(lam, mu, max_rows=m) == {
+                nu: c for nu, c in ref.items() if len(nu) <= m}, (lam, mu, m)
 
 
 def test_lr_vertical_pieri_rule():
@@ -215,3 +226,28 @@ def test_entries_must_be_integers():
             call()
     assert weyl_dim(3, np.array([2, 1, 0])) == weyl_dim(3, (2, 1)) == 8
     assert normalize_partition((np.int64(2), np.int32(1), 0)) == (2, 1)
+
+
+def test_strips_stop_at_the_row_cap(monkeypatch):
+    # a product filtered after the fact has the same output, so watch
+    # the strips themselves: none may put a box in a row at or past the cap
+    real = combinat._horizontal_strips
+    seen, placed = [], 0
+
+    def watched(*args):
+        for strip in real(*args):
+            seen.append(strip)
+            yield strip
+
+    monkeypatch.setattr(combinat, "_horizontal_strips", watched)
+    combinat._lr_cached.cache_clear()
+    try:
+        for lam, mu in _pairs_up_to(7):
+            for cap in range(1, 5):
+                seen.clear()
+                lr_product(lam, mu, max_rows=cap)
+                assert all(not k for strip in seen for k in strip[cap:]), (lam, mu, cap)
+                placed += len(seen)
+    finally:
+        combinat._lr_cached.cache_clear()
+    assert placed  # the products were built here, strip by strip
